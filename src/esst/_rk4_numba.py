@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .pulses import SQRT_2_OVER_PI
+
 try:
     from numba import njit
 
@@ -37,9 +39,6 @@ except ImportError:  # pragma: no cover - exercised only without numba
             return fn
 
         return wrap
-
-
-SQRT_2_OVER_PI = 0.7978845608028654
 
 
 @njit(cache=True, nogil=True)

@@ -162,9 +162,12 @@ _KEYS_BY_SECTION = {
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(section, key, f"expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(section, key, f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:
@@ -404,6 +407,10 @@ def _parse_sweep(items: dict[str, str], design: DesignSpec) -> SweepSection:
             )
         if not products:
             raise ConfigError("sweep", "delta_tau_products", "list is empty")
+        if not all(map(math.isfinite, products)):
+            raise ConfigError(
+                "sweep", "delta_tau_products", f"expected finite numbers, got {raw!r}"
+            )
     mode = items.get("mode", defaults.mode).strip().lower()
     if mode not in ("scale_b", "scale_ac"):
         raise ConfigError("sweep", "mode", f"expected scale_b or scale_ac, got {mode!r}")

@@ -21,6 +21,7 @@ import numpy as np
 
 from .analytic import analytic_final_populations
 from .areas import DesignSpec, designed_pulses, realize_phase
+from .config import ConfigError
 from .model import Handedness, MoleculeSpec
 from .propagator import Trajectory, default_grid, populations, propagate
 
@@ -35,9 +36,15 @@ DETUNING_MODES = {"scale_b": ("b",), "scale_ac": ("a", "c")}
 def _worker_count(n_jobs: int) -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
-        workers = int(env)
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0  # reported below with the other non-positive counts
         if workers < 1:
-            raise ValueError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
+            raise ConfigError(
+                "environment", THREADS_ENV,
+                f"must be a positive integer, got {env!r}",
+            )
     else:
         workers = os.cpu_count() or 1
     return max(1, min(workers, n_jobs))

@@ -8,7 +8,9 @@ oscillating fields enter the Hamiltonian.
 Two numerically interchangeable backends exist:
 
 * ``numba`` - a JIT-compiled scalar kernel (the default when numba imports);
-* ``numpy`` - a vectorized fallback building batched RK4 update matrices.
+* ``numpy`` - a vectorized fallback that builds the RK4 update matrices of
+  a whole chunk of steps at once, each matrix element a vector over the
+  steps, from edge-sparse Hamiltonian values, and composes them per sample.
 
 Selection: the ``backend=`` argument wins, then the ``ESST_BACKEND``
 environment variable (``auto``/``numba``/``numpy``), then ``auto``.
@@ -66,6 +68,9 @@ class GridConfig:
     drift_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        for name in ("t_start", "t_end", "dt", "drift_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t_end > self.t_start:
             raise ValueError(
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
@@ -74,6 +79,8 @@ class GridConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        if self.drift_tol <= 0:
+            raise ValueError(f"drift_tol must be > 0, got {self.drift_tol}")
 
     @property
     def n_steps(self) -> int:

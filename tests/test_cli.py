@@ -296,6 +296,28 @@ def test_numerical_guard_exits_3(tmp_path, capsys):
     assert "numerical guard" in capsys.readouterr().err
 
 
+def test_non_finite_drift_tol_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text(MINIMAL + "\n[grid]\ndrift_tol = nan\n", encoding="utf-8")
+    code = main(
+        ["propagate", "--config", str(path), "--out", str(tmp_path),
+         "--levels", "3", "--hand", "left"]
+    )
+    assert code == 2
+    assert "[grid] drift_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_exits_2(config_path, tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("ESST_THREADS", value)
+    code = main(
+        ["sweep-phase", "--config", config_path, "--out", str(tmp_path), "--levels", "3"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "ESST_THREADS" in err
+
+
 def test_levels_4_without_spectator_exits_2(tmp_path, capsys):
     path = tmp_path / "threelevel.ini"
     path.write_text(

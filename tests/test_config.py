@@ -280,6 +280,27 @@ def test_grid_invalid_values_rejected():
         parse_config(MINIMAL + "\n[grid]\nsample_stride = 2.5\n")
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section,key",
+    [
+        ("grid", "dt_ns"),
+        ("grid", "t_start_ns"),
+        ("grid", "t_end_ns"),
+        ("grid", "drift_tol"),
+        ("design", "tau0_ns"),
+        ("pulse.c", "area_param"),
+        ("sweep", "scale_max"),
+        ("sweep", "delta_tau_products"),
+    ],
+)
+def test_non_finite_numbers_rejected(section, key, raw):
+    # NaN slips past "x <= 0" checks, and drift_tol = nan would disable the
+    # norm guard, so the parser refuses non-finite numbers outright
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: expected (a )?finite number"):
+        parse_config(MINIMAL + f"\n[{section}]\n{key} = {raw}\n")
+
+
 def test_sweep_defaults_track_tau0():
     s = parse_config(MINIMAL).sweep
     assert s.phase_count == 64 and s.tau_count == 64

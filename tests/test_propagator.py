@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from esst import _rk4_numba, _rk4_numpy
 from esst.areas import DesignSpec, design_phases, designed_pulses, realize_phase
 from esst.model import (
     Handedness,
@@ -25,6 +26,8 @@ from esst.propagator import (
     GridConfig,
     GridTooCoarseError,
     NumericalGuardError,
+    _edge_arrays,
+    _pulse_arrays,
     available_backends,
     default_grid,
     fastest_frequency,
@@ -34,7 +37,7 @@ from esst.propagator import (
     resolve_backend,
     trace_table,
 )
-from esst.pulses import field
+from esst.pulses import Pulse, field
 
 L = Handedness.LEFT
 R = Handedness.RIGHT
@@ -48,6 +51,48 @@ def small_seq(molecule):
     pulses = designed_pulses(molecule, spec)
     grid = default_grid(molecule, list(pulses.values()), 4)
     return spec, pulses, grid
+
+
+@pytest.fixture(scope="module")
+def short_seq(molecule):
+    """The full target-C sequence at tau0 = 0.3 ns: 4,352 steps at 4 levels."""
+    return designed_pulses(molecule, DesignSpec(target="C", tau0=0.3))
+
+
+def scalar_kernel():
+    """The numba kernel's source run as plain Python, with or without numba."""
+    run = _rk4_numba.rk4_run
+    return getattr(run, "py_func", run)
+
+
+def kernel_args(molecule, pulses, hand, levels, grid):
+    """Positional arguments of a kernel's ``rk4_run``, as propagate builds them."""
+    basis = basis_for_levels(molecule, levels)
+    psi0 = np.zeros(basis.dim, dtype=np.complex128)
+    psi0[0] = 1.0
+    plist = list(pulses.values()) if isinstance(pulses, dict) else list(pulses)
+    return (
+        float(grid.t_start), float(grid.dt_eff), int(grid.n_steps),
+        int(grid.sample_stride),
+        np.asarray(basis.energies, dtype=np.float64),
+        *_edge_arrays(molecule, levels, hand),
+        *_pulse_arrays(plist),
+        psi0,
+    )
+
+
+def overflow_case(molecule):
+    """An a-pulse whose 1e300 area parameter overflows the RK4 stages.
+
+    The grid starts 40 widths before the pulse center, where the envelope
+    underflows to zero, so the first samples stay finite and the state goes
+    non-finite part-way through the run.
+    """
+    tau = 0.05
+    pulse = Pulse("a", area_param=1e300, center_time=0.0, duration=tau,
+                  carrier_mhz=molecule.omega_ab_mhz, phase=0.0)
+    grid = GridConfig(t_start=-40 * tau, t_end=0.0, dt=1e-3, sample_stride=16)
+    return pulse, grid
 
 
 def oracle_final_state(molecule, pulses, hand, levels, grid):
@@ -104,6 +149,21 @@ def test_grid_config_validation():
         GridConfig(t_start=0.0, t_end=-1.0, dt=0.1)
     with pytest.raises(ValueError):
         GridConfig(t_start=0.0, t_end=1.0, dt=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["t_start", "t_end", "dt", "drift_tol"])
+def test_grid_config_rejects_non_finite(name, value):
+    kwargs = {"t_start": 0.0, "t_end": 1.0, "dt": 0.1, "drift_tol": 1e-8}
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=name):
+        GridConfig(**kwargs)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8])
+def test_grid_config_rejects_non_positive_drift_tol(tol):
+    with pytest.raises(ValueError, match="drift_tol"):
+        GridConfig(t_start=0.0, t_end=1.0, dt=0.1, drift_tol=tol)
 
 
 def test_grid_steps_align_with_stride():
@@ -231,9 +291,51 @@ def test_backends_agree(molecule, small_seq):
     assert np.abs(t_nb.states - t_np.states).max() < 1e-10
 
 
+@pytest.mark.parametrize("stride", [128, 7])
+@pytest.mark.parametrize("hand", BOTH)
+def test_numpy_kernel_matches_scalar_kernel(molecule, short_seq, hand, stride):
+    # runs on every machine: without numba the njit shim leaves plain Python,
+    # with numba py_func is the uncompiled source; stride 7 exercises the odd
+    # tails of the pairwise composition and a chunk that is not a power of two
+    grid = default_grid(molecule, list(short_seq.values()), 4, sample_stride=stride)
+    args = kernel_args(molecule, short_seq, hand, 4, grid)
+    t_ref, s_ref, e_ref, status_ref = scalar_kernel()(*args)
+    t_np, s_np, e_np, status_np = _rk4_numpy.rk4_run(*args)
+    assert status_ref == status_np == -1
+    np.testing.assert_array_equal(t_np, t_ref)
+    assert np.abs(s_np - s_ref).max() <= 1e-12
+    assert np.abs(e_np - e_ref).max() <= 1e-12
+    assert np.abs(s_ref[:, 0]).min() < 0.9  # the comparison is not vacuous
+
+
 # ---------------------------------------------------------------------------
 # Diagnostics and guards
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "scalar"])
+def test_non_finite_guard_names_first_bad_sample(molecule, kernel):
+    run = _rk4_numpy.rk4_run if kernel == "numpy" else scalar_kernel()
+    pulse, grid = overflow_case(molecule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, states, norm_err, status = run(*kernel_args(molecule, [pulse], L, 3, grid))
+    finite = np.isfinite(norm_err)
+    assert 0 < status < times.size - 1
+    assert finite[:status].all() and not finite[status]
+    assert np.isfinite(states[:status]).all()
+    assert times[status] == pytest.approx(grid.t_start + status * grid.sample_stride * grid.dt_eff)
+    # every later sample repeats the first bad one
+    np.testing.assert_array_equal(times[status:], times[status])
+    np.testing.assert_array_equal(states[status:], np.broadcast_to(states[status], states[status:].shape))
+    np.testing.assert_array_equal(norm_err[status:], norm_err[status])
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_propagate_raises_on_non_finite_state(molecule, backend):
+    pulse, grid = overflow_case(molecule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            propagate(molecule, [pulse], L, levels=3, grid=grid, backend=backend)
 
 
 def test_numerical_guard_on_drift(molecule, small_seq):
