@@ -19,20 +19,9 @@ import math
 
 import numpy as np
 
-from .areas import DesignSpec, stage_areas, _as_complex
+from .areas import SMALL_AREA, DesignSpec, sinc_area, stage_areas, _as_complex
 from .model import Handedness, MoleculeSpec
 from .pulses import Pulse
-
-#: Below this |theta| the S and G helpers switch to their Taylor expansions.
-SMALL_AREA = 1e-4
-
-
-def sinc_area(theta: float) -> float:
-    """S(theta) = sin(theta)/theta with a Taylor branch near zero."""
-    if abs(theta) < SMALL_AREA:
-        t2 = theta * theta
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    return math.sin(theta) / theta
 
 
 def cosc_area(theta: float) -> float:

@@ -37,7 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CHANNELS, Handedness, MoleculeSpec, mhz_to_rad_per_ns
+from .model import (
+    CHANNELS,
+    Handedness,
+    MoleculeSpec,
+    mhz_to_rad_per_ns,
+    require_finite,
+)
 from .pulses import PhaseConvention, Pulse, field as pulse_field, support_window
 
 TWO_PI = 2.0 * math.pi
@@ -47,6 +53,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 #: Phase advance per panel kept small enough for 16-node accuracy.
 _PHASE_PER_PANEL = 4.0 * math.pi
+
+#: Below this |theta| the sinc-type helpers switch to their Taylor expansions.
+SMALL_AREA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -160,6 +169,9 @@ class DesignSpec:
     def __post_init__(self) -> None:
         if self.target not in ("B", "C"):
             raise ValueError(f"target must be 'B' or 'C', got {self.target!r}")
+        require_finite(self, "tau0", "stage1_center")
+        if self.stage2_center is not None:
+            require_finite(self, "stage2_center")
         if self.tau0 <= 0:
             raise ValueError(f"tau0 must be > 0 ns, got {self.tau0}")
         if self.k < 0 or self.kprime < 0:
@@ -364,9 +376,9 @@ class ConditionReport:
     predicted_target_population: float
 
 
-def _sinc(theta: float) -> float:
-    """sin(theta)/theta, stable near zero."""
-    if abs(theta) < 1e-4:
+def sinc_area(theta: float) -> float:
+    """S(theta) = sin(theta)/theta with a Taylor branch near zero."""
+    if abs(theta) < SMALL_AREA:
         t2 = theta * theta
         return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
     return math.sin(theta) / theta
@@ -405,7 +417,7 @@ def condition_residuals(
     th2a = values[ch2a]
     th2c = values[ch2c]
     theta_f = math.hypot(abs(th2a), abs(th2c))
-    s_fac = _sinc(theta_f)
+    s_fac = sinc_area(theta_f)
 
     if spec.target == "C":
         # target amplitude: a_C = -S [ i c1 theta_b + s s1 u theta_c ]

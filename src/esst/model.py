@@ -48,6 +48,18 @@ class Handedness(enum.Enum):
         return Handedness.RIGHT if self is Handedness.LEFT else Handedness.LEFT
 
 
+def require_finite(spec, *names: str) -> None:
+    """Raise ValueError unless every named field of ``spec`` is finite.
+
+    Range checks such as ``x <= 0`` are False for NaN, so they cannot
+    catch it themselves.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SpectatorSpec:
     """A nearby rotational level |B'> that rides along in the guard model.
@@ -63,6 +75,10 @@ class SpectatorSpec:
     mu_c_prime_debye: float
 
     def __post_init__(self) -> None:
+        require_finite(
+            self, "omega_abp_mhz", "omega_bpc_mhz",
+            "mu_a_prime_debye", "mu_c_prime_debye",
+        )
         if self.omega_abp_mhz <= 0 or self.omega_bpc_mhz <= 0:
             raise ValueError("spectator transition frequencies must be positive")
         if self.mu_a_prime_debye <= 0 or self.mu_c_prime_debye <= 0:
@@ -90,6 +106,10 @@ class MoleculeSpec:
     closure_tol_mhz: float = CLOSURE_TOL_MHZ
 
     def __post_init__(self) -> None:
+        require_finite(
+            self, "omega_ab_mhz", "omega_bc_mhz", "omega_ac_mhz",
+            "mu_a_debye", "mu_b_debye", "mu_c_debye", "closure_tol_mhz",
+        )
         for label, value in (
             ("omega_ab_mhz", self.omega_ab_mhz),
             ("omega_bc_mhz", self.omega_bc_mhz),

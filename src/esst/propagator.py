@@ -11,6 +11,13 @@ Two numerically interchangeable backends exist:
 * ``numpy`` - a vectorized fallback that builds the RK4 update matrices of
   a whole chunk of steps at once, each matrix element a vector over the
   steps, from edge-sparse Hamiltonian values, and composes them per sample.
+  Its carrier and transition phasors come from a fixed per-run table
+  exp(i w j dt) times one base phasor per chunk, whose argument is reduced
+  mod 2 pi exactly, instead of from cos/sin at each time.
+
+The two agree to round-off.  The numba kernel takes cos/sin of
+floating-point times, so its phases carry an error of about ulp(t) * w
+that the numpy backend's exact reduction avoids.
 
 Selection: the ``backend=`` argument wins, then the ``ESST_BACKEND``
 environment variable (``auto``/``numba``/``numpy``), then ``auto``.
@@ -37,6 +44,7 @@ from .model import (
     MoleculeSpec,
     basis_for_levels,
     loop_couplings,
+    require_finite,
 )
 from .pulses import PhaseConvention, Pulse, support_window
 
@@ -68,9 +76,7 @@ class GridConfig:
     drift_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("t_start", "t_end", "dt", "drift_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(self, "t_start", "t_end", "dt", "drift_tol")
         if not self.t_end > self.t_start:
             raise ValueError(
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
@@ -281,10 +287,12 @@ def propagate(
             f"state went non-finite at t = {times[status]:g} ns "
             f"(sample {status}); the grid or the pulse set is pathological"
         )
-    worst = float(np.max(norm_err))
+    worst_at = int(np.argmax(norm_err))
+    worst = float(norm_err[worst_at])
     if worst > grid.drift_tol:
         raise NumericalGuardError(
-            f"norm drift {worst:g} exceeds tolerance {grid.drift_tol:g}; "
+            f"norm drift {worst:g} at t = {times[worst_at]:g} ns "
+            f"(sample {worst_at}) exceeds tolerance {grid.drift_tol:g}; "
             "refine dt or raise drift_tol if this loss is acceptable"
         )
     return Trajectory(

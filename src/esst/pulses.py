@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CHANNELS, mhz_to_rad_per_ns
+from .model import CHANNELS, mhz_to_rad_per_ns, require_finite
 
 #: Envelope normalization prefactor sqrt(2/pi).
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -82,6 +82,9 @@ class Pulse:
             raise ValueError(
                 f"channel must be one of {CHANNELS}, got {self.channel!r}"
             )
+        require_finite(
+            self, "area_param", "center_time", "duration", "carrier_mhz", "phase"
+        )
         if self.area_param < 0:
             raise ValueError(f"area_param must be >= 0, got {self.area_param}")
         if self.duration <= 0:

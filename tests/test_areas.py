@@ -234,6 +234,13 @@ def test_design_spec_validation():
         DesignSpec(target="C", stage2_center=-10.0)  # before stage 1
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["tau0", "stage1_center", "stage2_center"])
+def test_design_spec_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        DesignSpec(target="C", **{name: value})
+
+
 def test_design_spec_stage_roles():
     spec_c = DesignSpec(target="C")
     assert spec_c.stage1_channel == "a"

@@ -280,7 +280,8 @@ def test_grid_too_coarse_exits_2(tmp_path, capsys):
     path = tmp_path / "coarse.ini"
     path.write_text(MINIMAL + "\n[grid]\ndt_ns = 0.05\n", encoding="utf-8")
     code = main(
-        ["propagate", "--config", str(path), "--levels", "3", "--hand", "left"]
+        ["propagate", "--config", str(path), "--out", str(tmp_path),
+         "--levels", "3", "--hand", "left"]
     )
     assert code == 2
     assert "grid too coarse" in capsys.readouterr().err
@@ -290,7 +291,8 @@ def test_numerical_guard_exits_3(tmp_path, capsys):
     path = tmp_path / "strict.ini"
     path.write_text(MINIMAL + "\n[grid]\ndrift_tol = 1e-18\n", encoding="utf-8")
     code = main(
-        ["propagate", "--config", str(path), "--levels", "3", "--hand", "left"]
+        ["propagate", "--config", str(path), "--out", str(tmp_path),
+         "--levels", "3", "--hand", "left"]
     )
     assert code == 3
     assert "numerical guard" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Level structure, loop couplings and the interaction picture."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,27 @@ def test_spectator_energy_consistency_enforced():
 def test_preset_spectator_sums_to_ac():
     sp = CYCLOHEXYLMETHANOL.spectator
     assert sp.omega_abp_mhz + sp.omega_bpc_mhz == CYCLOHEXYLMETHANOL.omega_ac_mhz
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name",
+    ["omega_ab_mhz", "omega_bc_mhz", "omega_ac_mhz",
+     "mu_a_debye", "mu_b_debye", "mu_c_debye", "closure_tol_mhz"],
+)
+def test_molecule_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        replace(CYCLOHEXYLMETHANOL, **{name: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name",
+    ["omega_abp_mhz", "omega_bpc_mhz", "mu_a_prime_debye", "mu_c_prime_debye"],
+)
+def test_spectator_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        replace(CYCLOHEXYLMETHANOL.spectator, **{name: value})
 
 
 def test_unknown_preset_raises():

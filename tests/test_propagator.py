@@ -345,6 +345,19 @@ def test_numerical_guard_on_drift(molecule, small_seq):
         propagate(molecule, pulses, L, levels=3, grid=paranoid)
 
 
+def test_drift_guard_names_time_of_worst_drift(molecule, small_seq):
+    spec, pulses, grid = small_seq
+    traj = propagate(molecule, pulses, L, levels=3, grid=grid)
+    worst = int(np.argmax(traj.norm_errors))
+    assert 0 < worst < traj.times.size - 1  # not trivially the first or last sample
+    paranoid = replace(grid, drift_tol=1e-18)
+    with pytest.raises(NumericalGuardError) as info:
+        propagate(molecule, pulses, L, levels=3, grid=paranoid)
+    message = str(info.value)
+    assert f"norm drift {traj.norm_errors[worst]:g}" in message
+    assert f"at t = {traj.times[worst]:g} ns (sample {worst})" in message
+
+
 def test_populations_and_norms(molecule, small_seq):
     spec, pulses, grid = small_seq
     traj = propagate(molecule, pulses, L, levels=4, grid=grid)

@@ -78,6 +78,17 @@ def test_pulse_rejects_nonpositive_carrier():
         make_pulse(carrier_mhz=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "name, keyword",
+    [("area_param", "area"), ("center_time", "tc"), ("duration", "tau"),
+     ("carrier_mhz", "carrier_mhz"), ("phase", "phase")],
+)
+def test_pulse_rejects_non_finite(name, keyword, value):
+    with pytest.raises(ValueError, match=name):
+        make_pulse(**{keyword: value})
+
+
 def test_pulse_convention_coercion_from_string():
     p = Pulse(
         channel="b", area_param=1.0, center_time=0.0, duration=10.0,
