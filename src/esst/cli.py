@@ -33,6 +33,8 @@ from .config import (
 )
 from .experiments import (
     BOTH_HANDS,
+    ENGINES,
+    _default_levels,
     sweep_delays,
     sweep_detuning,
     sweep_phase_duration,
@@ -40,8 +42,13 @@ from .experiments import (
     write_landscape_csv,
     write_trace_csv,
 )
-from .model import PRESETS, Handedness
-from .propagator import GridTooCoarseError, NumericalGuardError, propagate
+from .model import CHANNELS, PRESETS, Handedness
+from .propagator import (
+    POPULATION_COLUMNS,
+    GridTooCoarseError,
+    NumericalGuardError,
+    propagate,
+)
 from .pulses import PhaseConvention
 
 _HAND_CHOICES = {
@@ -102,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep-detuning", help="detuning/scale curves")
     common(sp)
     sp.add_argument(
-        "--engine", choices=("exact", "analytic"), default=None,
+        "--engine", choices=ENGINES, default=None,
         help="override the [sweep] engine",
     )
     sp.set_defaults(func=cmd_sweep_detuning)
@@ -118,14 +125,12 @@ def _load(args) -> RunSpec:
 
 
 def _levels(args, spec: RunSpec) -> int:
-    if args.levels is not None:
-        if args.levels == 4 and spec.molecule.spectator is None:
-            raise ConfigError(
-                "molecule", None,
-                "4-level run requested but the molecule has no spectator keys",
-            )
-        return args.levels
-    return 4 if spec.molecule.spectator is not None else 3
+    if args.levels == 4 and spec.molecule.spectator is None:
+        raise ConfigError(
+            "molecule", None,
+            "4-level run requested but the molecule has no spectator keys",
+        )
+    return _default_levels(spec.molecule, args.levels)
 
 
 def _outdir(args, spec: RunSpec) -> str:
@@ -155,7 +160,7 @@ def cmd_design(args) -> int:
         "channel,area_param,center_time_ns,duration_ns,"
         "carrier_mhz,phase_rad,convention"
     )
-    for channel in ("a", "b", "c"):
+    for channel in CHANNELS:
         p = spec.pulses[channel]
         print(
             f"{channel},{p.area_param!r},{p.center_time!r},{p.duration!r},"
@@ -175,10 +180,10 @@ def cmd_areas(args) -> int:
     )
     print(header)
     row = []
-    for channel in ("a", "b", "c"):
+    for channel in CHANNELS:
         row.append(repr(areas[channel].modulus))
         row.append(repr(areas[channel].effective_phase))
-    for channel in ("a", "b", "c"):
+    for channel in CHANNELS:
         row.append(repr(report.amplitude_residuals[channel]))
     row.append(repr(report.phase_residual))
     row.append(repr(report.constructive_residual))
@@ -195,20 +200,20 @@ def _run_traces(args, prefix: str) -> int:
     grid = resolve_grid(spec, levels)
     snapshot = serialize_config(spec)
     hands = _HAND_CHOICES[args.hand]
-    print("hand,P_A,P_Bprime,P_B,P_C,norm_drift")
+    print(",".join(("hand", *POPULATION_COLUMNS.values(), "norm_drift")))
     for hand in hands:
         traj = propagate(
             spec.molecule, spec.pulses, hand, levels=levels, grid=grid
         )
         path = os.path.join(outdir, f"{prefix}_{hand.value}.csv")
         write_trace_csv(path, traj, snapshot)
-        pops = {
-            label: float(abs(traj.final_state[i]) ** 2)
-            for i, label in enumerate(traj.basis.labels)
-        }
+        # Scalar abs, not the array abs behind the CSV: the two can differ
+        # in the last ulp, and this row prints the scalar form.
+        pops = dict.fromkeys(POPULATION_COLUMNS, 0.0)
+        for label, amp in zip(traj.basis.labels, traj.final_state):
+            pops[label] = float(abs(amp) ** 2)
         print(
-            f"{hand.value},{pops.get('A', 0.0)!r},{pops.get('Bp', 0.0)!r},"
-            f"{pops.get('B', 0.0)!r},{pops.get('C', 0.0)!r},"
+            f"{hand.value},{','.join(map(repr, pops.values()))},"
             f"{float(traj.norm_errors.max())!r}"
         )
     return 0

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .areas import DesignSpec, design_amplitudes, design_phases, realize_phase
+from .areas import TWO_PI, DesignSpec, design_amplitudes, design_phases, realize_phase
+from .experiments import DETUNING_MODES, ENGINES
 from .model import (
     CHANNELS,
     Handedness,
@@ -35,8 +36,6 @@ from .model import (
 )
 from .propagator import GridConfig, default_grid
 from .pulses import PhaseConvention, Pulse
-
-TWO_PI = 2.0 * math.pi
 
 
 class ConfigError(ValueError):
@@ -147,6 +146,7 @@ _SWEEP_KEYS = (
     "mode", "engine",
 )
 _OUTPUT_KEYS = ("dir",)
+_SWEEP_CHOICES = {"mode": tuple(DETUNING_MODES), "engine": ENGINES}
 
 _KEYS_BY_SECTION = {
     "molecule": _MOLECULE_KEYS,
@@ -222,28 +222,19 @@ def _parse_molecule(items: dict[str, str]) -> MoleculeSpec:
             "molecule", absent[0],
             "spectator requires all four spectator keys",
         )
-    spectator = None
-    if spectator_present:
-        spectator = SpectatorSpec(
-            omega_abp_mhz=_parse_float("molecule", "omega_abp_mhz", items["omega_abp_mhz"]),
-            omega_bpc_mhz=_parse_float("molecule", "omega_bpc_mhz", items["omega_bpc_mhz"]),
-            mu_a_prime_debye=_parse_float(
-                "molecule", "mu_a_prime_debye", items["mu_a_prime_debye"]
-            ),
-            mu_c_prime_debye=_parse_float(
-                "molecule", "mu_c_prime_debye", items["mu_c_prime_debye"]
-            ),
-        )
+    floats = {
+        key: _parse_float("molecule", key, items[key])
+        for key in _MOLECULE_CORE_KEYS + _MOLECULE_SPECTATOR_KEYS
+        if key in items
+    }
     try:
+        spectator = None
+        if spectator_present:
+            spectator = SpectatorSpec(
+                **{key: floats.pop(key) for key in _MOLECULE_SPECTATOR_KEYS}
+            )
         return MoleculeSpec(
-            name=items.get("name", "custom").strip(),
-            omega_ab_mhz=_parse_float("molecule", "omega_ab_mhz", items["omega_ab_mhz"]),
-            omega_bc_mhz=_parse_float("molecule", "omega_bc_mhz", items["omega_bc_mhz"]),
-            omega_ac_mhz=_parse_float("molecule", "omega_ac_mhz", items["omega_ac_mhz"]),
-            mu_a_debye=_parse_float("molecule", "mu_a_debye", items["mu_a_debye"]),
-            mu_b_debye=_parse_float("molecule", "mu_b_debye", items["mu_b_debye"]),
-            mu_c_debye=_parse_float("molecule", "mu_c_debye", items["mu_c_debye"]),
-            spectator=spectator,
+            name=items.get("name", "custom").strip(), spectator=spectator, **floats
         )
     except ValueError as exc:
         raise ConfigError("molecule", None, str(exc))
@@ -354,89 +345,69 @@ def _resolve_pulse(
 
 
 def _parse_grid(items: dict[str, str]) -> GridSection:
-    def opt(key: str) -> float | None:
+    values = {}
+    for key in _GRID_KEYS:
         raw = items.get(key)
-        if raw is None or _is_auto(raw):
-            return None
-        return _parse_float("grid", key, raw)
+        if raw is None:
+            continue
+        if key == "sample_stride":
+            value = _parse_int("grid", key, raw)
+            if value < 1:
+                raise ConfigError("grid", key, f"must be >= 1, got {value}")
+        elif key == "drift_tol":
+            value = _parse_float("grid", key, raw)
+            if value <= 0:
+                raise ConfigError("grid", key, f"must be > 0, got {value}")
+        else:  # the grid bounds and step: 'auto' derives them from the pulses
+            value = None if _is_auto(raw) else _parse_float("grid", key, raw)
+        values[key] = value
+    return GridSection(**values)
 
-    stride = _parse_int("grid", "sample_stride", items.get("sample_stride", "128"))
-    if stride < 1:
-        raise ConfigError("grid", "sample_stride", f"must be >= 1, got {stride}")
-    drift = _parse_float("grid", "drift_tol", items.get("drift_tol", "1e-08"))
-    if drift <= 0:
-        raise ConfigError("grid", "drift_tol", f"must be > 0, got {drift}")
-    return GridSection(
-        dt_ns=opt("dt_ns"),
-        t_start_ns=opt("t_start_ns"),
-        t_end_ns=opt("t_end_ns"),
-        sample_stride=stride,
-        drift_tol=drift,
-    )
+
+def _parse_products(raw: str) -> tuple[float, ...]:
+    try:
+        products = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(
+            "sweep", "delta_tau_products",
+            f"expected comma-separated numbers, got {raw!r}",
+        )
+    if not products:
+        raise ConfigError("sweep", "delta_tau_products", "list is empty")
+    if not all(map(math.isfinite, products)):
+        raise ConfigError(
+            "sweep", "delta_tau_products", f"expected finite numbers, got {raw!r}"
+        )
+    return products
 
 
 def _parse_sweep(items: dict[str, str], design: DesignSpec) -> SweepSection:
-    defaults = SweepSection(
-        delay1_min_ns=4.0 * design.tau0,
-        delay1_max_ns=12.0 * design.tau0,
-        delay2_min_ns=4.0 * design.tau0,
-        delay2_max_ns=12.0 * design.tau0,
-    )
-
-    def flt(key: str, fallback: float) -> float:
+    lo, hi = 4.0 * design.tau0, 12.0 * design.tau0  # delay ranges track tau0
+    values = {
+        "delay1_min_ns": lo, "delay1_max_ns": hi,
+        "delay2_min_ns": lo, "delay2_max_ns": hi,
+    }
+    for key in _SWEEP_KEYS:
         raw = items.get(key)
-        return fallback if raw is None else _parse_float("sweep", key, raw)
-
-    def num(key: str, fallback: int) -> int:
-        raw = items.get(key)
-        value = fallback if raw is None else _parse_int("sweep", key, raw)
-        if value < 1:
-            raise ConfigError("sweep", key, f"count must be >= 1, got {value}")
-        return value
-
-    raw = items.get("delta_tau_products")
-    if raw is None:
-        products = defaults.delta_tau_products
-    else:
-        try:
-            products = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(
-                "sweep", "delta_tau_products",
-                f"expected comma-separated numbers, got {raw!r}",
-            )
-        if not products:
-            raise ConfigError("sweep", "delta_tau_products", "list is empty")
-        if not all(map(math.isfinite, products)):
-            raise ConfigError(
-                "sweep", "delta_tau_products", f"expected finite numbers, got {raw!r}"
-            )
-    mode = items.get("mode", defaults.mode).strip().lower()
-    if mode not in ("scale_b", "scale_ac"):
-        raise ConfigError("sweep", "mode", f"expected scale_b or scale_ac, got {mode!r}")
-    engine = items.get("engine", defaults.engine).strip().lower()
-    if engine not in ("exact", "analytic"):
-        raise ConfigError("sweep", "engine", f"expected exact or analytic, got {engine!r}")
-    return SweepSection(
-        phase_min_rad=flt("phase_min_rad", defaults.phase_min_rad),
-        phase_max_rad=flt("phase_max_rad", defaults.phase_max_rad),
-        phase_count=num("phase_count", defaults.phase_count),
-        tau_min_ns=flt("tau_min_ns", defaults.tau_min_ns),
-        tau_max_ns=flt("tau_max_ns", defaults.tau_max_ns),
-        tau_count=num("tau_count", defaults.tau_count),
-        delay1_min_ns=flt("delay1_min_ns", defaults.delay1_min_ns),
-        delay1_max_ns=flt("delay1_max_ns", defaults.delay1_max_ns),
-        delay1_count=num("delay1_count", defaults.delay1_count),
-        delay2_min_ns=flt("delay2_min_ns", defaults.delay2_min_ns),
-        delay2_max_ns=flt("delay2_max_ns", defaults.delay2_max_ns),
-        delay2_count=num("delay2_count", defaults.delay2_count),
-        delta_tau_products=products,
-        scale_min=flt("scale_min", defaults.scale_min),
-        scale_max=flt("scale_max", defaults.scale_max),
-        scale_count=num("scale_count", defaults.scale_count),
-        mode=mode,
-        engine=engine,
-    )
+        if raw is None:
+            continue
+        if key == "delta_tau_products":
+            value = _parse_products(raw)
+        elif key in _SWEEP_CHOICES:
+            value = raw.strip().lower()
+            choices = _SWEEP_CHOICES[key]
+            if value not in choices:
+                raise ConfigError(
+                    "sweep", key, f"expected {' or '.join(choices)}, got {value!r}"
+                )
+        elif key.endswith("_count"):
+            value = _parse_int("sweep", key, raw)
+            if value < 1:
+                raise ConfigError("sweep", key, f"count must be >= 1, got {value}")
+        else:
+            value = _parse_float("sweep", key, raw)
+        values[key] = value
+    return SweepSection(**values)
 
 
 def parse_config(text: str, *, design_overrides: dict[str, str] | None = None) -> RunSpec:
@@ -523,9 +494,17 @@ def resolve_grid(spec: RunSpec, levels: int, pulses=None) -> GridConfig:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ", ".join(map(_fmt, value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _key_lines(obj, keys) -> list[str]:
+    return [f"{key} = {_fmt(getattr(obj, key))}" for key in keys]
 
 
 def serialize_config(spec: RunSpec) -> str:
@@ -534,14 +513,9 @@ def serialize_config(spec: RunSpec) -> str:
     d = spec.design
     lines = ["[molecule]"]
     lines.append(f"name = {m.name}")
-    for key in _MOLECULE_CORE_KEYS:
-        lines.append(f"{key} = {_fmt(getattr(m, key))}")
+    lines += _key_lines(m, _MOLECULE_CORE_KEYS)
     if m.spectator is not None:
-        sp = m.spectator
-        lines.append(f"omega_abp_mhz = {_fmt(sp.omega_abp_mhz)}")
-        lines.append(f"omega_bpc_mhz = {_fmt(sp.omega_bpc_mhz)}")
-        lines.append(f"mu_a_prime_debye = {_fmt(sp.mu_a_prime_debye)}")
-        lines.append(f"mu_c_prime_debye = {_fmt(sp.mu_c_prime_debye)}")
+        lines += _key_lines(m.spectator, _MOLECULE_SPECTATOR_KEYS)
     lines.append("")
     lines.append("[design]")
     lines.append(f"target = {d.target}")
@@ -563,40 +537,8 @@ def serialize_config(spec: RunSpec) -> str:
         lines.append(f"carrier_mhz = {_fmt(p.carrier_mhz)}")
         lines.append(f"phase_rad = {_fmt(p.phase)}")
         lines.append(f"convention = {p.convention.value}")
-    g = spec.grid
-    lines.append("")
-    lines.append("[grid]")
-    lines.append(f"dt_ns = {'auto' if g.dt_ns is None else _fmt(g.dt_ns)}")
-    lines.append(
-        f"t_start_ns = {'auto' if g.t_start_ns is None else _fmt(g.t_start_ns)}"
-    )
-    lines.append(f"t_end_ns = {'auto' if g.t_end_ns is None else _fmt(g.t_end_ns)}")
-    lines.append(f"sample_stride = {g.sample_stride}")
-    lines.append(f"drift_tol = {_fmt(g.drift_tol)}")
-    s = spec.sweep
-    lines.append("")
-    lines.append("[sweep]")
-    lines.append(f"phase_min_rad = {_fmt(s.phase_min_rad)}")
-    lines.append(f"phase_max_rad = {_fmt(s.phase_max_rad)}")
-    lines.append(f"phase_count = {s.phase_count}")
-    lines.append(f"tau_min_ns = {_fmt(s.tau_min_ns)}")
-    lines.append(f"tau_max_ns = {_fmt(s.tau_max_ns)}")
-    lines.append(f"tau_count = {s.tau_count}")
-    lines.append(f"delay1_min_ns = {_fmt(s.delay1_min_ns)}")
-    lines.append(f"delay1_max_ns = {_fmt(s.delay1_max_ns)}")
-    lines.append(f"delay1_count = {s.delay1_count}")
-    lines.append(f"delay2_min_ns = {_fmt(s.delay2_min_ns)}")
-    lines.append(f"delay2_max_ns = {_fmt(s.delay2_max_ns)}")
-    lines.append(f"delay2_count = {s.delay2_count}")
-    lines.append(
-        "delta_tau_products = "
-        + ", ".join(_fmt(v) for v in s.delta_tau_products)
-    )
-    lines.append(f"scale_min = {_fmt(s.scale_min)}")
-    lines.append(f"scale_max = {_fmt(s.scale_max)}")
-    lines.append(f"scale_count = {s.scale_count}")
-    lines.append(f"mode = {s.mode}")
-    lines.append(f"engine = {s.engine}")
+    lines += ["", "[grid]", *_key_lines(spec.grid, _GRID_KEYS)]
+    lines += ["", "[sweep]", *_key_lines(spec.sweep, _SWEEP_KEYS)]
     lines.append("")
     lines.append("[output]")
     lines.append(f"dir = {spec.output_dir}")

@@ -3,13 +3,15 @@
 Every driver here rebuilds its pulse sequence from the design parameters at
 each grid point (amplitudes are re-laid-out when the duration changes, phase
 parameters are realized under the configured carrier-phase convention), runs
-both enantiomers, and reports the target-state population.  Results carry
-enough metadata to be serialized to self-describing CSV files; an optional
-config snapshot is embedded in the header as comment lines so a result file
-can be traced back to the exact run that produced it.
+both enantiomers, and reports the target-state population.  The sweeps share
+one core, :func:`_sweep`; each public driver only says how a grid point
+changes the designed pulses.  Results carry enough metadata to be serialized
+to self-describing CSV files; an optional config snapshot is embedded in the
+header as comment lines so a result file can be traced back to the exact run
+that produced it.
 
-Work is distributed over a thread pool (the jitted kernel releases the GIL);
-``ESST_THREADS`` caps the worker count.
+Work is distributed over a thread pool with one worker per usable CPU (the
+process's CPU affinity); cap it with ``taskset`` or a cpuset.
 """
 from __future__ import annotations
 
@@ -21,33 +23,24 @@ import numpy as np
 
 from .analytic import analytic_final_populations
 from .areas import DesignSpec, designed_pulses, realize_phase
-from .config import ConfigError
 from .model import Handedness, MoleculeSpec
-from .propagator import Trajectory, default_grid, populations, propagate
+from .propagator import TRACE_COLUMNS, Trajectory, default_grid, propagate, trace_table
 
 BOTH_HANDS = (Handedness.LEFT, Handedness.RIGHT)
 
-#: Environment variable capping the sweep worker count.
-THREADS_ENV = "ESST_THREADS"
-
+#: Channels each detuning mode detunes and rescales.
 DETUNING_MODES = {"scale_b": ("b",), "scale_ac": ("a", "c")}
+
+#: Engines of :func:`sweep_detuning`: exact propagation or the closed form.
+ENGINES = ("exact", "analytic")
 
 
 def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0  # reported below with the other non-positive counts
-        if workers < 1:
-            raise ConfigError(
-                "environment", THREADS_ENV,
-                f"must be a positive integer, got {env!r}",
-            )
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_jobs))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_jobs))
 
 
 def _run_parallel(fn, items):
@@ -98,6 +91,54 @@ def trace_populations(
     return dict(zip(BOTH_HANDS, results))
 
 
+def _sweep(
+    molecule: MoleculeSpec,
+    spec: DesignSpec,
+    values1: np.ndarray,
+    values2: np.ndarray,
+    pulses_at,
+    *,
+    engine: str,
+    levels: int | None,
+    backend: str | None,
+) -> dict[Handedness, np.ndarray]:
+    """P_target per hand on the ``values1 x values2`` grid.
+
+    ``pulses_at(v1, v2)`` builds the pulse set of one grid point.  The exact
+    engine runs one pool item per (point, hand) on that set's default grid;
+    the analytic engine one item per point, since its closed form yields
+    both hands at once.
+    """
+    levels = _default_levels(molecule, levels)
+    points = [(float(v1), float(v2)) for v1 in values1 for v2 in values2]
+    if engine == "analytic":
+        idx = ("A", "B", "C").index(spec.target)
+        items = points
+
+        def job(point):
+            pops = analytic_final_populations(molecule, pulses_at(*point), spec)
+            return [float(pops[hand][idx]) for hand in BOTH_HANDS]
+
+    else:
+        items = [(*point, hand) for point in points for hand in BOTH_HANDS]
+
+        def job(item):
+            v1, v2, hand = item
+            pulses = pulses_at(v1, v2)
+            traj = propagate(
+                molecule, pulses, hand,
+                levels=levels,
+                grid=default_grid(molecule, pulses, levels),
+                backend=backend,
+            )
+            return _final_target_population(traj, spec.target)
+
+    table = np.array(_run_parallel(job, items), dtype=float).reshape(
+        values1.size, values2.size, len(BOTH_HANDS)
+    )
+    return {hand: table[:, :, k].copy() for k, hand in enumerate(BOTH_HANDS)}
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Target population on a 2D parameter grid, per enantiomer."""
@@ -126,55 +167,32 @@ def sweep_phase_duration(
     channel's design phase is set to phi.  The designed transfer shows up as
     stripes at the constructive phase-lattice points, independent of tau0.
     """
-    levels = _default_levels(molecule, levels)
     phase_values = np.asarray(phase_values, dtype=float)
     tau_values = np.asarray(tau_values, dtype=float)
     channel = spec.stage1_channel
     _, transition = molecule.channel_transition(channel)
 
-    jobs = [
-        (i, j, hand)
-        for i in range(phase_values.size)
-        for j in range(tau_values.size)
-        for hand in BOTH_HANDS
-    ]
-
-    def job(point):
-        i, j, hand = point
-        spec_pt = replace(spec, tau0=float(tau_values[j]))
-        pulses = designed_pulses(molecule, spec_pt)
+    def pulses_at(phase: float, tau0: float):
+        pulses = designed_pulses(molecule, replace(spec, tau0=tau0))
         p1 = pulses[channel]
         pulses[channel] = replace(
             p1,
             phase=realize_phase(
-                float(phase_values[i]),
-                transition,
-                p1.carrier,
-                p1.center_time,
-                p1.convention,
+                phase, transition, p1.carrier, p1.center_time, p1.convention
             ),
         )
-        traj = propagate(
-            molecule, pulses, hand,
-            levels=levels,
-            grid=default_grid(molecule, pulses, levels),
-            backend=backend,
-        )
-        return _final_target_population(traj, spec.target)
+        return pulses
 
-    values = _run_parallel(job, jobs)
-    grids = {
-        hand: np.zeros((phase_values.size, tau_values.size)) for hand in BOTH_HANDS
-    }
-    for (i, j, hand), value in zip(jobs, values):
-        grids[hand][i, j] = value
     return SweepResult(
         axis1_name=f"phi_{channel}_rad",
         axis2_name="tau0_ns",
         axis1_values=phase_values,
         axis2_values=tau_values,
         target=spec.target,
-        populations=grids,
+        populations=_sweep(
+            molecule, spec, phase_values, tau_values, pulses_at,
+            engine="exact", levels=levels, backend=backend,
+        ),
     )
 
 
@@ -196,52 +214,27 @@ def sweep_delays(
     phases (a plateau once the stages separate), envelope-referenced pulses
     accumulate carrier phase with the delay and interfere accordingly.
     """
-    levels = _default_levels(molecule, levels)
     delay1_values = np.asarray(delay1_values, dtype=float)
     delay2_values = np.asarray(delay2_values, dtype=float)
     base = designed_pulses(molecule, spec)
     ch1, ch2 = spec.stage2_channels
 
-    jobs = [
-        (i, j, hand)
-        for i in range(delay1_values.size)
-        for j in range(delay2_values.size)
-        for hand in BOTH_HANDS
-    ]
-
-    def job(point):
-        i, j, hand = point
+    def pulses_at(delay1: float, delay2: float):
         pulses = dict(base)
-        pulses[ch1] = replace(
-            pulses[ch1],
-            center_time=spec.stage1_center + float(delay1_values[i]),
-        )
-        pulses[ch2] = replace(
-            pulses[ch2],
-            center_time=spec.stage1_center + float(delay2_values[j]),
-        )
-        traj = propagate(
-            molecule, pulses, hand,
-            levels=levels,
-            grid=default_grid(molecule, pulses, levels),
-            backend=backend,
-        )
-        return _final_target_population(traj, spec.target)
+        pulses[ch1] = replace(pulses[ch1], center_time=spec.stage1_center + delay1)
+        pulses[ch2] = replace(pulses[ch2], center_time=spec.stage1_center + delay2)
+        return pulses
 
-    values = _run_parallel(job, jobs)
-    grids = {
-        hand: np.zeros((delay1_values.size, delay2_values.size))
-        for hand in BOTH_HANDS
-    }
-    for (i, j, hand), value in zip(jobs, values):
-        grids[hand][i, j] = value
     return SweepResult(
         axis1_name=f"delay_{ch1}_ns",
         axis2_name=f"delay_{ch2}_ns",
         axis1_values=delay1_values,
         axis2_values=delay2_values,
         target=spec.target,
-        populations=grids,
+        populations=_sweep(
+            molecule, spec, delay1_values, delay2_values, pulses_at,
+            engine="exact", levels=levels, backend=backend,
+        ),
     )
 
 
@@ -281,52 +274,29 @@ def sweep_detuning(
         raise ValueError(
             f"unknown mode {mode!r}; expected one of {sorted(DETUNING_MODES)}"
         )
-    if engine not in ("exact", "analytic"):
-        raise ValueError(f"unknown engine {engine!r}; expected exact or analytic")
-    levels = _default_levels(molecule, levels)
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected {' or '.join(ENGINES)}")
     delta_values = np.asarray(delta_values, dtype=float)
     scale_values = np.asarray(scale_values, dtype=float)
     channels = DETUNING_MODES[mode]
 
-    jobs = [
-        (i, j) for i in range(delta_values.size) for j in range(scale_values.size)
-    ]
+    def pulses_at(delta: float, scale: float):
+        return designed_pulses(
+            molecule, spec,
+            detunings={ch: delta for ch in channels},
+            scales={ch: scale for ch in channels},
+        )
 
-    def job(point):
-        i, j = point
-        detunings = {ch: float(delta_values[i]) for ch in channels}
-        scales = {ch: float(scale_values[j]) for ch in channels}
-        pulses = designed_pulses(molecule, spec, detunings=detunings, scales=scales)
-        if engine == "analytic":
-            pops = analytic_final_populations(molecule, pulses, spec)
-            idx = ("A", "B", "C").index(spec.target)
-            return {hand: float(pops[hand][idx]) for hand in BOTH_HANDS}
-        out = {}
-        for hand in BOTH_HANDS:
-            traj = propagate(
-                molecule, pulses, hand,
-                levels=levels,
-                grid=default_grid(molecule, pulses, levels),
-                backend=backend,
-            )
-            out[hand] = _final_target_population(traj, spec.target)
-        return out
-
-    values = _run_parallel(job, jobs)
-    grids = {
-        hand: np.zeros((delta_values.size, scale_values.size))
-        for hand in BOTH_HANDS
-    }
-    for (i, j), value in zip(jobs, values):
-        for hand in BOTH_HANDS:
-            grids[hand][i, j] = value[hand]
     return DetuningResult(
         delta_values=delta_values,
         scale_values=scale_values,
         mode=mode,
         engine=engine,
         target=spec.target,
-        populations=grids,
+        populations=_sweep(
+            molecule, spec, delta_values, scale_values, pulses_at,
+            engine=engine, levels=levels, backend=backend,
+        ),
     )
 
 
@@ -362,23 +332,16 @@ def read_snapshot(path) -> str:
 
 
 def write_trace_csv(path, trajectory: Trajectory, snapshot: str | None = None) -> None:
-    """Population trace rows: t_ns, hand, P_A, P_Bprime, P_B, P_C, norm_err."""
-    pops = populations(trajectory)
-    labels = trajectory.basis.labels
-    col = {label: k for k, label in enumerate(labels)}
+    """Population trace rows in the ``TRACE_COLUMNS`` layout, hand as left/right."""
     hand = trajectory.hand.value
     with open(path, "w", encoding="utf-8") as fh:
         for line in _snapshot_lines(snapshot):
             fh.write(line + "\n")
-        fh.write("t_ns,hand,P_A,P_Bprime,P_B,P_C,norm_err\n")
-        for k in range(trajectory.times.size):
-            p_bp = float(pops[k, col["Bp"]]) if "Bp" in col else 0.0
-            fh.write(
-                f"{float(trajectory.times[k])!r},{hand},"
-                f"{float(pops[k, col['A']])!r},{p_bp!r},"
-                f"{float(pops[k, col['B']])!r},{float(pops[k, col['C']])!r},"
-                f"{float(trajectory.norm_errors[k])!r}\n"
-            )
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for row in trace_table(trajectory):
+            cells = list(map(repr, row.tolist()))
+            cells[1] = hand
+            fh.write(",".join(cells) + "\n")
 
 
 def write_landscape_csv(path, result: SweepResult, snapshot: str | None = None) -> None:

@@ -54,7 +54,9 @@ MIN_STEPS_PER_PERIOD = 40
 #: Environment variable selecting the integration backend.
 BACKEND_ENV = "ESST_BACKEND"
 
-TRACE_COLUMNS = ("t_ns", "hand", "P_A", "P_Bprime", "P_B", "P_C", "norm_err")
+#: Trace column of each level's population, in column order.
+POPULATION_COLUMNS = {"A": "P_A", "Bp": "P_Bprime", "B": "P_B", "C": "P_C"}
+TRACE_COLUMNS = ("t_ns", "hand", *POPULATION_COLUMNS.values(), "norm_err")
 
 
 class GridTooCoarseError(ValueError):
@@ -316,9 +318,7 @@ def trace_table(trajectory: Trajectory) -> np.ndarray:
     table = np.zeros((n, len(TRACE_COLUMNS)))
     table[:, 0] = trajectory.times
     table[:, 1] = trajectory.hand.sign
-    labels = trajectory.basis.labels
-    column_of = {"A": 2, "Bp": 3, "B": 4, "C": 5}
-    for idx, label in enumerate(labels):
-        table[:, column_of[label]] = pops[:, idx]
+    for idx, label in enumerate(trajectory.basis.labels):
+        table[:, TRACE_COLUMNS.index(POPULATION_COLUMNS[label])] = pops[:, idx]
     table[:, 6] = trajectory.norm_errors
     return table

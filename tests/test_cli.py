@@ -309,17 +309,6 @@ def test_non_finite_drift_tol_exits_2(tmp_path, capsys):
     assert "[grid] drift_tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_thread_count_exits_2(config_path, tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("ESST_THREADS", value)
-    code = main(
-        ["sweep-phase", "--config", config_path, "--out", str(tmp_path), "--levels", "3"]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "ESST_THREADS" in err
-
-
 def test_levels_4_without_spectator_exits_2(tmp_path, capsys):
     path = tmp_path / "threelevel.ini"
     path.write_text(

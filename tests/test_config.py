@@ -9,8 +9,10 @@ lattice, centers -> stage layout).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esst.areas import DesignSpec, design_amplitudes, design_phases, realize_phase
 from esst.config import (
@@ -23,7 +25,14 @@ from esst.config import (
     resolve_grid,
     serialize_config,
 )
-from esst.model import CHANNELS, Handedness, get_preset, mhz_to_rad_per_ns
+from esst.experiments import DETUNING_MODES, ENGINES
+from esst.model import (
+    CHANNELS,
+    Handedness,
+    SpectatorSpec,
+    get_preset,
+    mhz_to_rad_per_ns,
+)
 from esst.propagator import default_grid
 from esst.pulses import PhaseConvention
 
@@ -159,6 +168,23 @@ def test_full_spectator_block_accepted():
 def test_inconsistent_molecule_reports_section():
     text = CUSTOM_MOLECULE.replace("omega_ac_mhz = 7568.0", "omega_ac_mhz = 9000.0")
     with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.section == "molecule"
+
+
+@pytest.mark.parametrize(
+    "key,value", [("omega_abp_mhz", "-2575.0"), ("mu_c_prime_debye", "0.0")]
+)
+def test_invalid_spectator_value_reports_section(key, value):
+    # The spectator's own checks surface as ConfigError (exit 2 in the CLI),
+    # not as a bare ValueError.
+    spectator = {
+        "omega_abp_mhz": "2575.0", "omega_bpc_mhz": "4993.0",
+        "mu_a_prime_debye": "0.8", "mu_c_prime_debye": "1.1",
+    }
+    spectator[key] = value
+    text = CUSTOM_MOLECULE + "".join(f"{k} = {v}\n" for k, v in spectator.items())
+    with pytest.raises(ConfigError, match="must be positive") as err:
         parse_config(text)
     assert err.value.section == "molecule"
 
@@ -428,6 +454,53 @@ def test_round_trip_is_exact(text):
     respawned = parse_config(rendered)
     assert respawned == spec
     assert serialize_config(respawned) == rendered
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-12, max_value=1e6)
+_COUNTS = st.integers(min_value=1, max_value=10**6)
+
+_GRID_SECTIONS = st.builds(
+    GridSection,
+    dt_ns=st.none() | _FINITE,
+    t_start_ns=st.none() | _FINITE,
+    t_end_ns=st.none() | _FINITE,
+    sample_stride=_COUNTS,
+    drift_tol=_POSITIVE,
+)
+_SWEEP_SECTIONS = st.builds(
+    SweepSection,
+    **{
+        name: _COUNTS if name.endswith("_count") else _FINITE
+        for name in SweepSection.__dataclass_fields__
+        if name not in ("delta_tau_products", "mode", "engine")
+    },
+    delta_tau_products=st.lists(_FINITE, min_size=1, max_size=4).map(tuple),
+    mode=st.sampled_from(sorted(DETUNING_MODES)),
+    engine=st.sampled_from(ENGINES),
+)
+# omega_ac of CUSTOM_MOLECULE is 7568 MHz; the spectator must close on it.
+_SPECTATORS = st.none() | st.builds(
+    lambda abp, mu_a, mu_c: SpectatorSpec(abp, 7568.0 - abp, mu_a, mu_c),
+    st.floats(min_value=1.0, max_value=7567.0),
+    _POSITIVE,
+    _POSITIVE,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_GRID_SECTIONS, sweep=_SWEEP_SECTIONS, spectator=_SPECTATORS)
+def test_round_trip_property(grid, sweep, spectator):
+    base = parse_config(CUSTOM_MOLECULE)
+    spec = replace(
+        base,
+        molecule=replace(base.molecule, spectator=spectator),
+        grid=grid,
+        sweep=sweep,
+    )
+    rendered = serialize_config(spec)
+    assert parse_config(rendered) == spec
+    assert serialize_config(parse_config(rendered)) == rendered
 
 
 def test_round_trip_preserves_irrational_floats():

@@ -15,9 +15,9 @@ import os
 import numpy as np
 import pytest
 
+from esst import experiments
 from esst.areas import DesignSpec
 from esst.experiments import (
-    THREADS_ENV,
     DetuningResult,
     SweepResult,
     read_snapshot,
@@ -155,10 +155,35 @@ def test_spectator_level_decouples(trace_c4, trace_c3):
         np.testing.assert_allclose(reduced, p3, atol=1e-3)
 
 
-def test_trace_thread_env_rejects_nonpositive(molecule, spec_c, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "0")
-    with pytest.raises(ValueError, match="positive integer"):
-        trace_populations(molecule, spec_c, levels=3)
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert experiments._worker_count(8) == 3
+    assert experiments._worker_count(2) == 2
+    assert experiments._worker_count(0) == 1
+    # Without an affinity API the CPU count stands in.
+    monkeypatch.delattr(experiments.os, "sched_getaffinity")
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert experiments._worker_count(8) == 1
+
+
+@pytest.mark.parametrize("engine,calls", [("exact", 4), ("analytic", 2)])
+def test_sweep_core_work_items(molecule, monkeypatch, engine, calls):
+    # The core looks its workers up in the module namespace: exact sweeps
+    # propagate once per (point, hand), analytic ones evaluate once per point.
+    name = "propagate" if engine == "exact" else "analytic_final_populations"
+    real = getattr(experiments, name)
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counting)
+    spec = DesignSpec(target="C", tau0=2.0)
+    result = sweep_detuning(molecule, spec, [0.1], [1.0, 1.5], engine=engine, levels=3)
+    assert len(seen) == calls
+    for hand in BOTH:
+        assert result.populations[hand].shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------
