@@ -48,15 +48,9 @@ import math
 
 import numpy as np
 
-from .pulses import SQRT_2_OVER_PI
+from .pulses import SQRT_2_OVER_PI, TWO_PI_DIGITS, exact_sum
 
 HAS_NUMBA = False  # mirrors the kernel-module interface
-
-#: 2 pi to 100 significant digits, for the exact phase reductions.
-_TWO_PI = (
-    "6.283185307179586476925286766559005768394338798750"
-    "211641949889184615632812572417997256069650684234136"
-)
 
 
 def _exact_arguments(freqs, t0, shifts, phases, dt):
@@ -71,13 +65,13 @@ def _exact_arguments(freqs, t0, shifts, phases, dt):
     from fractions import Fraction  # not needed on the ``import esst`` path
 
     start = [
-        Fraction(w) * (Fraction(t0) - Fraction(shift)) + Fraction(phase)
+        exact_sum(((w, t0), (-w, shift), (phase, 1.0)))
         for w, shift, phase in zip(freqs, shifts, phases)
     ]
-    half = [Fraction(w) * Fraction(dt) / 2 for w in freqs]
+    half = [exact_sum(((w, dt),)) / 2 for w in freqs]
     bits = max(128, *(x.denominator.bit_length() for x in start + half))
     scale = 1 << bits
-    period = round(Fraction(_TWO_PI) * scale)
+    period = round(Fraction(TWO_PI_DIGITS) * scale)
     return (
         [int(x * scale) for x in start], [int(x * scale) for x in half],
         period, scale,
@@ -122,11 +116,11 @@ def _phasor_table(freqs, dt, size):
     from fractions import Fraction
 
     j = np.arange(size, dtype=np.float64)
-    steps = [Fraction(w) * Fraction(dt) for w in freqs]
+    steps = [exact_sum(((w, dt),)) for w in freqs]
     hi, lo = np.array([_split(x, 53 - (size - 1).bit_length()) for x in steps]).T
     x = hi[:, None] * j
     k = np.rint(x / (2.0 * math.pi))
-    c1, c2 = _split(Fraction(_TWO_PI), 53 - int(np.abs(k).max(initial=0)).bit_length())
+    c1, c2 = _split(Fraction(TWO_PI_DIGITS), 53 - int(np.abs(k).max(initial=0)).bit_length())
     r = x - k * c1
     r += lo[:, None] * j - k * c2
     table = np.empty(r.shape, dtype=np.complex128)

@@ -134,14 +134,14 @@ def analytic_final_populations(
     spec: DesignSpec,
     *,
     hands: tuple[Handedness, ...] = (Handedness.LEFT, Handedness.RIGHT),
-    rtol: float = 1e-10,
 ) -> dict[Handedness, np.ndarray]:
     """Closed-form final populations (A, B, C) for each requested hand.
 
-    Computes the stage areas of the given pulses by quadrature, then applies
-    the two-stage closed forms.  Valid when the stages are well separated;
-    overlapping stages are outside the area theorem's assumptions and are the
-    exact propagator's job.  A sequence whose stage-2 pulses are centered
+    Computes the stage areas of the given pulses in closed form (see
+    :func:`esst.areas.complex_area`), then applies the two-stage closed
+    forms.  Valid when the stages are well separated; overlapping stages are
+    outside the area theorem's assumptions and are the exact propagator's
+    job.  A sequence whose stage-2 pulses are centered
     before the stage-1 pulse violates the protocol ordering outright and is
     rejected (the exact propagator will still happily integrate it).
     """
@@ -154,7 +154,7 @@ def analytic_final_populations(
                 f"pulse at {t1_center} ns; the closed form assumes the "
                 "two-stage ordering"
             )
-    areas = stage_areas(molecule, pulses, spec, rtol=rtol)
+    areas = stage_areas(molecule, pulses, spec)
     th1 = areas[spec.stage1_channel]
     ch2a, ch2c = spec.stage2_channels
     out: dict[Handedness, np.ndarray] = {}

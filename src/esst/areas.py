@@ -5,9 +5,11 @@ The central quantity is the complex pulse area of a coupling channel,
     theta_x(t) = integral_{t0}^{t} Omega_x(t') exp(i omega_t t') dt',
 
 with Omega_x(t) = -mu_x E_x(t) and omega_t the channel's transition
-frequency.  No rotating-wave approximation is made: the integral is taken
-over the full oscillating product, so counter-rotating contributions are
-included exactly (they are exponentially small for smooth pulses).
+frequency.  No rotating-wave approximation is made.  For a Gaussian pulse
+the integral over any window has a closed form in the Faddeeva function,
+one term per lobe of the cosine carrier, so the counter-rotating lobe is
+included exactly (it is exponentially small for smooth pulses over their
+full support, not on a window cut near the pulse).
 
 For a resonant Gaussian pulse with area parameter A and carrier phase phi the
 full-window area is theta = -mu A exp(-i phi): the modulus is mu*A and the
@@ -32,6 +34,7 @@ given pulse set deviates from the design manifold.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,15 +47,15 @@ from .model import (
     mhz_to_rad_per_ns,
     require_finite,
 )
-from .pulses import PhaseConvention, Pulse, field as pulse_field, support_window
+from .pulses import PhaseConvention, Pulse, phase_mod_two_pi, support_window
 
 TWO_PI = 2.0 * math.pi
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
-#: Gauss-Legendre rule applied on each panel of the oscillatory quadrature.
+#: Gauss-Legendre rule of :func:`_panel_quad`.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-#: Phase advance per panel kept small enough for 16-node accuracy.
-_PHASE_PER_PANEL = 4.0 * math.pi
 
 #: Below this |theta| the sinc-type helpers switch to their Taylor expansions.
 SMALL_AREA = 1e-4
@@ -88,15 +91,22 @@ def complex_area(
     dipole: float,
     transition_freq: float,
     window: tuple[float, float] | None = None,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> ComplexArea:
-    """Integrate Omega(t) exp(i omega_t t) over a window, without RWA.
+    """Omega(t) exp(i omega_t t) integrated over a window, exactly, without RWA.
 
-    Uses composite 16-node Gauss-Legendre panels sized to the fastest
-    oscillation (carrier + transition frequency), then doubles the panel
-    count until two successive evaluations agree to ``rtol``/``atol``.
+    The cosine carrier splits the integrand into two Gaussian lobes, one per
+    kappa = omega_t +- omega (counter-rotating and co-rotating).  With
+    u = (t - tc)/tau, s = u/sqrt(2) and beta = sqrt(2) kappa tau, each lobe
+    integrates in closed form,
+
+        tau exp(i kappa tc) int_{u_lo}^{u_hi} exp(-u^2/2 + i kappa tau u) du
+            = tau sqrt(pi/2) exp(i kappa tc) [G(s_lo) - G(s_hi)],
+
+    with G(s) = exp(-s^2 + i beta s) w(beta/2 + i s) and w the Faddeeva
+    function (see :func:`_lobe`).  The constant lobe phases, omega_t tc plus
+    or minus the carrier's phase at tc, run to thousands of radians for a
+    pulse centered hundreds of ns from t = 0; they are reduced mod 2 pi
+    exactly before the exponential is taken.
     """
     if window is None:
         window = support_window(pulse)
@@ -104,34 +114,102 @@ def complex_area(
     if not t_hi > t_lo:
         raise ValueError(f"empty integration window {window}")
 
-    omega_fast = pulse.carrier + abs(transition_freq)
-
-    def integrand(t):
-        return -dipole * pulse_field(pulse, t) * np.exp(1j * transition_freq * t)
-
-    span = t_hi - t_lo
-    panels = max(4, int(math.ceil(omega_fast * span / _PHASE_PER_PANEL)) + 4)
-    value = _panel_quad(integrand, t_lo, t_hi, panels)
-    for _ in range(14):
-        panels *= 2
-        refined = _panel_quad(integrand, t_lo, t_hi, panels)
-        if abs(refined - value) <= rtol * abs(refined) + atol:
-            value = refined
-            break
-        value = refined
-    else:
-        raise RuntimeError(
-            f"pulse-area quadrature failed to converge on window {window}"
+    tc, tau, omega = pulse.center_time, pulse.duration, pulse.carrier
+    # The carrier is cos(omega (t - shift) + phi).
+    shift = 0.0 if pulse.convention is PhaseConvention.ABSOLUTE else tc
+    s_lo = (t_lo - tc) / tau * _SQRT_HALF
+    s_hi = (t_hi - tc) / tau * _SQRT_HALF
+    value = 0j
+    for sign in (1.0, -1.0):
+        kappa = transition_freq + sign * omega
+        beta = _SQRT_2 * kappa * tau
+        phase = phase_mod_two_pi(
+            ((transition_freq, tc), (sign * omega, tc), (-sign * omega, shift),
+             (sign, pulse.phase))
         )
+        value += cmath.exp(1j * phase) * (_lobe(beta, s_lo) - _lobe(beta, s_hi))
+    # sqrt(2/pi) (A / tau) from the envelope, 1/2 from the cosine and
+    # tau sqrt(pi/2) from the lobe integral leave A / 2.
     return ComplexArea(
-        value=complex(value),
+        value=complex(-0.5 * dipole * pulse.area_param * value),
         channel=pulse.channel,
         transition_freq=float(transition_freq),
         window=(float(t_lo), float(t_hi)),
     )
 
 
+def _lobe(beta: float, s: float) -> complex:
+    """G(s) = exp(-s^2 + i beta s) w(beta/2 + i s), w taken where Im z >= 0.
+
+    For s < 0 the reflection w(z) = 2 exp(-z^2) - w(-z) gives
+    G(s) = 2 exp(-beta^2/4) - exp(-s^2 + i beta s) w(-beta/2 - i s).  Either
+    way w is evaluated in the closed upper half-plane, where |w| <= 1, so
+    nothing overflows however large beta is.
+    """
+    gauss = cmath.exp(complex(-s * s, beta * s))
+    if s >= 0.0:
+        return gauss * _faddeeva(complex(0.5 * beta, s))
+    return 2.0 * math.exp(-0.25 * beta * beta) - gauss * _faddeeva(
+        complex(-0.5 * beta, -s)
+    )
+
+
+#: Terms of the rational expansion behind :func:`_faddeeva`.
+_FADDEEVA_TERMS = 48
+
+
+@functools.lru_cache(maxsize=None)
+def _faddeeva_coefficients() -> tuple[float, tuple[float, ...]]:
+    """Weideman's scale L and coefficients a_N, ..., a_1 (highest first).
+
+    a_n is the n-th cosine coefficient of f(t) = exp(-t^2) (L^2 + t^2) under
+    the map t = L tan(theta/2), sampled at theta = pi k / M, |k| < M = 2N.
+    The transform is a direct cosine sum, so no FFT module is loaded.
+    """
+    n_terms = _FADDEEVA_TERMS
+    m = 2 * n_terms
+    scale = math.sqrt(n_terms / math.sqrt(2.0))
+    ks = range(-m + 1, m)
+    samples = []
+    for k in ks:
+        t = scale * math.tan(0.5 * math.pi * k / m)
+        samples.append(math.exp(-t * t) * (scale * scale + t * t))
+    coefficients = [
+        math.fsum(f * math.cos(math.pi * n * k / m) for f, k in zip(samples, ks))
+        / (2 * m)
+        for n in range(n_terms, 0, -1)
+    ]
+    return scale, tuple(coefficients)
+
+
+def _faddeeva(z: complex) -> complex:
+    """Faddeeva function w(z) = exp(-z^2) erfc(-i z) for Im z >= 0.
+
+    Weideman's rational expansion (SIAM J. Numer. Anal. 31, 1994) with
+    N = 48 terms:
+
+        w(z) = 2 p(Z) / (L - i z)^2 + 1 / (sqrt(pi) (L - i z)),
+        Z = (L + i z) / (L - i z),  p(Z) = sum_{n=1}^{N} a_n Z^(n-1).
+
+    Good to about 2e-14 relative in the closed upper half-plane, out to
+    |z| = 1e5 at least; the expansion is not valid below the real axis.
+    """
+    scale, coefficients = _faddeeva_coefficients()
+    denom = scale - 1j * z
+    ratio = (scale + 1j * z) / denom
+    poly = 0j
+    for a in coefficients:
+        poly = poly * ratio + a
+    return 2.0 * poly / (denom * denom) + _INV_SQRT_PI / denom
+
+
 def _panel_quad(fn, t_lo: float, t_hi: float, panels: int) -> complex:
+    """Composite 16-node Gauss-Legendre rule of ``fn`` over equal panels.
+
+    Not used by the area code: the tests integrate against it as an
+    independent check of :func:`complex_area`, and ``perfbench/spans.py``
+    still counts its nodes by name.
+    """
     edges = np.linspace(t_lo, t_hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -269,8 +347,10 @@ def realize_phase(
     * envelope:  phi = phi_design + transition * center
 
     At zero detuning both conventions produce identical physical fields.
-    The result is wrapped into [0, 2pi); the wrap costs at most a few ulp
-    of phase, far below every quadrature tolerance used here.
+    The result is wrapped into [0, 2pi) in floating point, so the realized
+    phase carries a few ulp of ``transition * center`` (about 1e-12 rad
+    at a 280 ns center).  That error belongs to the pulse; its areas are
+    then evaluated exactly.
     """
     convention = PhaseConvention.coerce(convention)
     delta = carrier - transition_freq
@@ -332,8 +412,6 @@ def stage_areas(
     molecule: MoleculeSpec,
     pulses: dict[str, Pulse],
     spec: DesignSpec,
-    *,
-    rtol: float = 1e-10,
 ) -> dict[str, ComplexArea]:
     """Per-channel complex areas over their stage windows.
 
@@ -350,7 +428,7 @@ def stage_areas(
             window = (min(lo, t1 - pulse.duration), t1)
         else:
             window = (t1, max(hi, t1 + pulse.duration))
-        out[channel] = complex_area(pulse, dipole, transition, window, rtol=rtol)
+        out[channel] = complex_area(pulse, dipole, transition, window)
     return out
 
 

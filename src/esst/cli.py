@@ -45,8 +45,10 @@ from .experiments import (
 from .model import CHANNELS, PRESETS, Handedness
 from .propagator import (
     POPULATION_COLUMNS,
+    TRACE_COLUMNS,
     GridTooCoarseError,
     NumericalGuardError,
+    norm_drift,
     propagate,
 )
 from .pulses import PhaseConvention
@@ -206,16 +208,9 @@ def _run_traces(args, prefix: str) -> int:
             spec.molecule, spec.pulses, hand, levels=levels, grid=grid
         )
         path = os.path.join(outdir, f"{prefix}_{hand.value}.csv")
-        write_trace_csv(path, traj, snapshot)
-        # Scalar abs, not the array abs behind the CSV: the two can differ
-        # in the last ulp, and this row prints the scalar form.
-        pops = dict.fromkeys(POPULATION_COLUMNS, 0.0)
-        for label, amp in zip(traj.basis.labels, traj.final_state):
-            pops[label] = float(abs(amp) ** 2)
-        print(
-            f"{hand.value},{','.join(map(repr, pops.values()))},"
-            f"{float(traj.norm_errors.max())!r}"
-        )
+        last = write_trace_csv(path, traj, snapshot)[-1].tolist()
+        pops = [last[TRACE_COLUMNS.index(c)] for c in POPULATION_COLUMNS.values()]
+        print(f"{hand.value},{','.join(map(repr, pops))},{norm_drift(traj)!r}")
     return 0
 
 

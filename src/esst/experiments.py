@@ -331,17 +331,23 @@ def read_snapshot(path) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_trace_csv(path, trajectory: Trajectory, snapshot: str | None = None) -> None:
-    """Population trace rows in the ``TRACE_COLUMNS`` layout, hand as left/right."""
+def write_trace_csv(path, trajectory: Trajectory, snapshot: str | None = None) -> np.ndarray:
+    """Population trace rows in the ``TRACE_COLUMNS`` layout, hand as left/right.
+
+    Returns the :func:`trace_table` it wrote, so callers can report rows with
+    the same digits as the file.
+    """
     hand = trajectory.hand.value
+    table = trace_table(trajectory)
     with open(path, "w", encoding="utf-8") as fh:
         for line in _snapshot_lines(snapshot):
             fh.write(line + "\n")
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in trace_table(trajectory):
+        for row in table:
             cells = list(map(repr, row.tolist()))
             cells[1] = hand
             fh.write(",".join(cells) + "\n")
+    return table
 
 
 def write_landscape_csv(path, result: SweepResult, snapshot: str | None = None) -> None:

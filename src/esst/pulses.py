@@ -30,6 +30,51 @@ from .model import CHANNELS, mhz_to_rad_per_ns, require_finite
 #: Envelope normalization prefactor sqrt(2/pi).
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
+#: 2 pi to 100 significant digits, for the exact phase reductions.
+TWO_PI_DIGITS = (
+    "6.283185307179586476925286766559005768394338798750"
+    "211641949889184615632812572417997256069650684234136"
+)
+_TWO_PI_NUMERATOR = int(TWO_PI_DIGITS.replace(".", ""))
+_TWO_PI_DENOMINATOR = 10 ** (len(TWO_PI_DIGITS) - 2)
+
+
+def _dyadic_sum(products) -> tuple[int, int]:
+    """Sum of a * b over float pairs (a, b) as n / 2**e, exactly.
+
+    Every float is a dyadic rational, so the sum carries no rounding error
+    however large its terms are.
+    """
+    terms = []
+    for a, b in products:
+        na, da = float(a).as_integer_ratio()
+        nb, db = float(b).as_integer_ratio()
+        terms.append((na * nb, (da * db).bit_length() - 1))
+    e = max(k for _, k in terms)
+    return sum(n << (e - k) for n, k in terms), e
+
+
+def exact_sum(products):
+    """Sum of a * b over float pairs (a, b), as an exact ``Fraction``."""
+    from fractions import Fraction  # not needed on the ``import esst`` path
+
+    n, e = _dyadic_sum(products)
+    return Fraction(n, 1 << e)
+
+
+def phase_mod_two_pi(products) -> float:
+    """Sum of a * b over float pairs, reduced into [0, 2 pi) and rounded once.
+
+    The exact sum n / 2**e is reduced as the integer n * 2**128 against
+    2 pi * 2**(e + 128), with 2 pi to 100 digits, so the result is good to
+    half an ulp, where the float sum of a phase like omega * t would carry
+    ulp(omega * t), about 1e-12 rad at 8,000 rad.
+    """
+    n, e = _dyadic_sum(products)
+    bits = e + 128
+    period = (_TWO_PI_NUMERATOR << bits) // _TWO_PI_DENOMINATOR
+    return ((n << 128) % period) / (1 << bits)
+
 
 class PhaseConvention(enum.Enum):
     ABSOLUTE = "absolute"

@@ -40,7 +40,7 @@ def pulses_b(molecule, spec_b):
 @pytest.fixture(scope="session")
 def wide_spec_c():
     """Target-C design with stages separated far enough (t1 = 8 tau0) that
-    window truncation sits at the quadrature floor instead of ~1e-5."""
+    window truncation sits at round-off instead of ~1e-5."""
     return DesignSpec(target="C", stage2_center=16 * 35.0)
 
 

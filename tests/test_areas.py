@@ -3,13 +3,20 @@ from __future__ import annotations
 
 import cmath
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import wofz
 
 from esst.areas import (
     ComplexArea,
+    _faddeeva,
+    _panel_quad,
     DesignSpec,
     complex_area,
     condition_residuals,
@@ -22,7 +29,14 @@ from esst.areas import (
     stage_areas,
 )
 from esst.model import CYCLOHEXYLMETHANOL, Handedness, mhz_to_rad_per_ns
-from esst.pulses import PhaseConvention, Pulse, field, spectral_amplitude, support_window
+from esst.pulses import (
+    TWO_PI_DIGITS,
+    PhaseConvention,
+    Pulse,
+    field,
+    spectral_amplitude,
+    support_window,
+)
 
 L = Handedness.LEFT
 R = Handedness.RIGHT
@@ -157,6 +171,129 @@ def test_linearity_in_area_and_dipole(scale, mu):
         make_pulse(0.7 * scale, carrier_mhz=2339.0), mu, omega_t
     ).value
     assert scaled == pytest.approx(base * scale * mu, rel=1e-9)
+
+
+def test_faddeeva_matches_scipy_wofz():
+    """Weideman's expansion vs scipy over the closed upper half-plane."""
+    rng = np.random.default_rng(5)
+    radius = 10.0 ** rng.uniform(-3.0, 5.0, 4000)
+    angle = rng.uniform(0.0, math.pi, 4000)
+    points = np.concatenate([
+        radius * np.exp(1j * angle),
+        np.linspace(-1e5, 1e5, 2001) + 0j,  # real axis, Re w = exp(-x^2)
+        np.linspace(-40.0, 40.0, 2001) + 0j,
+        # beta/2 + i s of the counter-rotating lobes
+        rng.uniform(-3e3, 3e3, 2000) + 1j * rng.uniform(0.0, 8.0, 2000),
+        [0j, 1e5j, 1e-12 + 0j],
+    ])
+    ref = wofz(points)
+    ours = np.array([_faddeeva(complex(z)) for z in points])
+    worst = np.max(np.abs(ours - ref) / np.abs(ref))
+    assert worst <= 1e-13
+
+
+def _converged_quad(pulse, dipole, omega_t, window):
+    """``_panel_quad`` at panels sized to the fastest phase, then doubled."""
+    lo, hi = window
+
+    def integrand(t):
+        return -dipole * field(pulse, t) * np.exp(1j * omega_t * t)
+
+    fast = pulse.carrier + abs(omega_t)
+    panels = int(math.ceil(fast * (hi - lo) / (4.0 * math.pi))) + 8
+    coarse = _panel_quad(integrand, lo, hi, panels)
+    fine = _panel_quad(integrand, lo, hi, 2 * panels)
+    assert abs(fine - coarse) < 1e-12
+    return fine
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tau=st.floats(0.3, 35.0),
+    delta_tau=st.floats(-3.0, 3.0),
+    tc=st.floats(-500.0, 500.0),
+    phase=st.floats(0.0, 2 * math.pi),
+    convention=st.sampled_from(list(PhaseConvention)),
+    channel=st.sampled_from(["a", "b", "c"]),
+    lo=st.floats(-8.0, 6.0),
+    width=st.floats(0.5, 16.0),
+)
+def test_closed_form_matches_panel_quadrature(
+    molecule, tau, delta_tau, tc, phase, convention, channel, lo, width
+):
+    """Random widths, detunings, centers and cut windows, both conventions.
+
+    Cut windows keep the counter-rotating lobe at up to ~1e-5 of the area,
+    so dropping or mis-phasing it fails here.
+    """
+    dipole, omega_t = molecule.channel_transition(channel)
+    carrier = omega_t + delta_tau / tau
+    pulse = make_pulse(
+        area=1.0 / dipole, phase=phase, tc=tc, tau=tau,
+        carrier_mhz=carrier / mhz_to_rad_per_ns(1.0),
+        convention=convention, channel=channel,
+    )
+    window = (tc + lo * tau, tc + min(lo + width, 8.0) * tau)
+    ours = complex_area(pulse, dipole, omega_t, window).value
+    assert abs(ours - _converged_quad(pulse, dipole, omega_t, window)) <= 1e-10
+
+
+@pytest.mark.parametrize("convention", list(PhaseConvention))
+@pytest.mark.parametrize("cuts", [(-8.0, -1.5, 8.0), (-8.0, 0.7, 3.0), (0.2, 1.1, 8.0)])
+def test_window_additivity(molecule, convention, cuts):
+    """theta over [a, b] plus theta over [b, c] is theta over [a, c]."""
+    tau, tc = 2.0, 280.0
+    dipole, omega_t = molecule.channel_transition("c")
+    pulse = make_pulse(
+        area=1.1 / dipole, phase=0.9, tc=tc, tau=tau,
+        carrier_mhz=(omega_t + 0.4 / tau) / mhz_to_rad_per_ns(1.0),
+        convention=convention, channel="c",
+    )
+    a, b, c = (tc + x * tau for x in cuts)
+    whole = complex_area(pulse, dipole, omega_t, (a, c)).value
+    parts = (
+        complex_area(pulse, dipole, omega_t, (a, b)).value
+        + complex_area(pulse, dipole, omega_t, (b, c)).value
+    )
+    assert abs(parts - whole) <= 1e-15
+
+
+def _exp_i_exact(omega, t):
+    """exp(i omega t) with omega * t reduced mod 2 pi in exact arithmetic."""
+    x = Fraction(omega) * Fraction(t)
+    two_pi = Fraction(TWO_PI_DIGITS)
+    return cmath.exp(1j * float(x - two_pi * math.floor(x / two_pi)))
+
+
+@pytest.mark.parametrize("channel", ["a", "b", "c"])
+def test_far_shift_multiplies_by_transition_phasor(molecule, channel):
+    """Moving an envelope-referenced pulse and its window by T = 1e4 ns
+    multiplies theta by exp(i omega_t T), to round-off of the area itself."""
+    big_t = 1e4
+    dipole, omega_t = molecule.channel_transition(channel)
+    env = PhaseConvention.ENVELOPE
+    kwargs = dict(area=1.1 / dipole, phase=2.3, tau=35.0, convention=env,
+                  channel=channel,
+                  carrier_mhz=(omega_t + 0.7 / 35.0) / mhz_to_rad_per_ns(1.0))
+    near = make_pulse(tc=280.0, **kwargs)
+    far = make_pulse(tc=280.0 + big_t, **kwargs)
+    theta_near = complex_area(near, dipole, omega_t).value
+    theta_far = complex_area(far, dipole, omega_t).value
+    expected = theta_near * _exp_i_exact(omega_t, big_t)
+    assert abs(theta_far - expected) <= 1e-14
+
+
+def test_import_loads_no_scipy_fractions_or_fft():
+    code = (
+        "import sys, esst\n"
+        "print(sorted(m for m in ('scipy', 'fractions', 'numpy.fft')"
+        " if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +474,7 @@ def test_stage_areas_wide_geometry_hits_lattice(molecule, wide_spec_c):
 
 def test_stage_areas_default_geometry_truncation(molecule, spec_c, pulses_c):
     # the stage boundary at 4 sigma clips ~3e-5 of the stage-1 area --
-    # a real feature of the finite handoff, not a quadrature artifact
+    # a real feature of the finite handoff, not an artifact of the area evaluation
     areas = stage_areas(molecule, pulses_c, spec_c)
     clipped = areas["a"].modulus
     assert clipped < math.pi / 4

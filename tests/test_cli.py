@@ -140,6 +140,23 @@ def test_trace_both_hands_writes_two_csvs(config_path, tmp_path, capsys):
     assert float(summary["left"][5]) < 1e-8
 
 
+def test_trace_summary_row_matches_csv_last_row(config_path, tmp_path, capsys):
+    # At 3 levels the left hand's P_C reads ...172 through scalar abs(z)**2
+    # and ...17 in the CSV; the printed row must carry the CSV's digits.
+    out = str(tmp_path / "row")
+    assert main(
+        ["trace", "--config", config_path, "--out", out, "--levels", "3",
+         "--hand", "left"]
+    ) == 0
+    header, printed = capsys.readouterr().out.strip().splitlines()
+    columns, rows = _csv_rows(os.path.join(out, "trace_left.csv"))
+    last = dict(zip(columns.split(","), rows[-1]))
+    summary = dict(zip(header.split(","), printed.split(",")))
+    pops = [c for c in header.split(",") if c.startswith("P_")]
+    assert pops == ["P_A", "P_Bprime", "P_B", "P_C"]
+    assert [summary[c] for c in pops] == [last[c] for c in pops]
+
+
 def test_trace_snapshot_reproduces_config(config_path, tmp_path):
     out = str(tmp_path / "snap")
     assert main(
