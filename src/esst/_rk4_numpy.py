@@ -29,12 +29,24 @@ element is one contiguous vector over the steps of the chunk:
   where cos(w t) of a floating-point t carries ulp(t) * w.  Only the
   Gaussian envelopes still take an exp per pulse and time.
 * A has a zero diagonal and one entry pair per coupled edge (3 edges at
-  three levels, 5 at four).  Each stage is formed as K' = A + h (A K), an
-  edge-sparse times dense product that costs one vector multiply-add per
-  generator entry and column.
+  three levels, 5 at four), kept as sparse rows.  K1 = A1 is never stored
+  densely.  K2 = A2 + (dt/2) A2 A1 is a sparse times sparse product: each
+  entry sums only its nonzero terms, in ascending m, which is the dense
+  product's order with its exact zeros left out.  K3 and K4 are
+  edge-sparse times dense, one vector multiply-add per generator entry and
+  column.
+* Three dense ``(n, n, chunk)`` buffers hold a chunk's stages: K2 (later
+  overwritten by K4), K3, and M, which is summed in its own buffer as
+  ((2 K2 + K1) + 2 K3) + K4, then scaled by dt/6, then given its identity.
 * Each sample stride's worth of M matrices is composed into one propagator
   by an order-preserving pairwise reduction over ``(n, n, groups, k)``
-  blocks, multiplied with explicit element loops.
+  blocks.  Long levels multiply with explicit element loops; levels of at
+  most ``_BROADCAST_MAX`` elements per entry, where call overhead
+  dominates, take one broadcast multiply and one ``sum`` over m, which
+  adds in the same order.
+* Per sample only the matrix-vector product and the norm are computed.
+  Sample times, |norm - 1| and the scan for a non-finite norm run once per
+  run or per chunk, over whole arrays.
 
 None of this uses a batched ``np.matmul``, which hands each tiny matrix to
 BLAS separately and costs several times the arithmetic.  The numerical
@@ -203,18 +215,50 @@ def _sparse_rows(entries, upper, mirrored, span):
     ]
 
 
+def _sum_products(pairs, out, tmp):
+    """out = the sum of x * y over ``pairs`` of (x, y), added in order."""
+    (x, y), *rest = pairs
+    np.multiply(x, y, out=out)
+    for x, y in rest:
+        np.multiply(x, y, out=tmp)
+        out += tmp
+    return out
+
+
 def _stage(a, k, scale, out, tmp):
     """out = A + scale * (A @ k) for A given as sparse rows of (m, values).
 
     Every level of the loop models is coupled, so no row is empty.
     """
     for i, row in enumerate(a):
-        (m, am), *rest = row
-        np.multiply(am, k[m], out=out[i])
-        for m, am in rest:
-            np.multiply(am, k[m], out=tmp)
-            out[i] += tmp
+        _sum_products([(am, k[m]) for m, am in row], out[i], tmp)
     out *= scale
+    return _add_sparse(out, a)
+
+
+def _sparse_stage(a, b, scale, out, tmp):
+    """out = A + scale * (A @ B) for A and B both given as sparse rows.
+
+    Each entry sums its nonzero terms A[i, m] B[m, j] in ascending m.  That
+    is the dense product's order, whose other terms are exact zeros; an
+    entry with no nonzero term is zero.
+    """
+    for i, row in enumerate(a):
+        terms = [[] for _ in b]
+        for m, am in row:
+            for j, bm in b[m]:
+                terms[j].append((am, bm))
+        for j, pairs in enumerate(terms):
+            if pairs:
+                _sum_products(pairs, out[i, j], tmp)
+            else:
+                out[i, j] = 0.0
+    out *= scale
+    return _add_sparse(out, a)
+
+
+def _add_sparse(out, a):
+    """out += A for A given as sparse rows."""
     for i, row in enumerate(a):
         for m, am in row:
             out[i, m] += am
@@ -225,11 +269,13 @@ def _product(left, right, out, tmp):
     """out = left @ right over leading (n, n) axes, elementwise behind them."""
     n = left.shape[0]
     for i in range(n):
-        np.multiply(left[i, 0], right[0], out=out[i])
-        for m in range(1, n):
-            np.multiply(left[i, m], right[m], out=tmp)
-            out[i] += tmp
+        _sum_products([(left[i, m], right[m]) for m in range(n)], out[i], tmp)
     return out
+
+
+#: Longest level, in elements per matrix entry, that ``_compose_ordered``
+#: multiplies with one broadcast product instead of ``_product``'s loops.
+_BROADCAST_MAX = 512
 
 
 def _compose_ordered(mats: np.ndarray) -> np.ndarray:
@@ -239,13 +285,22 @@ def _compose_ordered(mats: np.ndarray) -> np.ndarray:
     groups).  Pairwise reduction that keeps temporal order: later steps
     always end up on the left.  An odd tail is carried unmerged to the next
     round so the latest factor stays latest.
+
+    Long levels go through ``_product``.  Short ones, where per-call
+    overhead dominates, form every term left[i, m] right[m, j] in one
+    broadcast multiply and add them with one ``sum`` over m.  A reduction
+    over an axis that is not the innermost adds its slices in order, so
+    both paths give the same bits.
     """
     while mats.shape[-1] > 1:
         k = mats.shape[-1]
         half = k // 2
-        body = np.empty(mats.shape[:-1] + (half,), dtype=mats.dtype)
-        tmp = np.empty(body.shape[1:], dtype=mats.dtype)
-        _product(mats[..., 1 : 2 * half : 2], mats[..., 0 : 2 * half : 2], body, tmp)
+        left, right = mats[..., 1 : 2 * half : 2], mats[..., 0 : 2 * half : 2]
+        if left[0, 0].size <= _BROADCAST_MAX:
+            body = (left[:, :, None] * right[None]).sum(axis=1)
+        else:
+            body = np.empty(left.shape, dtype=mats.dtype)
+            _product(left, right, body, np.empty(body.shape[1:], dtype=mats.dtype))
         mats = np.concatenate([body, mats[..., -1:]], axis=-1) if k % 2 else body
     return mats[..., 0]
 
@@ -267,6 +322,7 @@ def rk4_run(
 
     psi = psi0.astype(np.complex128).copy()
     times[0] = t0
+    times[1:] = t0 + (np.arange(1, n_samples) * stride) * dt
     states[0] = psi
     norm_err[0] = abs(float(np.vdot(psi, psi).real) - 1.0)
     status = -1
@@ -292,10 +348,9 @@ def rk4_run(
     )
     flipped = np.empty((rows.shape[0], n_times), dtype=np.complex128)
     entries = _generator_rows(rows, cols, n)
-    k1 = np.zeros((n, n, longest), dtype=np.complex128)
-    k2 = np.empty_like(k1)
-    k3 = np.empty_like(k1)
-    k4 = np.empty_like(k1)
+    m_buf = np.empty((n, n, longest), dtype=np.complex128)
+    k24 = np.empty_like(m_buf)  # K2, then K4
+    k3 = np.empty_like(m_buf)
     tmp = np.empty((n, longest), dtype=np.complex128)
 
     sample = 0
@@ -315,22 +370,16 @@ def rk4_run(
         a1 = _sparse_rows(entries, upper, mirrored, slice(0, nc))  # starts
         a2 = _sparse_rows(entries, upper, mirrored, slice(nc + 1, None))  # midpoints
         a3 = _sparse_rows(entries, upper, mirrored, slice(1, nc + 1))  # ends
-        c1, c2, c3, c4 = (k[..., :nc] for k in (k1, k2, k3, k4))
+        step_mats, c24, c3 = (k[..., :nc] for k in (m_buf, k24, k3))
         t = tmp[:, :nc]
-        for i, row in enumerate(a1):
-            for m, am in row:
-                c1[i, m] = am
-        _stage(a2, c1, 0.5 * dt, c2, t)
-        _stage(a2, c2, 0.5 * dt, c3, t)
-        _stage(a3, c3, dt, c4, t)
+        _sparse_stage(a2, a1, 0.5 * dt, c24, t[0])  # K2
+        _stage(a2, c24, 0.5 * dt, c3, t)  # K3
 
-        # M = I + dt/6 (K1 + 2 K2 + 2 K3 + K4), summed in that order
-        step_mats = np.multiply(c2, 2.0, out=c2)
-        for i, row in enumerate(a1):
-            for m, am in row:
-                step_mats[i, m] += am
+        # M = I + dt/6 (((2 K2 + K1) + 2 K3) + K4)
+        _add_sparse(np.multiply(c24, 2.0, out=step_mats), a1)
+        _stage(a3, c3, dt, c24, t)  # K4 over K2
         step_mats += np.multiply(c3, 2.0, out=c3)
-        step_mats += c4
+        step_mats += c24
         step_mats *= dt / 6.0
         for i in range(n):
             step_mats[i, i] += 1.0
@@ -338,19 +387,19 @@ def rk4_run(
         groups = nc // stride
         per_sample = _compose_ordered(step_mats.reshape(n, n, groups, stride))
         per_sample = np.ascontiguousarray(np.moveaxis(per_sample, -1, 0))
-        for g in range(groups):
-            psi = per_sample[g] @ psi
-            sample += 1
-            norm = float(np.vdot(psi, psi).real)
-            times[sample] = t0 + (step0 + (g + 1) * stride) * dt
-            states[sample] = psi
-            norm_err[sample] = abs(norm - 1.0)
-            if not np.isfinite(norm):
-                status = sample
-                times[sample + 1 :] = times[sample]
-                states[sample + 1 :] = psi
-                norm_err[sample + 1 :] = norm_err[sample]
-                break
+        block = slice(sample + 1, sample + groups + 1)
+        for s, p in enumerate(per_sample, block.start):
+            psi = np.matmul(p, psi, out=states[s])
+            norm_err[s] = np.vdot(psi, psi).real
+        err = norm_err[block]
+        np.abs(np.subtract(err, 1.0, out=err), out=err)
+        bad = np.flatnonzero(~np.isfinite(err))
+        if bad.size:
+            status = block.start + int(bad[0])
+            times[status + 1 :] = times[status]
+            states[status + 1 :] = states[status]
+            norm_err[status + 1 :] = norm_err[status]
+        sample += groups
         step0 += nc
 
     return times, states, norm_err, status

@@ -104,10 +104,12 @@ def _sweep(
 ) -> dict[Handedness, np.ndarray]:
     """P_target per hand on the ``values1 x values2`` grid.
 
-    ``pulses_at(v1, v2)`` builds the pulse set of one grid point.  The exact
-    engine runs one pool item per (point, hand) on that set's default grid;
-    the analytic engine one item per point, since its closed form yields
-    both hands at once.
+    ``pulses_at(v1, v2)`` returns one grid point's design and its pulse
+    set.  The exact engine runs one pool item per (point, hand) on that
+    set's default grid; the analytic engine one item per point, since its
+    closed form yields both hands at once.  The closed form takes its stage
+    windows from the point's design, so a point that moves tau0 or the
+    stage centers must return the design it was built from.
     """
     levels = _default_levels(molecule, levels)
     points = [(float(v1), float(v2)) for v1 in values1 for v2 in values2]
@@ -116,7 +118,8 @@ def _sweep(
         items = points
 
         def job(point):
-            pops = analytic_final_populations(molecule, pulses_at(*point), spec)
+            design, pulses = pulses_at(*point)
+            pops = analytic_final_populations(molecule, pulses, design)
             return [float(pops[hand][idx]) for hand in BOTH_HANDS]
 
     else:
@@ -124,7 +127,7 @@ def _sweep(
 
         def job(item):
             v1, v2, hand = item
-            pulses = pulses_at(v1, v2)
+            _, pulses = pulses_at(v1, v2)
             traj = propagate(
                 molecule, pulses, hand,
                 levels=levels,
@@ -173,7 +176,8 @@ def sweep_phase_duration(
     _, transition = molecule.channel_transition(channel)
 
     def pulses_at(phase: float, tau0: float):
-        pulses = designed_pulses(molecule, replace(spec, tau0=tau0))
+        point = replace(spec, tau0=tau0)
+        pulses = designed_pulses(molecule, point)
         p1 = pulses[channel]
         pulses[channel] = replace(
             p1,
@@ -181,7 +185,7 @@ def sweep_phase_duration(
                 phase, transition, p1.carrier, p1.center_time, p1.convention
             ),
         )
-        return pulses
+        return point, pulses
 
     return SweepResult(
         axis1_name=f"phi_{channel}_rad",
@@ -223,7 +227,7 @@ def sweep_delays(
         pulses = dict(base)
         pulses[ch1] = replace(pulses[ch1], center_time=spec.stage1_center + delay1)
         pulses[ch2] = replace(pulses[ch2], center_time=spec.stage1_center + delay2)
-        return pulses
+        return spec, pulses
 
     return SweepResult(
         axis1_name=f"delay_{ch1}_ns",
@@ -281,7 +285,7 @@ def sweep_detuning(
     channels = DETUNING_MODES[mode]
 
     def pulses_at(delta: float, scale: float):
-        return designed_pulses(
+        return spec, designed_pulses(
             molecule, spec,
             detunings={ch: delta for ch in channels},
             scales={ch: scale for ch in channels},

@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from esst import experiments
-from esst.areas import DesignSpec
+from esst.areas import DesignSpec, designed_pulses
 from esst.experiments import (
     DetuningResult,
     SweepResult,
@@ -184,6 +185,26 @@ def test_sweep_core_work_items(molecule, monkeypatch, engine, calls):
     assert len(seen) == calls
     for hand in BOTH:
         assert result.populations[hand].shape == (1, 2)
+
+
+def test_analytic_sweep_uses_each_points_design(molecule, spec_c):
+    # The points move tau0 from the outer spec's 35 ns to 5 and 6 ns.  The
+    # closed form must take its stage windows from each point's design: with
+    # the outer spec's windows both hands read P_C ~ 1e-105 or less.
+    def pulses_at(phase, tau0):
+        point = replace(spec_c, tau0=tau0)
+        return point, designed_pulses(molecule, point)
+
+    got = {
+        engine: experiments._sweep(
+            molecule, spec_c, np.array([0.0]), np.array([5.0, 6.0]), pulses_at,
+            engine=engine, levels=3, backend="numpy",
+        )
+        for engine in experiments.ENGINES
+    }
+    for hand in BOTH:
+        np.testing.assert_allclose(got["analytic"][hand], got["exact"][hand], rtol=0, atol=1e-2)
+    assert got["exact"][L].min() > 0.99  # the comparison is not vacuous
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from esst import _rk4_numpy
 from esst.areas import DesignSpec, designed_pulses
@@ -117,24 +117,123 @@ def direct_rk4(
     return np.array(states)
 
 
+def designed_args(molecule, spec, levels, hand, sample_stride=128):
+    """``rk4_run``'s positional arguments for a designed sequence on its grid."""
+    pulses = list(designed_pulses(molecule, spec).values())
+    grid = default_grid(molecule, pulses, levels, sample_stride=sample_stride)
+    basis = basis_for_levels(molecule, levels)
+    psi0 = np.zeros(basis.dim, dtype=np.complex128)
+    psi0[0] = 1.0
+    return (
+        float(grid.t_start), float(grid.dt_eff), int(grid.n_steps),
+        int(grid.sample_stride), np.asarray(basis.energies, dtype=np.float64),
+        *_edge_arrays(molecule, levels, hand), *_pulse_arrays(pulses), psi0,
+    )
+
+
 @pytest.mark.parametrize("chunk_steps", [4096, 1000])
 @pytest.mark.parametrize("hand", [Handedness.LEFT, Handedness.RIGHT])
 def test_kernel_matches_direct_cos_sin_rk4(molecule, hand, chunk_steps):
     # 4,352 steps: one full 4096-step chunk and a partial one, or four
     # 896-step chunks and a partial one
-    pulses = list(designed_pulses(molecule, DesignSpec(target="C", tau0=0.3)).values())
-    grid = default_grid(molecule, pulses, 4)
-    assert grid.n_steps % chunk_steps
-    basis = basis_for_levels(molecule, 4)
-    psi0 = np.zeros(basis.dim, dtype=np.complex128)
-    psi0[0] = 1.0
-    args = (
-        float(grid.t_start), float(grid.dt_eff), int(grid.n_steps),
-        int(grid.sample_stride), np.asarray(basis.energies, dtype=np.float64),
-        *_edge_arrays(molecule, 4, hand), *_pulse_arrays(pulses), psi0,
-    )
+    args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, hand)
+    assert args[2] % chunk_steps
     _, states, _, status = _rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps)
     want = direct_rk4(*args)
     assert status == -1
     assert np.abs(states - want).max() <= 1e-13
     assert np.abs(want[:, 0]).min() < 0.9  # the comparison is not vacuous
+
+
+@pytest.mark.parametrize("edges,same_bytes", [
+    (((0, 2), (2, 3), (0, 3), (0, 1), (1, 3)), True),  # the four-level loop
+    # a chain: entries of A2 A1 with no term are +0, where the dense form's
+    # sum of zero products may be -0
+    (((0, 1), (1, 2), (2, 3)), False),
+])
+def test_sparse_k2_equals_dense_stage(edges, same_bytes):
+    # K2 = A2 + h/2 A2 K1 with K1 = A1 sparse must give the dense form's
+    # values, whose extra terms multiply exact zeros of K1
+    rng = np.random.default_rng(5)
+    rows, cols = np.array(edges).T
+    entries = _rk4_numpy._generator_rows(rows, cols, 4)
+    values = rng.normal(size=(4, len(edges), 33)) + 1j * rng.normal(size=(4, len(edges), 33))
+    a1, a2 = (_rk4_numpy._sparse_rows(entries, v, w, slice(None)) for v, w in (values[:2], values[2:]))
+    dense_k1 = np.zeros((4, 4, 33), dtype=np.complex128)
+    _rk4_numpy._add_sparse(dense_k1, a1)
+    tmp = np.empty((4, 33), dtype=np.complex128)
+    want = _rk4_numpy._stage(a2, dense_k1, 0.37, np.empty_like(dense_k1), tmp)
+    got = _rk4_numpy._sparse_stage(a2, a1, 0.37, np.empty_like(dense_k1), tmp[0])
+    np.testing.assert_array_equal(got, want)
+    if same_bytes:
+        assert got.tobytes() == want.tobytes()
+
+
+def compose_paths(n_steps, stride, chunk_steps):
+    """What composing one run exercises: 'broadcast', 'product', 'odd tail'."""
+    chunk = max(stride, chunk_steps // stride * stride)
+    reached = set()
+    for step0 in range(0, n_steps, chunk):
+        groups, k = min(chunk, n_steps - step0) // stride, stride
+        while k > 1:  # one level of _compose_ordered, k factors per group
+            size = groups * (k // 2)
+            reached.add("broadcast" if size <= _rk4_numpy._BROADCAST_MAX else "product")
+            if k % 2:
+                reached.add("odd tail")
+            k = k // 2 + k % 2
+    return reached
+
+
+def kernel_chunk_steps(args, draw):
+    """A ``chunk_steps`` that leaves the run's last chunk partial.
+
+    ``chunk_groups`` in [0, 1] picks the whole samples per chunk between 1
+    and all but one; ``spare`` adds steps short of one more stride, which the
+    kernel rounds off.
+    """
+    stride = args[3]
+    groups = args[2] // stride
+    per_chunk = 1 + int(draw["chunk_groups"] * (groups - 2))
+    while groups % per_chunk == 0:  # would end on a full chunk
+        per_chunk += 1
+    return per_chunk * stride + draw["spare"] % stride
+
+
+#: Draws pinned so every run reaches both composition paths and odd tails.
+KERNEL_EXAMPLES = (
+    # 7-step strides, 126-step chunks: broadcast from the first level, odd k = 7
+    dict(levels=4, hand=Handedness.LEFT, target="C", tau0=0.3, stride=7, chunk_groups=0.0276, spare=3),
+    # 96-step strides, 40 groups a chunk: product first, then broadcast, odd k = 3
+    dict(levels=3, hand=Handedness.RIGHT, target="B", tau0=0.45, stride=96, chunk_groups=0.6, spare=95),
+)
+
+
+def test_kernel_examples_reach_every_composition_path(molecule):
+    reached = set()
+    for ex in KERNEL_EXAMPLES:
+        spec = DesignSpec(target=ex["target"], tau0=ex["tau0"])
+        args = designed_args(molecule, spec, ex["levels"], ex["hand"], ex["stride"])
+        reached |= compose_paths(args[2], ex["stride"], kernel_chunk_steps(args, ex))
+    assert reached == {"broadcast", "product", "odd tail"}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    levels=st.sampled_from([3, 4]),
+    hand=st.sampled_from(list(Handedness)),
+    target=st.sampled_from(["B", "C"]),
+    tau0=st.floats(0.3, 0.6),
+    stride=st.sampled_from([1, 2, 7, 96, 128]),
+    chunk_groups=st.floats(0.0, 1.0),
+    spare=st.integers(0, 127),
+)
+@example(**KERNEL_EXAMPLES[0])
+@example(**KERNEL_EXAMPLES[1])
+def test_kernel_matches_direct_rk4_on_random_designs(molecule, **draw):
+    spec = DesignSpec(target=draw["target"], tau0=draw["tau0"])
+    args = designed_args(molecule, spec, draw["levels"], draw["hand"], draw["stride"])
+    chunk_steps = kernel_chunk_steps(args, draw)
+    assert args[2] % (chunk_steps // draw["stride"] * draw["stride"])  # a partial last chunk
+    _, states, _, status = _rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps)
+    assert status == -1
+    assert np.abs(states - direct_rk4(*args)).max() <= 1e-13
