@@ -40,10 +40,9 @@ element is one contiguous vector over the steps of the chunk:
   ((2 K2 + K1) + 2 K3) + K4, then scaled by dt/6, then given its identity.
 * Each sample stride's worth of M matrices is composed into one propagator
   by an order-preserving pairwise reduction over ``(n, n, groups, k)``
-  blocks.  Long levels multiply with explicit element loops; levels of at
-  most ``_BROADCAST_MAX`` elements per entry, where call overhead
-  dominates, take one broadcast multiply and one ``sum`` over m, which
-  adds in the same order.
+  blocks.  Each level is one broadcast multiply, whose n**3 terms per
+  product go into the K2/K3 buffers (free once M is summed), and one
+  ``sum`` over m, which adds the terms in ascending m.
 * Per sample only the matrix-vector product and the norm are computed.
   Sample times, |norm - 1| and the scan for a non-finite norm run once per
   run or per chunk, over whole arrays.
@@ -265,20 +264,7 @@ def _add_sparse(out, a):
     return out
 
 
-def _product(left, right, out, tmp):
-    """out = left @ right over leading (n, n) axes, elementwise behind them."""
-    n = left.shape[0]
-    for i in range(n):
-        _sum_products([(left[i, m], right[m]) for m in range(n)], out[i], tmp)
-    return out
-
-
-#: Longest level, in elements per matrix entry, that ``_compose_ordered``
-#: multiplies with one broadcast product instead of ``_product``'s loops.
-_BROADCAST_MAX = 512
-
-
-def _compose_ordered(mats: np.ndarray) -> np.ndarray:
+def _compose_ordered(mats: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Product mats[..., -1] @ ... @ mats[..., 0] per group.
 
     ``mats`` has shape (n, n, groups, k); the result has shape (n, n,
@@ -286,21 +272,20 @@ def _compose_ordered(mats: np.ndarray) -> np.ndarray:
     always end up on the left.  An odd tail is carried unmerged to the next
     round so the latest factor stays latest.
 
-    Long levels go through ``_product``.  Short ones, where per-call
-    overhead dominates, form every term left[i, m] right[m, j] in one
-    broadcast multiply and add them with one ``sum`` over m.  A reduction
-    over an axis that is not the innermost adds its slices in order, so
-    both paths give the same bits.
+    Each round forms every term left[i, m] right[m, j] in one broadcast
+    multiply into ``scratch``, a flat buffer of at least n**3 groups k / 2
+    elements, and adds them with one ``sum`` over m.  A reduction over an
+    axis that is not the innermost adds its slices in order, so every entry
+    is ((t0 + t1) + t2) + ..., the order of an explicit loop over m.
     """
+    n = mats.shape[0]
     while mats.shape[-1] > 1:
         k = mats.shape[-1]
         half = k // 2
         left, right = mats[..., 1 : 2 * half : 2], mats[..., 0 : 2 * half : 2]
-        if left[0, 0].size <= _BROADCAST_MAX:
-            body = (left[:, :, None] * right[None]).sum(axis=1)
-        else:
-            body = np.empty(left.shape, dtype=mats.dtype)
-            _product(left, right, body, np.empty(body.shape[1:], dtype=mats.dtype))
+        terms = scratch[: n * left.size].reshape((n,) + left.shape)
+        np.multiply(left[:, :, None], right[None], out=terms)
+        body = terms.sum(axis=1)
         mats = np.concatenate([body, mats[..., -1:]], axis=-1) if k % 2 else body
     return mats[..., 0]
 
@@ -349,8 +334,10 @@ def rk4_run(
     flipped = np.empty((rows.shape[0], n_times), dtype=np.complex128)
     entries = _generator_rows(rows, cols, n)
     m_buf = np.empty((n, n, longest), dtype=np.complex128)
-    k24 = np.empty_like(m_buf)  # K2, then K4
-    k3 = np.empty_like(m_buf)
+    # K2 (then K4) and K3; free again once M is summed, when they hold the
+    # composition's terms, n**3 longest / 2 elements at most
+    stages = np.empty((max(2, (n + 1) // 2), n, n, longest), dtype=np.complex128)
+    k24, k3 = stages[0], stages[1]
     tmp = np.empty((n, longest), dtype=np.complex128)
 
     sample = 0
@@ -385,7 +372,9 @@ def rk4_run(
             step_mats[i, i] += 1.0
 
         groups = nc // stride
-        per_sample = _compose_ordered(step_mats.reshape(n, n, groups, stride))
+        per_sample = _compose_ordered(
+            step_mats.reshape(n, n, groups, stride), stages.reshape(-1)
+        )
         per_sample = np.ascontiguousarray(np.moveaxis(per_sample, -1, 0))
         block = slice(sample + 1, sample + groups + 1)
         for s, p in enumerate(per_sample, block.start):

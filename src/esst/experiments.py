@@ -108,8 +108,8 @@ def _sweep(
     set.  The exact engine runs one pool item per (point, hand) on that
     set's default grid; the analytic engine one item per point, since its
     closed form yields both hands at once.  The closed form takes its stage
-    windows from the point's design, so a point that moves tau0 or the
-    stage centers must return the design it was built from.
+    windows from the point's design, so a point that changes tau0 or
+    another ``DesignSpec`` field must return the design it was built from.
     """
     levels = _default_levels(molecule, levels)
     points = [(float(v1), float(v2)) for v1 in values1 for v2 in values2]
@@ -223,6 +223,9 @@ def sweep_delays(
     base = designed_pulses(molecule, spec)
     ch1, ch2 = spec.stage2_channels
 
+    # The points move single pulse centers, which no DesignSpec can
+    # express, so the closed form cannot score them with ``spec``'s stage
+    # windows; this sweep runs the exact engine only.
     def pulses_at(delay1: float, delay2: float):
         pulses = dict(base)
         pulses[ch1] = replace(pulses[ch1], center_time=spec.stage1_center + delay1)

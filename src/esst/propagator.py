@@ -13,10 +13,10 @@ Two numerically interchangeable backends exist:
   steps, and composes them per sample.  The generator stays sparse: K1 is
   never stored, K2 is a sparse times sparse product, and three dense
   stage buffers (K2 then K4, K3, and M) cover the chunk.  Composition
-  multiplies long tree levels with element loops and short ones with one
-  broadcast product each; both add in the same order.  The sample loop
-  only applies each propagator and takes its norm; times, norm errors and
-  the non-finite check are whole-array operations.  Its carrier and
+  multiplies each tree level with one broadcast product, whose terms reuse
+  the K2/K3 buffers, and one ordered sum.  The sample loop only applies
+  each propagator and takes its norm; times, norm errors and the
+  non-finite check are whole-array operations.  Its carrier and
   transition phasors come from a fixed per-run table exp(i w j dt) times
   one base phasor per chunk, whose argument is reduced mod 2 pi exactly,
   instead of from cos/sin at each time.
