@@ -1,4 +1,4 @@
-"""Vectorized pure-numpy RK4 backend in a structure-of-arrays layout.
+"""The vectorized numpy RK4 kernel, in a structure-of-arrays layout.
 
 A classical RK4 step of the linear system psi' = A(t) psi can be written as a
 single update matrix applied to the state,
@@ -8,7 +8,7 @@ single update matrix applied to the state,
     K4 = A3 (I + dt K3),
 
 with A1/A2/A3 the generator -iH evaluated at the step's start, midpoint and
-end.  This backend builds the M matrices for whole chunks of steps at once
+end.  The kernel builds the M matrices for whole chunks of steps at once
 and stores every matrix stack as an ``(n, n, steps)`` array, so each matrix
 element is one contiguous vector over the steps of the chunk:
 
@@ -60,8 +60,6 @@ import math
 import numpy as np
 
 from .pulses import SQRT_2_OVER_PI, TWO_PI_DIGITS, exact_sum
-
-HAS_NUMBA = False  # mirrors the kernel-module interface
 
 
 def _exact_arguments(freqs, t0, shifts, phases, dt):
@@ -297,7 +295,22 @@ def rk4_run(
     psi0,
     chunk_steps: int = 4096,
 ):
-    """Same contract as the jitted kernel: (times, states, norm_err, status)."""
+    """Propagate ``psi0`` over ``n_steps`` RK4 steps of ``dt`` from ``t0``.
+
+    * ``energies[n]``: level energies, rad/ns.
+    * Edge arrays (one entry per non-zero coupling): ``rows``/``cols``
+      level indices, ``echan`` channel index (0=a, 1=b, 2=c),
+      ``prefactor`` the full field-to-coupling factor
+      -dipole * handedness_sign.
+    * Pulse arrays (one entry per pulse): ``pchan`` channel index,
+      ``amp``, ``tc``, ``tau``, ``wcar``, ``ph``, and ``conv``
+      (0 absolute, 1 envelope).
+
+    Returns ``(times, states, norm_err, status)``, sampled every ``stride``
+    steps (``n_steps`` must be a multiple of ``stride``) and at ``t0``.
+    ``status`` is the first sample whose norm is not finite, -1 if the run
+    stayed clean; every later sample repeats that one.
+    """
     n = psi0.shape[0]
     n_samples = n_steps // stride + 1
 

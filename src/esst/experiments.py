@@ -73,7 +73,6 @@ def trace_populations(
     spec: DesignSpec,
     *,
     levels: int | None = None,
-    backend: str | None = None,
     grid=None,
 ) -> dict[Handedness, Trajectory]:
     """Propagate the designed sequence for both enantiomers."""
@@ -83,9 +82,7 @@ def trace_populations(
         grid = default_grid(molecule, pulses, levels)
 
     def job(hand: Handedness) -> Trajectory:
-        return propagate(
-            molecule, pulses, hand, levels=levels, grid=grid, backend=backend
-        )
+        return propagate(molecule, pulses, hand, levels=levels, grid=grid)
 
     results = _run_parallel(job, BOTH_HANDS)
     return dict(zip(BOTH_HANDS, results))
@@ -100,7 +97,6 @@ def _sweep(
     *,
     engine: str,
     levels: int | None,
-    backend: str | None,
 ) -> dict[Handedness, np.ndarray]:
     """P_target per hand on the ``values1 x values2`` grid.
 
@@ -132,7 +128,6 @@ def _sweep(
                 molecule, pulses, hand,
                 levels=levels,
                 grid=default_grid(molecule, pulses, levels),
-                backend=backend,
             )
             return _final_target_population(traj, spec.target)
 
@@ -161,7 +156,6 @@ def sweep_phase_duration(
     tau_values,
     *,
     levels: int | None = None,
-    backend: str | None = None,
 ) -> SweepResult:
     """Landscape of P_target over the stage-1 phase and the pulse duration.
 
@@ -195,7 +189,7 @@ def sweep_phase_duration(
         target=spec.target,
         populations=_sweep(
             molecule, spec, phase_values, tau_values, pulses_at,
-            engine="exact", levels=levels, backend=backend,
+            engine="exact", levels=levels,
         ),
     )
 
@@ -207,7 +201,6 @@ def sweep_delays(
     delay2_values,
     *,
     levels: int | None = None,
-    backend: str | None = None,
 ) -> SweepResult:
     """Landscape of P_target over the two stage-2 pulse delays.
 
@@ -240,7 +233,7 @@ def sweep_delays(
         target=spec.target,
         populations=_sweep(
             molecule, spec, delay1_values, delay2_values, pulses_at,
-            engine="exact", levels=levels, backend=backend,
+            engine="exact", levels=levels,
         ),
     )
 
@@ -266,7 +259,6 @@ def sweep_detuning(
     mode: str = "scale_b",
     engine: str = "exact",
     levels: int | None = None,
-    backend: str | None = None,
 ) -> DetuningResult:
     """Detune one channel group off resonance and rescale its amplitude.
 
@@ -302,7 +294,7 @@ def sweep_detuning(
         target=spec.target,
         populations=_sweep(
             molecule, spec, delta_values, scale_values, pulses_at,
-            engine=engine, levels=levels, backend=backend,
+            engine=engine, levels=levels,
         ),
     )
 

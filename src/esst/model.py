@@ -20,8 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 #: Tolerance on the loop-closure residual omega_AC - omega_AB - omega_BC, in MHz.
 CLOSURE_TOL_MHZ = 1e-3
 
@@ -277,80 +275,6 @@ def loop_couplings(molecule: MoleculeSpec, levels: int) -> tuple[CouplingEdge, .
 def loop_closure_residual(molecule: MoleculeSpec) -> float:
     """omega_AC - omega_AB - omega_BC in MHz (zero for a resonant loop)."""
     return molecule.omega_ac_mhz - molecule.omega_ab_mhz - molecule.omega_bc_mhz
-
-
-def coupling_matrix_3(
-    molecule: MoleculeSpec,
-    fields: tuple[float, float, float],
-    hand: Handedness,
-) -> np.ndarray:
-    """Off-diagonal coupling matrix of the three-level loop.
-
-    ``fields`` are the instantaneous couplings (Omega_a, Omega_b, Omega_c) in
-    rad/ns, already including the -mu*E product.  The handedness sign
-    multiplies the a-type entry only.  The diagonal is zero; level energies
-    live in the field-free Hamiltonian.
-    """
-    omega_a, omega_b, omega_c = fields
-    s = hand.sign
-    return np.array(
-        [
-            [0.0, s * omega_a, omega_b],
-            [s * omega_a, 0.0, omega_c],
-            [omega_b, omega_c, 0.0],
-        ]
-    )
-
-
-def coupling_matrix_4(
-    molecule: MoleculeSpec,
-    fields: tuple[float, float, float],
-    hand: Handedness,
-) -> np.ndarray:
-    """Off-diagonal coupling matrix of the four-level guard model.
-
-    Basis order (A, B', B, C).  The spectator couplings are derived from the
-    same two physical fields: Omega'_a = (mu'_a/mu_a) * Omega_a and
-    Omega'_c = (mu'_c/mu_c) * Omega_c.  Both a-type entries carry the
-    handedness sign; (B', B) is zero.
-    """
-    if molecule.spectator is None:
-        raise ValueError(f"molecule {molecule.name!r} has no spectator level")
-    sp = molecule.spectator
-    omega_a, omega_b, omega_c = fields
-    omega_ap = (sp.mu_a_prime_debye / molecule.mu_a_debye) * omega_a
-    omega_cp = (sp.mu_c_prime_debye / molecule.mu_c_debye) * omega_c
-    s = hand.sign
-    return np.array(
-        [
-            [0.0, omega_cp, s * omega_a, omega_b],
-            [omega_cp, 0.0, 0.0, s * omega_ap],
-            [s * omega_a, 0.0, 0.0, omega_c],
-            [omega_b, s * omega_ap, omega_c, 0.0],
-        ]
-    )
-
-
-def interaction_picture_matrix(
-    h_coupling: np.ndarray,
-    energies,
-    t: float,
-) -> np.ndarray:
-    """Conjugate a coupling matrix into the interaction picture at time t.
-
-    Entry (j, k) picks up the phase exp(i (E_j - E_k) t); the result is
-    Hermitian whenever the input is real symmetric, and the (zero) diagonal is
-    untouched.
-    """
-    energies = np.asarray(energies, dtype=float)
-    h_coupling = np.asarray(h_coupling)
-    if h_coupling.shape != (energies.size, energies.size):
-        raise ValueError(
-            f"matrix shape {h_coupling.shape} does not match "
-            f"{energies.size} energies"
-        )
-    phase = np.exp(1j * np.subtract.outer(energies, energies) * t)
-    return h_coupling * phase
 
 
 # ---------------------------------------------------------------------------

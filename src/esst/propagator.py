@@ -1,32 +1,13 @@
-"""Exact time propagation of the driven loop, with selectable backends.
+"""Exact time propagation of the driven loop.
 
 Integrates the interaction-picture Schrodinger equation i psi' = H_I(t) psi
 with classical RK4 on a fixed grid, for the three-level loop or the
 four-level spectator guard model.  No rotating-wave approximation: the full
 oscillating fields enter the Hamiltonian.
 
-Two numerically interchangeable backends exist:
-
-* ``numba`` - a JIT-compiled scalar kernel (the default when numba imports);
-* ``numpy`` - a vectorized fallback that builds the RK4 update matrices of
-  a whole chunk of steps at once, each matrix element a vector over the
-  steps, and composes them per sample.  The generator stays sparse: K1 is
-  never stored, K2 is a sparse times sparse product, and three dense
-  stage buffers (K2 then K4, K3, and M) cover the chunk.  Composition
-  multiplies each tree level with one broadcast product, whose terms reuse
-  the K2/K3 buffers, and one ordered sum.  The sample loop only applies
-  each propagator and takes its norm; times, norm errors and the
-  non-finite check are whole-array operations.  Its carrier and
-  transition phasors come from a fixed per-run table exp(i w j dt) times
-  one base phasor per chunk, whose argument is reduced mod 2 pi exactly,
-  instead of from cos/sin at each time.
-
-The two agree to round-off.  The numba kernel takes cos/sin of
-floating-point times, so its phases carry an error of about ulp(t) * w
-that the numpy backend's exact reduction avoids.
-
-Selection: the ``backend=`` argument wins, then the ``ESST_BACKEND``
-environment variable (``auto``/``numba``/``numpy``), then ``auto``.
+One vectorized numpy kernel, ``_rk4_numpy.rk4_run``, does the stepping; its
+module docstring says how.  It takes no cos or sin of floating-point times:
+every drive phasor comes from an argument reduced mod 2 pi exactly.
 
 Grid safety: carriers oscillate at up to omega_max (fastest of carrier and
 transition frequencies), and the step must resolve that:
@@ -37,12 +18,11 @@ the default grid uses 64 steps per period.  Runs whose norm drifts beyond
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rk4_numba, _rk4_numpy
+from . import _rk4_numpy
 from .model import (
     CHANNELS,
     Handedness,
@@ -56,9 +36,6 @@ from .pulses import PhaseConvention, Pulse, support_window
 
 #: Hard floor on carrier resolution; coarser grids are rejected.
 MIN_STEPS_PER_PERIOD = 40
-
-#: Environment variable selecting the integration backend.
-BACKEND_ENV = "ESST_BACKEND"
 
 #: Trace column of each level's population, in column order.
 POPULATION_COLUMNS = {"A": "P_A", "Bp": "P_Bprime", "B": "P_B", "C": "P_C"}
@@ -162,7 +139,6 @@ class Trajectory:
     states: np.ndarray
     norm_errors: np.ndarray
     grid: GridConfig
-    backend: str
 
     @property
     def final_state(self) -> np.ndarray:
@@ -179,27 +155,14 @@ def norm_drift(trajectory: Trajectory) -> float:
     return float(np.max(trajectory.norm_errors))
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _rk4_numba.HAS_NUMBA else ("numpy",)
+def resolve_backend() -> str:
+    """Name of the one integration kernel, always ``"numpy"``.
 
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Apply the explicit argument, then ESST_BACKEND, then 'auto'."""
-    choice = backend or os.environ.get(BACKEND_ENV, "auto")
-    choice = choice.strip().lower()
-    if choice == "auto":
-        return "numba" if _rk4_numba.HAS_NUMBA else "numpy"
-    if choice == "numba":
-        if not _rk4_numba.HAS_NUMBA:
-            raise RuntimeError(
-                "backend 'numba' requested but numba is not importable"
-            )
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(
-        f"unknown backend {choice!r}; expected auto, numba or numpy"
-    )
+    Kept only because the benchmark's ``perfbench/worker.py``
+    ``machine_facts()`` records it on every run; it goes together with that
+    caller.
+    """
+    return "numpy"
 
 
 def _pulse_list(pulses) -> tuple[Pulse, ...]:
@@ -243,7 +206,6 @@ def propagate(
     *,
     levels: int = 3,
     grid: GridConfig | None = None,
-    backend: str | None = None,
     initial_state: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate a pulse sequence for one enantiomer.
@@ -277,12 +239,10 @@ def propagate(
                 f"initial state has shape {psi0.shape}, expected ({basis.dim},)"
             )
 
-    chosen = resolve_backend(backend)
-    kernel = _rk4_numba.rk4_run if chosen == "numba" else _rk4_numpy.rk4_run
     rows, cols, echan, prefactor = _edge_arrays(molecule, levels, hand)
     pchan, amp, tc, tau, wcar, ph, conv = _pulse_arrays(plist)
 
-    times, states, norm_err, status = kernel(
+    times, states, norm_err, status = _rk4_numpy.rk4_run(
         float(grid.t_start), float(grid.dt_eff), int(grid.n_steps),
         int(grid.sample_stride),
         np.asarray(basis.energies, dtype=np.float64),
@@ -310,7 +270,6 @@ def propagate(
         states=states,
         norm_errors=norm_err,
         grid=grid,
-        backend=chosen,
     )
 
 

@@ -286,7 +286,7 @@ def test_far_shift_multiplies_by_transition_phasor(molecule, channel):
 def test_import_loads_no_scipy_fractions_or_fft():
     code = (
         "import sys, esst\n"
-        "print(sorted(m for m in ('scipy', 'fractions', 'numpy.fft')"
+        "print(sorted(m for m in ('scipy', 'fractions', 'numpy.fft', 'numba')"
         " if m in sys.modules))\n"
     )
     proc = subprocess.run(

@@ -198,7 +198,7 @@ def test_analytic_sweep_uses_each_points_design(molecule, spec_c):
     got = {
         engine: experiments._sweep(
             molecule, spec_c, np.array([0.0]), np.array([5.0, 6.0]), pulses_at,
-            engine=engine, levels=3, backend="numpy",
+            engine=engine, levels=3,
         )
         for engine in experiments.ENGINES
     }

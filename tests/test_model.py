@@ -7,21 +7,20 @@ import numpy as np
 import pytest
 
 from esst.model import (
+    CHANNELS,
     CYCLOHEXYLMETHANOL,
     Handedness,
     MoleculeSpec,
     SpectatorSpec,
     basis_for_levels,
-    coupling_matrix_3,
-    coupling_matrix_4,
     four_level_basis,
     get_preset,
-    interaction_picture_matrix,
     loop_closure_residual,
     loop_couplings,
     mhz_to_rad_per_ns,
     three_level_basis,
 )
+from hamiltonian_oracle import coupling_matrix_3, coupling_matrix_4, interaction_picture_matrix
 
 L = Handedness.LEFT
 R = Handedness.RIGHT
@@ -163,80 +162,107 @@ def test_four_level_basis_requires_spectator():
 
 
 # ---------------------------------------------------------------------------
-# Coupling matrices
+# Loop couplings against the hand-written matrices
 # ---------------------------------------------------------------------------
 
 
+def loop_hamiltonian(molecule, levels, fields, hand):
+    """Dense coupling Hamiltonian from ``loop_couplings`` for channel fields E.
+
+    Each edge holds -dipole * E of its channel, times the handedness sign on
+    ``hand_signed`` edges, as ``propagate`` hands them to the kernel.  The
+    result is checked against the hand-written oracle matrix, whose
+    arguments are the couplings Omega = -mu * E of the loop's own dipoles.
+    """
+    dim = basis_for_levels(molecule, levels).dim
+    h = np.zeros((dim, dim))
+    for e in loop_couplings(molecule, levels):
+        sign = hand.sign if e.hand_signed else 1
+        h[e.row, e.col] = h[e.col, e.row] = -e.dipole * sign * fields[CHANNELS.index(e.channel)]
+    couplings = tuple(-molecule.channel_transition(ch)[0] * f for ch, f in zip(CHANNELS, fields))
+    oracle = (coupling_matrix_3 if levels == 3 else coupling_matrix_4)(molecule, couplings, hand)
+    np.testing.assert_allclose(h, oracle, rtol=1e-15, atol=0.0)
+    return h
+
+
+def distinct_spectator_dipoles():
+    """The preset with spectator dipoles unlike the loop's, 0.3 and 0.5 D."""
+    sp = replace(CYCLOHEXYLMETHANOL.spectator, mu_a_prime_debye=0.3, mu_c_prime_debye=0.5)
+    return replace(CYCLOHEXYLMETHANOL, spectator=sp)
+
+
 def test_coupling3_channel_a_sign(molecule):
-    m_left = coupling_matrix_3(molecule, (1.0, 0.0, 0.0), L)
-    m_right = coupling_matrix_3(molecule, (1.0, 0.0, 0.0), R)
+    h_left = loop_hamiltonian(molecule, 3, (1.0, 0.0, 0.0), L)
+    h_right = loop_hamiltonian(molecule, 3, (1.0, 0.0, 0.0), R)
     expected = np.zeros((3, 3))
-    expected[0, 1] = expected[1, 0] = 1.0
-    np.testing.assert_array_equal(m_left, expected)
-    np.testing.assert_array_equal(m_right, -expected)
+    expected[0, 1] = expected[1, 0] = -molecule.mu_a_debye
+    np.testing.assert_array_equal(h_left, expected)
+    np.testing.assert_array_equal(h_right, -expected)
 
 
 def test_coupling3_zero_fields(molecule):
-    np.testing.assert_array_equal(
-        coupling_matrix_3(molecule, (0.0, 0.0, 0.0), L), np.zeros((3, 3))
-    )
+    for hand in (L, R):
+        np.testing.assert_array_equal(
+            loop_hamiltonian(molecule, 3, (0.0, 0.0, 0.0), hand), np.zeros((3, 3))
+        )
 
 
 def test_coupling3_mirror_is_sign_flip_of_a(molecule):
     fields = (0.7, -0.3, 1.1)
     flipped = (-0.7, -0.3, 1.1)
     np.testing.assert_array_equal(
-        coupling_matrix_3(molecule, fields, R),
-        coupling_matrix_3(molecule, flipped, L),
+        loop_hamiltonian(molecule, 3, fields, R),
+        loop_hamiltonian(molecule, 3, flipped, L),
     )
 
 
 def test_coupling3_symmetric_zero_diagonal(molecule):
-    m = coupling_matrix_3(molecule, (0.2, 0.5, -0.4), L)
-    np.testing.assert_array_equal(m, m.T)
-    np.testing.assert_array_equal(np.diag(m), np.zeros(3))
+    h = loop_hamiltonian(molecule, 3, (0.2, 0.5, -0.4), L)
+    np.testing.assert_array_equal(h, h.T)
+    np.testing.assert_array_equal(np.diag(h), np.zeros(3))
 
 
-def test_coupling4_structure(molecule):
-    fields = (1.0, 2.0, 3.0)
-    m = coupling_matrix_4(molecule, fields, L)
-    sp = molecule.spectator
-    ratio_a = sp.mu_a_prime_debye / molecule.mu_a_debye
-    ratio_c = sp.mu_c_prime_debye / molecule.mu_c_debye
+def test_coupling4_structure():
+    mol = distinct_spectator_dipoles()
+    sp = mol.spectator
+    e_a, e_b, e_c = fields = (1.0, 2.0, 3.0)
+    h = loop_hamiltonian(mol, 4, fields, L)
     # basis (A, B', B, C)
-    assert m[0, 2] == pytest.approx(1.0)          # A-B   : +Omega_a
-    assert m[0, 3] == pytest.approx(2.0)          # A-C   : Omega_b
-    assert m[2, 3] == pytest.approx(3.0)          # B-C   : Omega_c
-    assert m[0, 1] == pytest.approx(3.0 * ratio_c)  # A-B'  : Omega'_c
-    assert m[1, 3] == pytest.approx(1.0 * ratio_a)  # B'-C  : +Omega'_a
-    assert m[1, 2] == 0.0                          # B'-B  : forbidden
-    np.testing.assert_array_equal(m, m.T)
-    np.testing.assert_array_equal(np.diag(m), np.zeros(4))
+    assert h[0, 2] == -mol.mu_a_debye * e_a       # A-B   : +Omega_a
+    assert h[0, 3] == -mol.mu_b_debye * e_b       # A-C   : Omega_b
+    assert h[2, 3] == -mol.mu_c_debye * e_c       # B-C   : Omega_c
+    assert h[0, 1] == -sp.mu_c_prime_debye * e_c  # A-B'  : Omega'_c
+    assert h[1, 3] == -sp.mu_a_prime_debye * e_a  # B'-C  : +Omega'_a
+    assert h[1, 2] == 0.0                          # B'-B  : forbidden
+    np.testing.assert_array_equal(h, h.T)
+    np.testing.assert_array_equal(np.diag(h), np.zeros(4))
 
 
 def test_coupling4_zero_fields(molecule):
-    np.testing.assert_array_equal(
-        coupling_matrix_4(molecule, (0.0, 0.0, 0.0), L), np.zeros((4, 4))
-    )
+    for hand in (L, R):
+        np.testing.assert_array_equal(
+            loop_hamiltonian(molecule, 4, (0.0, 0.0, 0.0), hand), np.zeros((4, 4))
+        )
 
 
-def test_coupling4_hand_flips_only_a_type_entries(molecule):
+def test_coupling4_hand_flips_only_a_type_entries():
+    mol = distinct_spectator_dipoles()
     fields = (1.0, 2.0, 3.0)
-    m_left = coupling_matrix_4(molecule, fields, L)
-    m_right = coupling_matrix_4(molecule, fields, R)
-    diff = m_left != m_right
+    h_left = loop_hamiltonian(mol, 4, fields, L)
+    h_right = loop_hamiltonian(mol, 4, fields, R)
+    diff = h_left != h_right
     expect = np.zeros((4, 4), dtype=bool)
     expect[0, 2] = expect[2, 0] = True  # A-B
     expect[1, 3] = expect[3, 1] = True  # B'-C
     np.testing.assert_array_equal(diff, expect)
-    np.testing.assert_array_equal(m_left[0, 2], -m_right[0, 2])
-    np.testing.assert_array_equal(m_left[1, 3], -m_right[1, 3])
+    np.testing.assert_array_equal(h_left[0, 2], -h_right[0, 2])
+    np.testing.assert_array_equal(h_left[1, 3], -h_right[1, 3])
 
 
 def test_coupling4_requires_spectator():
     mol = MoleculeSpec("bare", 1.0, 1.0, 2.0, 0.5, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        coupling_matrix_4(mol, (1.0, 1.0, 1.0), L)
+    with pytest.raises(ValueError, match="spectator"):
+        loop_couplings(mol, 4)
 
 
 def test_loop_couplings_hand_signed_edges(molecule):
@@ -249,12 +275,12 @@ def test_loop_couplings_hand_signed_edges(molecule):
 
 
 # ---------------------------------------------------------------------------
-# Interaction picture
+# Interaction picture, as the DOP853 oracle in test_propagator applies it
 # ---------------------------------------------------------------------------
 
 
 def test_interaction_picture_identity_at_t0(molecule):
-    h = coupling_matrix_3(molecule, (0.3, 0.7, -0.2), L)
+    h = loop_hamiltonian(molecule, 3, (0.3, 0.7, -0.2), L)
     basis = three_level_basis(molecule)
     out = interaction_picture_matrix(h, basis.energies, 0.0)
     np.testing.assert_array_equal(out, h.astype(complex))
@@ -277,7 +303,7 @@ def test_interaction_picture_two_level_phase():
 
 @pytest.mark.parametrize("t", [0.0, 0.37, 12.9, -4.2])
 def test_interaction_picture_preserves_hermiticity_and_spectrum(molecule, t):
-    h = coupling_matrix_3(molecule, (0.4, -0.9, 0.6), R)
+    h = loop_hamiltonian(molecule, 3, (0.4, -0.9, 0.6), R)
     basis = three_level_basis(molecule)
     out = interaction_picture_matrix(h, basis.energies, t)
     np.testing.assert_allclose(out, out.conj().T, atol=1e-14)

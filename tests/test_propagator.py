@@ -1,8 +1,9 @@
 """Exact propagation against an independent adaptive-integrator oracle.
 
-The oracle rebuilds the interaction-picture right-hand side from the model
-module's matrix helpers and hands it to scipy's DOP853 at tight tolerance --
-a completely separate code path from the fixed-step kernels under test.
+The oracle rebuilds the interaction-picture right-hand side from the
+hand-written matrices in ``hamiltonian_oracle`` and hands it to scipy's
+DOP853 at tight tolerance -- a completely separate code path from the
+fixed-step kernel under test.
 """
 from __future__ import annotations
 
@@ -14,31 +15,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from esst import _rk4_numba, _rk4_numpy
+from esst import _rk4_numpy
 from esst.areas import DesignSpec, design_phases, designed_pulses, realize_phase
-from esst.model import (
-    Handedness,
-    basis_for_levels,
-    coupling_matrix_3,
-    coupling_matrix_4,
-    interaction_picture_matrix,
-)
+from esst.model import Handedness, basis_for_levels
 from esst.propagator import (
     GridConfig,
     GridTooCoarseError,
     NumericalGuardError,
     _edge_arrays,
     _pulse_arrays,
-    available_backends,
     default_grid,
     fastest_frequency,
     norm_drift,
     populations,
     propagate,
-    resolve_backend,
     trace_table,
 )
 from esst.pulses import PhaseConvention, Pulse, field
+from hamiltonian_oracle import coupling_matrix_3, coupling_matrix_4, interaction_picture_matrix
+from test_rk4_numpy import direct_rk4
 
 L = Handedness.LEFT
 R = Handedness.RIGHT
@@ -54,20 +49,8 @@ def small_seq(molecule):
     return spec, pulses, grid
 
 
-@pytest.fixture(scope="module")
-def short_seq(molecule):
-    """The full target-C sequence at tau0 = 0.3 ns: 4,352 steps at 4 levels."""
-    return designed_pulses(molecule, DesignSpec(target="C", tau0=0.3))
-
-
-def scalar_kernel():
-    """The numba kernel's source run as plain Python, with or without numba."""
-    run = _rk4_numba.rk4_run
-    return getattr(run, "py_func", run)
-
-
 def kernel_args(molecule, pulses, hand, levels, grid):
-    """Positional arguments of a kernel's ``rk4_run``, as propagate builds them."""
+    """Positional arguments of the kernel's ``rk4_run``, as propagate builds them."""
     basis = basis_for_levels(molecule, levels)
     psi0 = np.zeros(basis.dim, dtype=np.complex128)
     psi0[0] = 1.0
@@ -249,7 +232,7 @@ def test_rk4_error_falls_sixteenfold_per_halving(molecule, tau0, hand, k, kprime
     final = {}
     for steps in (40, 80, 160, 640):
         grid = GridConfig(span.t_start, span.t_end, dt=period / steps, sample_stride=8, drift_tol=1e-5)
-        final[steps] = propagate(molecule, pulses, hand, levels=3, grid=grid, backend="numpy").final_state
+        final[steps] = propagate(molecule, pulses, hand, levels=3, grid=grid).final_state
     err = [np.linalg.norm(final[steps] - final[640]) for steps in (40, 80, 160)]
     for coarse, fine in zip(err, err[1:]):
         assert 14 <= coarse / fine <= 18
@@ -292,49 +275,19 @@ def test_determinism(molecule, small_seq):
     np.testing.assert_array_equal(t1.states, t2.states)
 
 
-# ---------------------------------------------------------------------------
-# Backends
-# ---------------------------------------------------------------------------
-
-
-def test_available_backends_contains_numpy():
-    assert "numpy" in available_backends()
-
-
-def test_resolve_backend_explicit_and_env(monkeypatch):
-    assert resolve_backend("numpy") == "numpy"
-    monkeypatch.setenv("ESST_BACKEND", "numpy")
-    assert resolve_backend(None) == "numpy"
-    monkeypatch.delenv("ESST_BACKEND")
-    assert resolve_backend(None) in available_backends()
-    with pytest.raises(ValueError):
-        resolve_backend("fortran")
-
-
-def test_backends_agree(molecule, small_seq):
-    spec, pulses, grid = small_seq
-    if "numba" not in available_backends():
-        pytest.skip("numba not importable")
-    t_nb = propagate(molecule, pulses, L, levels=4, grid=grid, backend="numba")
-    t_np = propagate(molecule, pulses, L, levels=4, grid=grid, backend="numpy")
-    assert t_nb.backend == "numba" and t_np.backend == "numpy"
-    assert np.abs(t_nb.states - t_np.states).max() < 1e-10
-
-
 @pytest.mark.parametrize("stride", [128, 7])
 @pytest.mark.parametrize("hand", BOTH)
-def test_numpy_kernel_matches_scalar_kernel(molecule, short_seq, hand, stride):
-    # runs on every machine: without numba the njit shim leaves plain Python,
-    # with numba py_func is the uncompiled source; stride 7 exercises the odd
+def test_numpy_kernel_matches_scalar_kernel(molecule, hand, stride):
+    # propagate's trajectory on its default chunking against the
+    # step-by-step scalar RK4 of test_rk4_numpy; stride 7 exercises the odd
     # tails of the pairwise composition and a chunk that is not a power of two
-    grid = default_grid(molecule, list(short_seq.values()), 4, sample_stride=stride)
-    args = kernel_args(molecule, short_seq, hand, 4, grid)
-    t_ref, s_ref, e_ref, status_ref = scalar_kernel()(*args)
-    t_np, s_np, e_np, status_np = _rk4_numpy.rk4_run(*args)
-    assert status_ref == status_np == -1
-    np.testing.assert_array_equal(t_np, t_ref)
-    assert np.abs(s_np - s_ref).max() <= 1e-12
-    assert np.abs(e_np - e_ref).max() <= 1e-12
+    pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.3))
+    grid = default_grid(molecule, list(pulses.values()), 4, sample_stride=stride)
+    traj = propagate(molecule, pulses, hand, levels=4, grid=grid)
+    t_ref, s_ref, e_ref = direct_rk4(*kernel_args(molecule, pulses, hand, 4, grid))
+    np.testing.assert_array_equal(traj.times, t_ref)
+    assert np.abs(traj.norm_errors - e_ref).max() <= 1e-12
+    assert np.abs(traj.states - s_ref).max() <= 1e-13
     assert np.abs(s_ref[:, 0]).min() < 0.9  # the comparison is not vacuous
 
 
@@ -343,24 +296,19 @@ def test_numpy_kernel_matches_scalar_kernel(molecule, short_seq, hand, stride):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel,chunk_steps,opens_chunk", [
-    pytest.param("numpy", 4096, False, id="numpy"),  # one chunk holds the run
-    pytest.param("numpy", 160, True, id="numpy-first-of-chunk"),  # 10 samples a chunk
-    pytest.param("numpy", 64, False, id="numpy-mid-chunk"),  # 4 samples a chunk
-    pytest.param("scalar", None, None, id="scalar"),
+@pytest.mark.parametrize("chunk_steps,opens_chunk", [
+    pytest.param(4096, False, id="numpy"),  # one chunk holds the run
+    pytest.param(160, True, id="numpy-first-of-chunk"),  # 10 samples a chunk
+    pytest.param(64, False, id="numpy-mid-chunk"),  # 4 samples a chunk
 ])
-def test_non_finite_guard_names_first_bad_sample(molecule, kernel, chunk_steps, opens_chunk):
-    # The numpy kernel scans a whole chunk's samples at once; the first bad
+def test_non_finite_guard_names_first_bad_sample(molecule, chunk_steps, opens_chunk):
+    # The kernel scans a whole chunk's samples at once; the first bad
     # sample (11) lands on a chunk's first sample or inside a chunk.
     pulse, grid = overflow_case(molecule)
     args = kernel_args(molecule, [pulse], L, 3, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        if kernel == "numpy":
-            times, states, norm_err, status = _rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps)
-        else:
-            times, states, norm_err, status = scalar_kernel()(*args)
-    if chunk_steps is not None:
-        assert ((status - 1) % (chunk_steps // grid.sample_stride) == 0) == opens_chunk
+        times, states, norm_err, status = _rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps)
+    assert ((status - 1) % (chunk_steps // grid.sample_stride) == 0) == opens_chunk
     finite = np.isfinite(norm_err)
     assert 0 < status < times.size - 1
     assert finite[:status].all() and not finite[status]
@@ -372,12 +320,11 @@ def test_non_finite_guard_names_first_bad_sample(molecule, kernel, chunk_steps, 
     np.testing.assert_array_equal(norm_err[status:], norm_err[status])
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_propagate_raises_on_non_finite_state(molecule, backend):
+def test_propagate_raises_on_non_finite_state(molecule):
     pulse, grid = overflow_case(molecule)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalGuardError, match="non-finite"):
-            propagate(molecule, [pulse], L, levels=3, grid=grid, backend=backend)
+            propagate(molecule, [pulse], L, levels=3, grid=grid)
 
 
 def test_numerical_guard_on_drift(molecule, small_seq):
