@@ -155,13 +155,16 @@ def analytic_final_populations(
                 "two-stage ordering"
             )
     areas = stage_areas(molecule, pulses, spec)
-    th1 = areas[spec.stage1_channel]
+    return {hand: np.abs(_final_state(areas, spec, hand)) ** 2 for hand in hands}
+
+
+def _final_state(areas: dict, spec: DesignSpec, hand: Handedness) -> np.ndarray:
+    """Closed-form final amplitudes (A, B, C) from per-channel stage areas.
+
+    ``areas`` maps each channel to its area over its stage window
+    (:class:`esst.areas.ComplexArea` or complex), as :func:`stage_areas`
+    returns them; the design's target picks the two-stage closed form.
+    """
+    stage2 = stage2_state_targetC if spec.target == "C" else stage2_state_targetB
     ch2a, ch2c = spec.stage2_channels
-    out: dict[Handedness, np.ndarray] = {}
-    for hand in hands:
-        if spec.target == "C":
-            psi = stage2_state_targetC(th1, areas[ch2a], areas[ch2c], hand)
-        else:
-            psi = stage2_state_targetB(th1, areas[ch2a], areas[ch2c], hand)
-        out[hand] = np.abs(psi) ** 2
-    return out
+    return stage2(areas[spec.stage1_channel], areas[ch2a], areas[ch2c], hand)

@@ -371,9 +371,11 @@ def designed_pulses(
     """Build the three-pulse sequence realizing a design.
 
     ``detunings`` (rad/ns, per channel) shift carriers off their transitions;
-    ``scales`` multiply the designed area parameters.  Phases are realized so
-    that each channel's effective spectral phase equals the design value at
-    the given detuning, under ``spec.convention``.
+    ``scales`` multiply the designed area parameters.  Each carrier is its
+    transition in MHz plus the detuning, so a resonant carrier is exactly
+    the transition.  Phases are realized so that each channel's effective
+    spectral phase equals the design value at that carrier, under
+    ``spec.convention``.
     """
     detunings = dict(detunings or {})
     scales = dict(scales or {})
@@ -382,30 +384,50 @@ def designed_pulses(
             if key not in CHANNELS:
                 raise ValueError(f"{label} has unknown channel {key!r}")
     amplitudes = design_amplitudes(molecule, spec)
-    phases = design_phases(spec)
     out: dict[str, Pulse] = {}
     for channel in CHANNELS:
-        _, transition = molecule.channel_transition(channel)
         delta = float(detunings.get(channel, 0.0))
-        carrier = transition + delta
+        carrier_mhz = (
+            molecule.channel_transition_mhz(channel) + delta / mhz_to_rad_per_ns(1.0)
+        )
         center = (
             spec.stage1_center
             if channel == spec.stage1_channel
             else spec.stage2_center_eff
-        )
-        phase = realize_phase(
-            phases[channel], transition, carrier, center, spec.convention
         )
         out[channel] = Pulse(
             channel=channel,
             area_param=amplitudes[channel] * float(scales.get(channel, 1.0)),
             center_time=center,
             duration=spec.tau0,
-            carrier_mhz=carrier / mhz_to_rad_per_ns(1.0),
-            phase=phase,
+            carrier_mhz=carrier_mhz,
+            phase=_design_phase(
+                molecule, spec, channel,
+                mhz_to_rad_per_ns(carrier_mhz), center, spec.convention,
+            ),
             convention=spec.convention,
         )
     return out
+
+
+def _design_phase(
+    molecule: MoleculeSpec,
+    spec: DesignSpec,
+    channel: str,
+    carrier: float,
+    center_time: float,
+    convention: PhaseConvention,
+) -> float:
+    """Phase parameter realizing ``channel``'s design phase on a pulse.
+
+    ``carrier`` (rad/ns, the pulse's ``carrier``), ``center_time`` and
+    ``convention`` are the pulse's own, so the phase is solved against the
+    carrier the kernel integrates.
+    """
+    _, transition = molecule.channel_transition(channel)
+    return realize_phase(
+        design_phases(spec)[channel], transition, carrier, center_time, convention
+    )
 
 
 def stage_areas(
@@ -476,38 +498,23 @@ def condition_residuals(
 ) -> ConditionReport:
     """Evaluate the exact-transfer conditions for a set of stage areas.
 
-    ``theta_a``/``theta_b``/``theta_c`` are the per-channel areas over their
-    stage windows (as returned by :func:`stage_areas`); the stage-1 channel's
-    entry must be its area at the stage boundary.  Accepts
-    :class:`ComplexArea` or plain complex values.
+    ``theta_a``/``theta_b``/``theta_c`` are the per-channel
+    :class:`ComplexArea` values over their stage windows (as returned by
+    :func:`stage_areas`); the stage-1 channel's entry must be its area at the
+    stage boundary.  |LHS| is the modulus of the target amplitude of the
+    two-stage closed form in :mod:`esst.analytic`.
     """
+    from .analytic import _final_state  # analytic imports this module
+
     areas = {"a": theta_a, "b": theta_b, "c": theta_c}
     values = {ch: _as_complex(areas[ch]) for ch in CHANNELS}
-    s = spec.hand.sign
+    target = "ABC".index(spec.target)
 
-    th1 = values[spec.stage1_channel]
-    m1 = abs(th1)
-    u1 = th1 / m1 if m1 > 0 else 1.0 + 0.0j
-    c1 = math.cos(m1)
-    s1 = math.sin(m1)
+    def lhs(hand: Handedness) -> float:
+        return abs(complex(_final_state(values, spec, hand)[target]))
 
-    ch2a, ch2c = spec.stage2_channels  # ('b','c') for C, ('a','c') for B
-    th2a = values[ch2a]
-    th2c = values[ch2c]
-    theta_f = math.hypot(abs(th2a), abs(th2c))
-    s_fac = sinc_area(theta_f)
-
-    if spec.target == "C":
-        # target amplitude: a_C = -S [ i c1 theta_b + s s1 u theta_c ]
-        def lhs(sign: int) -> float:
-            return abs(s_fac * (1j * c1 * th2a + sign * s1 * u1 * th2c))
-    else:
-        # target amplitude: a_B = -S [ s1 w conj(theta_c) + s i c1 theta_a ]
-        def lhs(sign: int) -> float:
-            return abs(s_fac * (s1 * u1 * th2c.conjugate() + sign * 1j * c1 * th2a))
-
-    lhs_designed = lhs(s)
-    lhs_mirror = lhs(-s)
+    lhs_designed = lhs(spec.hand)
+    lhs_mirror = lhs(spec.hand.mirror)
 
     amp_resid: dict[str, float] = {}
     for channel in CHANNELS:
@@ -520,7 +527,7 @@ def condition_residuals(
             )
 
     phi = sum(
-        sign * _effective_phase(values[ch])
+        sign * areas[ch].effective_phase
         for ch, sign in (("a", 1.0), ("c", 1.0), ("b", -1.0))
     )
     phase_dist = abs(_wrap_pi(phi - loop_phase_target(spec)))
@@ -532,10 +539,6 @@ def condition_residuals(
         destructive_residual=lhs_mirror,
         predicted_target_population=lhs_designed * lhs_designed,
     )
-
-
-def _effective_phase(value: complex) -> float:
-    return -cmath.phase(-value) if value != 0 else 0.0
 
 
 def _wrap_pi(angle: float) -> float:

@@ -6,7 +6,7 @@ Subcommands:
 * ``design``          - resolve a config into concrete pulse parameters
 * ``areas``           - stage pulse areas and design-condition residuals
 * ``propagate``       - integrate the configured pulses, write trace CSVs
-* ``trace``           - designed-sequence population traces for both hands
+* ``trace``           - alias of ``propagate`` that names its CSVs trace_*.csv
 * ``sweep-phase``     - P_target over (stage-1 phase, duration)
 * ``sweep-delay``     - P_target over the two stage-2 delays
 * ``sweep-detuning``  - P_target over (detuning, amplitude scale)

@@ -2,16 +2,18 @@
 
 A run file has up to eight sections - [molecule], [design], [pulse.a],
 [pulse.b], [pulse.c], [grid], [sweep] and [output] - every one optional with
-documented defaults.  Most pulse-level keys accept the literal value ``auto``,
-meaning "derive from the design": carriers default to their channel's
-transition frequency, amplitudes and phases to the lattice-exact design
-values, centers to the stage layout.
+documented defaults.  Each [pulse.*] section overrides single fields of the
+pulse :func:`esst.areas.designed_pulses` builds for its channel; a key left
+out or set to ``auto`` keeps the designed value, and an ``auto`` phase is
+realized again at the overridden carrier, center and convention.
 
-:func:`parse_config` resolves a file into a fully concrete :class:`RunSpec`
-(auto values are materialized, except grid bounds which legitimately depend
-on later pulse edits); :func:`serialize_config` renders a RunSpec back to
-canonical INI with round-trip-exact floats (``repr``), so that a config
-snapshot embedded in a result file reproduces the run bit for bit.
+Every section but [molecule]'s preset and [output] is read and written
+through a key table of (INI key, field, parser) rows.  :func:`parse_config`
+resolves a file into a fully concrete :class:`RunSpec` (auto values are
+materialized, except grid bounds which legitimately depend on later pulse
+edits); :func:`serialize_config` renders a RunSpec back to canonical INI with
+round-trip-exact floats (``repr``), so that a config snapshot embedded in a
+result file reproduces the run bit for bit.
 
 All parse-time problems raise :class:`ConfigError` carrying the section and
 key they were found in.
@@ -19,21 +21,15 @@ key they were found in.
 from __future__ import annotations
 
 import configparser
+import enum
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .areas import TWO_PI, DesignSpec, design_amplitudes, design_phases, realize_phase
+from .areas import TWO_PI, DesignSpec, _design_phase, designed_pulses
 from .experiments import DETUNING_MODES, ENGINES
-from .model import (
-    CHANNELS,
-    Handedness,
-    MoleculeSpec,
-    SpectatorSpec,
-    get_preset,
-    mhz_to_rad_per_ns,
-)
+from .model import CHANNELS, Handedness, MoleculeSpec, SpectatorSpec, get_preset
 from .propagator import GridConfig, default_grid
 from .pulses import PhaseConvention, Pulse
 
@@ -120,45 +116,6 @@ _SECTIONS = (
     "grid", "sweep", "output",
 )
 
-_MOLECULE_CORE_KEYS = (
-    "omega_ab_mhz", "omega_bc_mhz", "omega_ac_mhz",
-    "mu_a_debye", "mu_b_debye", "mu_c_debye",
-)
-_MOLECULE_SPECTATOR_KEYS = (
-    "omega_abp_mhz", "omega_bpc_mhz", "mu_a_prime_debye", "mu_c_prime_debye",
-)
-_MOLECULE_KEYS = ("preset", "name") + _MOLECULE_CORE_KEYS + _MOLECULE_SPECTATOR_KEYS
-_DESIGN_KEYS = (
-    "target", "hand", "tau0_ns", "k", "kprime", "l",
-    "stage1_center_ns", "stage2_center_ns", "convention",
-)
-_PULSE_KEYS = (
-    "area_param", "center_time_ns", "duration_ns",
-    "carrier_mhz", "phase_rad", "convention",
-)
-_GRID_KEYS = ("dt_ns", "t_start_ns", "t_end_ns", "sample_stride", "drift_tol")
-_SWEEP_KEYS = (
-    "phase_min_rad", "phase_max_rad", "phase_count",
-    "tau_min_ns", "tau_max_ns", "tau_count",
-    "delay1_min_ns", "delay1_max_ns", "delay1_count",
-    "delay2_min_ns", "delay2_max_ns", "delay2_count",
-    "delta_tau_products", "scale_min", "scale_max", "scale_count",
-    "mode", "engine",
-)
-_OUTPUT_KEYS = ("dir",)
-_SWEEP_CHOICES = {"mode": tuple(DETUNING_MODES), "engine": ENGINES}
-
-_KEYS_BY_SECTION = {
-    "molecule": _MOLECULE_KEYS,
-    "design": _DESIGN_KEYS,
-    "pulse.a": _PULSE_KEYS,
-    "pulse.b": _PULSE_KEYS,
-    "pulse.c": _PULSE_KEYS,
-    "grid": _GRID_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "output": _OUTPUT_KEYS,
-}
-
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
@@ -177,8 +134,145 @@ def _parse_int(section: str, key: str, raw: str) -> int:
         raise ConfigError(section, key, f"expected an integer, got {raw!r}")
 
 
-def _is_auto(raw: str) -> bool:
-    return raw.strip().lower() == "auto"
+def _or_auto(parse):
+    """``parse`` that also accepts ``auto``, read as None."""
+    def parse_or_auto(section: str, key: str, raw: str):
+        return None if raw.strip().lower() == "auto" else parse(section, key, raw)
+    return parse_or_auto
+
+
+def _checked(parse, ok, message: str):
+    """``parse`` that rejects values failing ``ok`` with ``message``."""
+    def parse_checked(section: str, key: str, raw: str):
+        value = parse(section, key, raw)
+        if not ok(value):
+            raise ConfigError(section, key, message.format(value))
+        return value
+    return parse_checked
+
+
+def _choice(choices: tuple[str, ...]):
+    """Parser of one of ``choices``, case-insensitive."""
+    def parse_choice(section: str, key: str, raw: str) -> str:
+        value = raw.strip().lower()
+        if value not in choices:
+            raise ConfigError(
+                section, key, f"expected {' or '.join(choices)}, got {value!r}"
+            )
+        return value
+    return parse_choice
+
+
+def _parse_convention(section: str, key: str, raw: str) -> PhaseConvention:
+    try:
+        return PhaseConvention.coerce(raw)
+    except ValueError as exc:
+        raise ConfigError(section, key, str(exc))
+
+
+def _parse_products(section: str, key: str, raw: str) -> tuple[float, ...]:
+    try:
+        products = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(
+            section, key, f"expected comma-separated numbers, got {raw!r}"
+        )
+    if not products:
+        raise ConfigError(section, key, "list is empty")
+    if not all(map(math.isfinite, products)):
+        raise ConfigError(section, key, f"expected finite numbers, got {raw!r}")
+    return products
+
+
+def _same_names(*rows) -> tuple:
+    """Key-table rows whose INI key is also the field name."""
+    return tuple((key, key, parse) for key, parse in rows)
+
+
+# Key tables: (INI key, field, parser) per section, in serialization order.
+# A parser takes (section, key, raw text) and raises ConfigError.
+_MOLECULE_CORE_TABLE = tuple(
+    (key, key, _parse_float) for key in (
+        "omega_ab_mhz", "omega_bc_mhz", "omega_ac_mhz",
+        "mu_a_debye", "mu_b_debye", "mu_c_debye",
+    )
+)
+_MOLECULE_SPECTATOR_TABLE = tuple(
+    (key, key, _parse_float) for key in (
+        "omega_abp_mhz", "omega_bpc_mhz", "mu_a_prime_debye", "mu_c_prime_debye",
+    )
+)
+_DESIGN_TABLE = (
+    ("target", "target", lambda section, key, raw: raw.strip().upper()),
+    ("hand", "hand", _choice(tuple(h.value for h in Handedness))),
+    ("tau0_ns", "tau0", _parse_float),
+    ("k", "k", _parse_int),
+    ("kprime", "kprime", _parse_int),
+    ("l", "l", _parse_int),
+    ("stage1_center_ns", "stage1_center", _parse_float),
+    ("stage2_center_ns", "stage2_center", _or_auto(_parse_float)),
+    # DesignSpec checks the convention itself
+    ("convention", "convention", lambda section, key, raw: raw.strip()),
+)
+_PULSE_TABLE = (
+    ("area_param", "area_param", _or_auto(_parse_float)),
+    ("center_time_ns", "center_time", _or_auto(_parse_float)),
+    ("duration_ns", "duration", _or_auto(_parse_float)),
+    ("carrier_mhz", "carrier_mhz", _or_auto(_parse_float)),
+    ("phase_rad", "phase", _or_auto(_parse_float)),
+    ("convention", "convention", _or_auto(_parse_convention)),
+)
+_GRID_TABLE = _same_names(
+    # the grid bounds and step: 'auto' derives them from the pulses
+    ("dt_ns", _or_auto(_parse_float)),
+    ("t_start_ns", _or_auto(_parse_float)),
+    ("t_end_ns", _or_auto(_parse_float)),
+    ("sample_stride", _checked(_parse_int, lambda v: v >= 1, "must be >= 1, got {}")),
+    ("drift_tol", _checked(_parse_float, lambda v: v > 0, "must be > 0, got {}")),
+)
+_COUNT = _checked(_parse_int, lambda v: v >= 1, "count must be >= 1, got {}")
+_SWEEP_TABLE = _same_names(
+    ("phase_min_rad", _parse_float), ("phase_max_rad", _parse_float),
+    ("phase_count", _COUNT),
+    ("tau_min_ns", _parse_float), ("tau_max_ns", _parse_float), ("tau_count", _COUNT),
+    ("delay1_min_ns", _parse_float), ("delay1_max_ns", _parse_float),
+    ("delay1_count", _COUNT),
+    ("delay2_min_ns", _parse_float), ("delay2_max_ns", _parse_float),
+    ("delay2_count", _COUNT),
+    ("delta_tau_products", _parse_products),
+    ("scale_min", _parse_float), ("scale_max", _parse_float), ("scale_count", _COUNT),
+    ("mode", _choice(tuple(DETUNING_MODES))),
+    ("engine", _choice(ENGINES)),
+)
+
+
+def _keys(table) -> tuple[str, ...]:
+    return tuple(key for key, _, _ in table)
+
+
+_KEYS_BY_SECTION = {
+    "molecule": (
+        ("preset", "name")
+        + _keys(_MOLECULE_CORE_TABLE)
+        + _keys(_MOLECULE_SPECTATOR_TABLE)
+    ),
+    "design": _keys(_DESIGN_TABLE),
+    "pulse.a": _keys(_PULSE_TABLE),
+    "pulse.b": _keys(_PULSE_TABLE),
+    "pulse.c": _keys(_PULSE_TABLE),
+    "grid": _keys(_GRID_TABLE),
+    "sweep": _keys(_SWEEP_TABLE),
+    "output": ("dir",),
+}
+
+
+def _parse_table(section: str, items: dict[str, str], table) -> dict:
+    """Field values of the keys of ``table`` present in ``items``."""
+    return {
+        name: parse(section, key, items[key])
+        for key, name, parse in table
+        if key in items
+    }
 
 
 def _section_dict(cp: configparser.ConfigParser, name: str) -> dict[str, str]:
@@ -212,26 +306,25 @@ def _parse_molecule(items: dict[str, str]) -> MoleculeSpec:
             "missing [molecule] section: set preset = <name> or give "
             "explicit omega_*_mhz / mu_*_debye keys",
         )
-    missing = [k for k in _MOLECULE_CORE_KEYS if k not in items]
+    missing = [k for k in _keys(_MOLECULE_CORE_TABLE) if k not in items]
     if missing:
         raise ConfigError("molecule", missing[0], "required key missing")
-    spectator_present = [k for k in _MOLECULE_SPECTATOR_KEYS if k in items]
-    if spectator_present and len(spectator_present) != len(_MOLECULE_SPECTATOR_KEYS):
-        absent = sorted(set(_MOLECULE_SPECTATOR_KEYS) - set(spectator_present))
+    spectator_keys = _keys(_MOLECULE_SPECTATOR_TABLE)
+    spectator_present = [k for k in spectator_keys if k in items]
+    if spectator_present and len(spectator_present) != len(spectator_keys):
+        absent = sorted(set(spectator_keys) - set(spectator_present))
         raise ConfigError(
             "molecule", absent[0],
             "spectator requires all four spectator keys",
         )
-    floats = {
-        key: _parse_float("molecule", key, items[key])
-        for key in _MOLECULE_CORE_KEYS + _MOLECULE_SPECTATOR_KEYS
-        if key in items
-    }
+    floats = _parse_table(
+        "molecule", items, _MOLECULE_CORE_TABLE + _MOLECULE_SPECTATOR_TABLE
+    )
     try:
         spectator = None
         if spectator_present:
             spectator = SpectatorSpec(
-                **{key: floats.pop(key) for key in _MOLECULE_SPECTATOR_KEYS}
+                **{key: floats.pop(key) for key in spectator_keys}
             )
         return MoleculeSpec(
             name=items.get("name", "custom").strip(), spectator=spectator, **floats
@@ -241,173 +334,50 @@ def _parse_molecule(items: dict[str, str]) -> MoleculeSpec:
 
 
 def _parse_design(items: dict[str, str]) -> DesignSpec:
-    target = items.get("target", "C").strip().upper()
-    hand_raw = items.get("hand", "left").strip().lower()
+    values = {"target": "C", **_parse_table("design", items, _DESIGN_TABLE)}
     try:
-        hand = Handedness(hand_raw)
-    except ValueError:
-        raise ConfigError("design", "hand", f"expected left or right, got {hand_raw!r}")
-    tau0 = _parse_float("design", "tau0_ns", items.get("tau0_ns", "35.0"))
-    stage1 = _parse_float(
-        "design", "stage1_center_ns", items.get("stage1_center_ns", "0.0")
-    )
-    stage2_raw = items.get("stage2_center_ns", "auto")
-    stage2 = None if _is_auto(stage2_raw) else _parse_float(
-        "design", "stage2_center_ns", stage2_raw
-    )
-    try:
-        spec = DesignSpec(
-            target=target,
-            hand=hand,
-            tau0=tau0,
-            k=_parse_int("design", "k", items.get("k", "0")),
-            kprime=_parse_int("design", "kprime", items.get("kprime", "0")),
-            l=_parse_int("design", "l", items.get("l", "0")),
-            stage1_center=stage1,
-            stage2_center=stage2,
-            convention=items.get("convention", "envelope").strip(),
-        )
+        spec = DesignSpec(**values)
     except ValueError as exc:
         raise ConfigError("design", None, str(exc))
-    if spec.stage2_center is None:
-        spec = replace(spec, stage2_center=spec.stage2_center_eff)
-    return spec
+    return replace(spec, stage2_center=spec.stage2_center_eff)
 
 
 def _resolve_pulse(
     molecule: MoleculeSpec,
     design: DesignSpec,
-    channel: str,
+    designed: Pulse,
     items: dict[str, str],
 ) -> Pulse:
-    section = f"pulse.{channel}"
+    """The designed pulse with the section's explicit keys applied.
 
-    def get(key: str) -> str | None:
-        raw = items.get(key)
-        if raw is None or _is_auto(raw):
-            return None
-        return raw
-
-    transition_mhz = molecule.channel_transition_mhz(channel)
-    _, transition = molecule.channel_transition(channel)
-
-    raw = get("carrier_mhz")
-    carrier_mhz = (
-        transition_mhz if raw is None else _parse_float(section, "carrier_mhz", raw)
-    )
-    raw = get("center_time_ns")
-    if raw is None:
-        center = (
-            design.stage1_center
-            if channel == design.stage1_channel
-            else design.stage2_center_eff
-        )
-    else:
-        center = _parse_float(section, "center_time_ns", raw)
-    raw = get("duration_ns")
-    duration = design.tau0 if raw is None else _parse_float(section, "duration_ns", raw)
-    raw = get("convention")
+    Unless ``phase_rad`` is explicit, the phase realizes the design phase
+    again at the resulting carrier, center and convention.
+    """
+    section = f"pulse.{designed.channel}"
+    values = {
+        name: value
+        for name, value in _parse_table(section, items, _PULSE_TABLE).items()
+        if value is not None
+    }
     try:
-        convention = (
-            design.convention if raw is None else PhaseConvention.coerce(raw)
-        )
-    except ValueError as exc:
-        raise ConfigError(section, "convention", str(exc))
-    raw = get("area_param")
-    area = (
-        design_amplitudes(molecule, design)[channel]
-        if raw is None
-        else _parse_float(section, "area_param", raw)
-    )
-    raw = get("phase_rad")
-    if raw is None:
-        phase = realize_phase(
-            design_phases(design)[channel],
-            transition,
-            mhz_to_rad_per_ns(carrier_mhz),
-            center,
-            convention,
-        )
-    else:
-        phase = _parse_float(section, "phase_rad", raw)
-    try:
-        return Pulse(
-            channel=channel,
-            area_param=area,
-            center_time=center,
-            duration=duration,
-            carrier_mhz=carrier_mhz,
-            phase=phase,
-            convention=convention,
-        )
+        pulse = replace(designed, **values)
+        if "phase" not in values:
+            pulse = replace(pulse, phase=_design_phase(
+                molecule, design, pulse.channel,
+                pulse.carrier, pulse.center_time, pulse.convention,
+            ))
     except ValueError as exc:
         raise ConfigError(section, None, str(exc))
-
-
-def _parse_grid(items: dict[str, str]) -> GridSection:
-    values = {}
-    for key in _GRID_KEYS:
-        raw = items.get(key)
-        if raw is None:
-            continue
-        if key == "sample_stride":
-            value = _parse_int("grid", key, raw)
-            if value < 1:
-                raise ConfigError("grid", key, f"must be >= 1, got {value}")
-        elif key == "drift_tol":
-            value = _parse_float("grid", key, raw)
-            if value <= 0:
-                raise ConfigError("grid", key, f"must be > 0, got {value}")
-        else:  # the grid bounds and step: 'auto' derives them from the pulses
-            value = None if _is_auto(raw) else _parse_float("grid", key, raw)
-        values[key] = value
-    return GridSection(**values)
-
-
-def _parse_products(raw: str) -> tuple[float, ...]:
-    try:
-        products = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(
-            "sweep", "delta_tau_products",
-            f"expected comma-separated numbers, got {raw!r}",
-        )
-    if not products:
-        raise ConfigError("sweep", "delta_tau_products", "list is empty")
-    if not all(map(math.isfinite, products)):
-        raise ConfigError(
-            "sweep", "delta_tau_products", f"expected finite numbers, got {raw!r}"
-        )
-    return products
+    return pulse
 
 
 def _parse_sweep(items: dict[str, str], design: DesignSpec) -> SweepSection:
     lo, hi = 4.0 * design.tau0, 12.0 * design.tau0  # delay ranges track tau0
-    values = {
+    return SweepSection(**{
         "delay1_min_ns": lo, "delay1_max_ns": hi,
         "delay2_min_ns": lo, "delay2_max_ns": hi,
-    }
-    for key in _SWEEP_KEYS:
-        raw = items.get(key)
-        if raw is None:
-            continue
-        if key == "delta_tau_products":
-            value = _parse_products(raw)
-        elif key in _SWEEP_CHOICES:
-            value = raw.strip().lower()
-            choices = _SWEEP_CHOICES[key]
-            if value not in choices:
-                raise ConfigError(
-                    "sweep", key, f"expected {' or '.join(choices)}, got {value!r}"
-                )
-        elif key.endswith("_count"):
-            value = _parse_int("sweep", key, raw)
-            if value < 1:
-                raise ConfigError("sweep", key, f"count must be >= 1, got {value}")
-        else:
-            value = _parse_float("sweep", key, raw)
-        values[key] = value
-    return SweepSection(**values)
+        **_parse_table("sweep", items, _SWEEP_TABLE),
+    })
 
 
 def parse_config(text: str, *, design_overrides: dict[str, str] | None = None) -> RunSpec:
@@ -434,17 +404,17 @@ def parse_config(text: str, *, design_overrides: dict[str, str] | None = None) -
     design_items = _section_dict(cp, "design")
     if design_overrides:
         for key, value in design_overrides.items():
-            if key not in _DESIGN_KEYS:
+            if key not in _KEYS_BY_SECTION["design"]:
                 raise ConfigError("design", key, "unknown override key")
             design_items[key] = value
     design = _parse_design(design_items)
     pulses = {
         channel: _resolve_pulse(
-            molecule, design, channel, _section_dict(cp, f"pulse.{channel}")
+            molecule, design, pulse, _section_dict(cp, f"pulse.{channel}")
         )
-        for channel in CHANNELS
+        for channel, pulse in designed_pulses(molecule, design).items()
     }
-    grid = _parse_grid(_section_dict(cp, "grid"))
+    grid = GridSection(**_parse_table("grid", _section_dict(cp, "grid"), _GRID_TABLE))
     sweep = _parse_sweep(_section_dict(cp, "sweep"), design)
     output_items = _section_dict(cp, "output")
     output_dir = output_items.get("dir", ".").strip()
@@ -500,47 +470,29 @@ def _fmt(value) -> str:
         return ", ".join(map(_fmt, value))
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, enum.Enum):
+        return str(value.value)
     return str(value)
 
 
-def _key_lines(obj, keys) -> list[str]:
-    return [f"{key} = {_fmt(getattr(obj, key))}" for key in keys]
+def _key_lines(obj, table) -> list[str]:
+    return [f"{key} = {_fmt(getattr(obj, name))}" for key, name, _ in table]
 
 
 def serialize_config(spec: RunSpec) -> str:
     """Render a RunSpec as canonical INI text that reparses to equality."""
     m = spec.molecule
     d = spec.design
-    lines = ["[molecule]"]
-    lines.append(f"name = {m.name}")
-    lines += _key_lines(m, _MOLECULE_CORE_KEYS)
+    lines = ["[molecule]", f"name = {m.name}", *_key_lines(m, _MOLECULE_CORE_TABLE)]
     if m.spectator is not None:
-        lines += _key_lines(m.spectator, _MOLECULE_SPECTATOR_KEYS)
-    lines.append("")
-    lines.append("[design]")
-    lines.append(f"target = {d.target}")
-    lines.append(f"hand = {d.hand.value}")
-    lines.append(f"tau0_ns = {_fmt(d.tau0)}")
-    lines.append(f"k = {d.k}")
-    lines.append(f"kprime = {d.kprime}")
-    lines.append(f"l = {d.l}")
-    lines.append(f"stage1_center_ns = {_fmt(d.stage1_center)}")
-    lines.append(f"stage2_center_ns = {_fmt(d.stage2_center_eff)}")
-    lines.append(f"convention = {d.convention.value}")
+        lines += _key_lines(m.spectator, _MOLECULE_SPECTATOR_TABLE)
+    lines += ["", "[design]", *_key_lines(
+        replace(d, stage2_center=d.stage2_center_eff), _DESIGN_TABLE
+    )]
     for channel in CHANNELS:
-        p = spec.pulses[channel]
-        lines.append("")
-        lines.append(f"[pulse.{channel}]")
-        lines.append(f"area_param = {_fmt(p.area_param)}")
-        lines.append(f"center_time_ns = {_fmt(p.center_time)}")
-        lines.append(f"duration_ns = {_fmt(p.duration)}")
-        lines.append(f"carrier_mhz = {_fmt(p.carrier_mhz)}")
-        lines.append(f"phase_rad = {_fmt(p.phase)}")
-        lines.append(f"convention = {p.convention.value}")
-    lines += ["", "[grid]", *_key_lines(spec.grid, _GRID_KEYS)]
-    lines += ["", "[sweep]", *_key_lines(spec.sweep, _SWEEP_KEYS)]
-    lines.append("")
-    lines.append("[output]")
-    lines.append(f"dir = {spec.output_dir}")
-    lines.append("")
+        pulse = spec.pulses[channel]
+        lines += ["", f"[pulse.{channel}]", *_key_lines(pulse, _PULSE_TABLE)]
+    lines += ["", "[grid]", *_key_lines(spec.grid, _GRID_TABLE)]
+    lines += ["", "[sweep]", *_key_lines(spec.sweep, _SWEEP_TABLE)]
+    lines += ["", "[output]", f"dir = {spec.output_dir}", ""]
     return "\n".join(lines)

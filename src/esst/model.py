@@ -158,22 +158,27 @@ class MoleculeSpec:
 
         Channel 'a' drives A<->B, 'b' drives A<->C, 'c' drives B<->C.
         """
-        if channel == "a":
-            return self.mu_a_debye, self.omega_ab
-        if channel == "b":
-            return self.mu_b_debye, self.omega_ac
-        if channel == "c":
-            return self.mu_c_debye, self.omega_bc
-        raise ValueError(f"unknown channel {channel!r}, expected one of {CHANNELS}")
+        dipole, transition = _channel_fields(channel)
+        return getattr(self, dipole), mhz_to_rad_per_ns(getattr(self, transition))
 
     def channel_transition_mhz(self, channel: str) -> float:
         """Transition frequency of a channel in cyclic MHz."""
-        if channel == "a":
-            return self.omega_ab_mhz
-        if channel == "b":
-            return self.omega_ac_mhz
-        if channel == "c":
-            return self.omega_bc_mhz
+        _, transition = _channel_fields(channel)
+        return getattr(self, transition)
+
+
+#: Channel -> (dipole field, transition field) of :class:`MoleculeSpec`.
+_CHANNEL_FIELDS = {
+    "a": ("mu_a_debye", "omega_ab_mhz"),
+    "b": ("mu_b_debye", "omega_ac_mhz"),
+    "c": ("mu_c_debye", "omega_bc_mhz"),
+}
+
+
+def _channel_fields(channel: str) -> tuple[str, str]:
+    try:
+        return _CHANNEL_FIELDS[channel]
+    except KeyError:
         raise ValueError(f"unknown channel {channel!r}, expected one of {CHANNELS}")
 
 

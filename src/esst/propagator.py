@@ -173,30 +173,56 @@ def _pulse_list(pulses) -> tuple[Pulse, ...]:
     return tuple(pulses)
 
 
-def _pulse_arrays(plist):
-    pchan = np.array([CHANNELS.index(p.channel) for p in plist], dtype=np.int64)
-    amp = np.array([p.area_param for p in plist], dtype=np.float64)
-    tc = np.array([p.center_time for p in plist], dtype=np.float64)
-    tau = np.array([p.duration for p in plist], dtype=np.float64)
-    wcar = np.array([p.carrier for p in plist], dtype=np.float64)
-    ph = np.array([p.phase for p in plist], dtype=np.float64)
-    conv = np.array(
-        [0 if p.convention is PhaseConvention.ABSOLUTE else 1 for p in plist],
-        dtype=np.int64,
-    )
-    return pchan, amp, tc, tau, wcar, ph, conv
+def _kernel_args(
+    molecule: MoleculeSpec,
+    pulses,
+    hand: Handedness,
+    levels: int,
+    grid: GridConfig,
+    initial_state: np.ndarray | None = None,
+) -> tuple:
+    """``_rk4_numpy.rk4_run``'s positional arguments for one run.
 
-
-def _edge_arrays(molecule: MoleculeSpec, levels: int, hand: Handedness):
+    The pulses are taken in :func:`_pulse_list` order; the initial state
+    defaults to the ground state |A>.
+    """
+    basis = basis_for_levels(molecule, levels)
+    if initial_state is None:
+        psi0 = np.zeros(basis.dim, dtype=np.complex128)
+        psi0[0] = 1.0
+    else:
+        psi0 = np.asarray(initial_state, dtype=np.complex128).copy()
+        if psi0.shape != (basis.dim,):
+            raise ValueError(
+                f"initial state has shape {psi0.shape}, expected ({basis.dim},)"
+            )
     edges = loop_couplings(molecule, levels)
-    rows = np.array([e.row for e in edges], dtype=np.int64)
-    cols = np.array([e.col for e in edges], dtype=np.int64)
-    echan = np.array([CHANNELS.index(e.channel) for e in edges], dtype=np.int64)
-    prefactor = np.array(
-        [-e.dipole * (hand.sign if e.hand_signed else 1) for e in edges],
-        dtype=np.float64,
+    plist = _pulse_list(pulses)
+    return (
+        float(grid.t_start), float(grid.dt_eff), int(grid.n_steps),
+        int(grid.sample_stride),
+        np.asarray(basis.energies, dtype=np.float64),
+        # coupling edges: row, col, channel, -dipole with the hand's sign
+        np.array([e.row for e in edges], dtype=np.int64),
+        np.array([e.col for e in edges], dtype=np.int64),
+        np.array([CHANNELS.index(e.channel) for e in edges], dtype=np.int64),
+        np.array(
+            [-e.dipole * (hand.sign if e.hand_signed else 1) for e in edges],
+            dtype=np.float64,
+        ),
+        # pulses: channel, area, center, width, carrier, phase, convention
+        np.array([CHANNELS.index(p.channel) for p in plist], dtype=np.int64),
+        np.array([p.area_param for p in plist], dtype=np.float64),
+        np.array([p.center_time for p in plist], dtype=np.float64),
+        np.array([p.duration for p in plist], dtype=np.float64),
+        np.array([p.carrier for p in plist], dtype=np.float64),
+        np.array([p.phase for p in plist], dtype=np.float64),
+        np.array(
+            [0 if p.convention is PhaseConvention.ABSOLUTE else 1 for p in plist],
+            dtype=np.int64,
+        ),
+        psi0,
     )
-    return rows, cols, echan, prefactor
 
 
 def propagate(
@@ -229,26 +255,8 @@ def propagate(
             f"oscillation, {omega_max:g} rad/ns)"
         )
 
-    if initial_state is None:
-        psi0 = np.zeros(basis.dim, dtype=np.complex128)
-        psi0[0] = 1.0
-    else:
-        psi0 = np.asarray(initial_state, dtype=np.complex128).copy()
-        if psi0.shape != (basis.dim,):
-            raise ValueError(
-                f"initial state has shape {psi0.shape}, expected ({basis.dim},)"
-            )
-
-    rows, cols, echan, prefactor = _edge_arrays(molecule, levels, hand)
-    pchan, amp, tc, tau, wcar, ph, conv = _pulse_arrays(plist)
-
     times, states, norm_err, status = _rk4_numpy.rk4_run(
-        float(grid.t_start), float(grid.dt_eff), int(grid.n_steps),
-        int(grid.sample_stride),
-        np.asarray(basis.energies, dtype=np.float64),
-        rows, cols, echan, prefactor,
-        pchan, amp, tc, tau, wcar, ph, conv,
-        psi0,
+        *_kernel_args(molecule, plist, hand, levels, grid, initial_state)
     )
     if status >= 0:
         raise NumericalGuardError(

@@ -430,6 +430,15 @@ def test_designed_pulses_resonant_carriers(molecule, spec_c, pulses_c):
     assert pulses_c["c"].center_time == pytest.approx(8 * 35.0)
 
 
+@pytest.mark.parametrize("detunings", [None, {"a": 0.0, "b": 0.0, "c": 0.0}])
+@pytest.mark.parametrize("target", ["B", "C"])
+def test_designed_resonant_carrier_is_exactly_the_transition(molecule, target, detunings):
+    # In MHz, as the config states it: 7059.0, not a round trip through rad/ns
+    pulses = designed_pulses(molecule, DesignSpec(target=target), detunings=detunings)
+    for channel, pulse in pulses.items():
+        assert pulse.carrier_mhz == molecule.channel_transition_mhz(channel)
+
+
 def test_designed_pulses_effective_phases_hit_design(molecule, wide_spec_c):
     pulses = designed_pulses(molecule, wide_spec_c)
     areas = stage_areas(molecule, pulses, wide_spec_c)

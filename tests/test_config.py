@@ -14,7 +14,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esst.areas import DesignSpec, design_amplitudes, design_phases, realize_phase
+from esst.areas import (
+    DesignSpec,
+    design_amplitudes,
+    design_phases,
+    designed_pulses,
+    realize_phase,
+)
 from esst.config import (
     ConfigError,
     GridSection,
@@ -216,6 +222,14 @@ def test_design_bad_hand_rejected():
         parse_config(MINIMAL + "\n[design]\nhand = middle\n")
     assert err.value.section == "design"
     assert err.value.key == "hand"
+
+
+@pytest.mark.parametrize("key", ["k", "kprime", "l"])
+def test_design_bad_integer_names_its_key(key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"\n[design]\n{key} = 1.5\n")
+    assert (err.value.section, err.value.key) == ("design", key)
+    assert str(err.value) == f"[design] {key}: expected an integer, got '1.5'"
 
 
 def test_design_bad_target_rejected():
@@ -501,6 +515,138 @@ def test_round_trip_property(grid, sweep, spectator):
     rendered = serialize_config(spec)
     assert parse_config(rendered) == spec
     assert serialize_config(parse_config(rendered)) == rendered
+
+
+#: (tau0_ns, k, kprime, l) design points for the config-vs-design check.
+DESIGN_POINTS = [(35.0, 0, 0, 0), (0.8, 1, 2, -1), (3.0, 2, 0, 3), (17.5, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("molecule_text", [MINIMAL, CUSTOM_MOLECULE], ids=["preset", "custom"])
+@pytest.mark.parametrize("convention", ["envelope", "absolute"])
+@pytest.mark.parametrize("hand", ["left", "right"])
+@pytest.mark.parametrize("target", ["B", "C"])
+def test_config_pulses_are_designed_pulses(molecule_text, target, hand, convention):
+    # With no [pulse.*] section the config resolves to designed_pulses
+    # exactly, so a CLI run and an API run share every pulse bit.
+    for tau0, k, kprime, l in DESIGN_POINTS:
+        spec = parse_config(molecule_text + (
+            f"\n[design]\ntarget = {target}\nhand = {hand}\ntau0_ns = {tau0!r}\n"
+            f"k = {k}\nkprime = {kprime}\nl = {l}\nconvention = {convention}\n"
+        ))
+        assert spec.pulses == designed_pulses(spec.molecule, spec.design)
+
+
+GOLDEN_TEXT = MINIMAL + """
+[design]
+target = B
+hand = right
+tau0_ns = 2.5
+k = 1
+kprime = 0
+l = -1
+stage1_center_ns = 5.0
+stage2_center_ns = auto
+convention = absolute
+
+[pulse.a]
+carrier_mhz = 4725.5
+phase_rad = auto
+
+[pulse.c]
+duration_ns = 3.0
+phase_rad = 0.3
+convention = envelope
+
+[grid]
+dt_ns = auto
+sample_stride = 64
+"""
+
+GOLDEN_SERIALIZED = """\
+[molecule]
+name = cyclohexylmethanol
+omega_ab_mhz = 4720.0
+omega_bc_mhz = 2339.0
+omega_ac_mhz = 7059.0
+mu_a_debye = 0.4
+mu_b_debye = 1.2
+mu_c_debye = 0.8
+omega_abp_mhz = 2575.0
+omega_bpc_mhz = 4484.0
+mu_a_prime_debye = 0.4
+mu_c_prime_debye = 0.8
+
+[design]
+target = B
+hand = right
+tau0_ns = 2.5
+k = 1
+kprime = 0
+l = -1
+stage1_center_ns = 5.0
+stage2_center_ns = 25.0
+convention = absolute
+
+[pulse.a]
+area_param = 8.330405509046935
+center_time_ns = 25.0
+duration_ns = 2.5
+carrier_mhz = 4725.5
+phase_rad = 5.419247327442491
+convention = absolute
+
+[pulse.b]
+area_param = 0.6544984694978736
+center_time_ns = 5.0
+duration_ns = 2.5
+carrier_mhz = 7059.0
+phase_rad = 4.71238898038469
+convention = absolute
+
+[pulse.c]
+area_param = 4.1652027545234676
+center_time_ns = 25.0
+duration_ns = 3.0
+carrier_mhz = 2339.0
+phase_rad = 0.3
+convention = envelope
+
+[grid]
+dt_ns = auto
+t_start_ns = auto
+t_end_ns = auto
+sample_stride = 64
+drift_tol = 1e-08
+
+[sweep]
+phase_min_rad = 0.0
+phase_max_rad = 6.283185307179586
+phase_count = 64
+tau_min_ns = 5.0
+tau_max_ns = 50.0
+tau_count = 64
+delay1_min_ns = 10.0
+delay1_max_ns = 30.0
+delay1_count = 33
+delay2_min_ns = 10.0
+delay2_max_ns = 30.0
+delay2_count = 33
+delta_tau_products = 0.25, 0.5, 1.0
+scale_min = 0.5
+scale_max = 2.5
+scale_count = 33
+mode = scale_b
+engine = exact
+
+[output]
+dir = .
+"""
+
+
+def test_serialized_text_is_pinned():
+    # Every CSV embeds this text as its config snapshot, so its bytes are
+    # part of the output format, not only something that reparses.
+    assert serialize_config(parse_config(GOLDEN_TEXT)) == GOLDEN_SERIALIZED
 
 
 def test_round_trip_preserves_irrational_floats():

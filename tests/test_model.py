@@ -119,6 +119,15 @@ def test_channel_transition_frequencies(molecule):
     assert om_a == pytest.approx(mhz_to_rad_per_ns(4720.0))
     assert om_b == pytest.approx(mhz_to_rad_per_ns(7059.0))
     assert om_c == pytest.approx(mhz_to_rad_per_ns(2339.0))
+    for channel in CHANNELS:
+        _, transition = molecule.channel_transition(channel)
+        assert transition == mhz_to_rad_per_ns(molecule.channel_transition_mhz(channel))
+
+
+@pytest.mark.parametrize("method", ["channel_transition", "channel_transition_mhz"])
+def test_unknown_channel_rejected(molecule, method):
+    with pytest.raises(ValueError, match="unknown channel 'd'"):
+        getattr(molecule, method)("d")
 
 
 def test_handedness_sign_and_mirror():

@@ -22,8 +22,7 @@ from esst.propagator import (
     GridConfig,
     GridTooCoarseError,
     NumericalGuardError,
-    _edge_arrays,
-    _pulse_arrays,
+    _kernel_args,
     default_grid,
     fastest_frequency,
     norm_drift,
@@ -47,22 +46,6 @@ def small_seq(molecule):
     pulses = designed_pulses(molecule, spec)
     grid = default_grid(molecule, list(pulses.values()), 4)
     return spec, pulses, grid
-
-
-def kernel_args(molecule, pulses, hand, levels, grid):
-    """Positional arguments of the kernel's ``rk4_run``, as propagate builds them."""
-    basis = basis_for_levels(molecule, levels)
-    psi0 = np.zeros(basis.dim, dtype=np.complex128)
-    psi0[0] = 1.0
-    plist = list(pulses.values()) if isinstance(pulses, dict) else list(pulses)
-    return (
-        float(grid.t_start), float(grid.dt_eff), int(grid.n_steps),
-        int(grid.sample_stride),
-        np.asarray(basis.energies, dtype=np.float64),
-        *_edge_arrays(molecule, levels, hand),
-        *_pulse_arrays(plist),
-        psi0,
-    )
 
 
 def overflow_case(molecule):
@@ -284,7 +267,7 @@ def test_numpy_kernel_matches_scalar_kernel(molecule, hand, stride):
     pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.3))
     grid = default_grid(molecule, list(pulses.values()), 4, sample_stride=stride)
     traj = propagate(molecule, pulses, hand, levels=4, grid=grid)
-    t_ref, s_ref, e_ref = direct_rk4(*kernel_args(molecule, pulses, hand, 4, grid))
+    t_ref, s_ref, e_ref = direct_rk4(*_kernel_args(molecule, pulses, hand, 4, grid))
     np.testing.assert_array_equal(traj.times, t_ref)
     assert np.abs(traj.norm_errors - e_ref).max() <= 1e-12
     assert np.abs(traj.states - s_ref).max() <= 1e-13
@@ -305,7 +288,7 @@ def test_non_finite_guard_names_first_bad_sample(molecule, chunk_steps, opens_ch
     # The kernel scans a whole chunk's samples at once; the first bad
     # sample (11) lands on a chunk's first sample or inside a chunk.
     pulse, grid = overflow_case(molecule)
-    args = kernel_args(molecule, [pulse], L, 3, grid)
+    args = _kernel_args(molecule, [pulse], L, 3, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         times, states, norm_err, status = _rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps)
     assert ((status - 1) % (chunk_steps // grid.sample_stride) == 0) == opens_chunk

@@ -16,8 +16,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from esst import _rk4_numpy
 from esst.areas import DesignSpec, designed_pulses
-from esst.model import Handedness, basis_for_levels
-from esst.propagator import _edge_arrays, _pulse_arrays, default_grid
+from esst.model import Handedness
+from esst.propagator import _kernel_args, default_grid
 from esst.pulses import SQRT_2_OVER_PI
 
 #: 2 pi to 60 digits, independent of the kernel's own constant.
@@ -136,16 +136,9 @@ def assert_kernel_matches_direct(args, chunk_steps):
 
 def designed_args(molecule, spec, levels, hand, sample_stride=128):
     """``rk4_run``'s positional arguments for a designed sequence on its grid."""
-    pulses = list(designed_pulses(molecule, spec).values())
+    pulses = designed_pulses(molecule, spec)
     grid = default_grid(molecule, pulses, levels, sample_stride=sample_stride)
-    basis = basis_for_levels(molecule, levels)
-    psi0 = np.zeros(basis.dim, dtype=np.complex128)
-    psi0[0] = 1.0
-    return (
-        float(grid.t_start), float(grid.dt_eff), int(grid.n_steps),
-        int(grid.sample_stride), np.asarray(basis.energies, dtype=np.float64),
-        *_edge_arrays(molecule, levels, hand), *_pulse_arrays(pulses), psi0,
-    )
+    return _kernel_args(molecule, pulses, hand, levels, grid)
 
 
 @pytest.mark.parametrize("chunk_steps,stride", [
