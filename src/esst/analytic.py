@@ -1,27 +1,48 @@
-"""Closed-form two-stage states from the cyclic pulse-area theorem.
+"""Closed-form two-stage states and the exact-transfer conditions they score.
 
 When the two stages of the transfer sequence are well separated in time, the
-exact dynamics reduces to two matrix exponentials of "area generators": each
-stage's evolution is exp(-i Theta) where Theta is Hermitian, carries the
-channel's complex area theta_x in the lower triangle (conjugated above) and
-the handedness sign on the a-type entries.  Both exponentials have closed
-forms because Theta^2 is block diagonal; they are expressed through
+exact dynamics reduces to one matrix exponential per stage, exp(-i Theta) of
+an "area generator" Theta.  Theta is Hermitian: each channel driven in the
+stage puts its complex area theta_x, times the handedness sign on the a-type
+channel, at the lower-triangle entry of its coupling in
+:data:`esst.model.THREE_LEVEL_LOOP`, and the conjugate above.
 
-    S(theta) = sin(theta) / theta,
-    G(theta) = (cos(theta) - 1) / theta^2,
+Every coupling of a stage touches one shared level, the hub: A in stage 1
+and the target level in stage 2.  With c_k = Theta[hub, leaf_k] and
+theta^2 = sum_k |c_k|^2 this gives Theta^3 = theta^2 Theta, so
 
-evaluated with Taylor fallbacks near zero.  State vectors are plain complex
+    exp(-i Theta) = 1 - i S(theta) Theta + G(theta) Theta^2,
+    S(theta) = sin(theta) / theta,   G(theta) = (cos(theta) - 1) / theta^2,
+
+and with x = sum_k c_k psi[leaf_k] one stage maps psi to
+
+    hub:     cos(theta) psi[hub] - i S x,
+    leaf k:  psi[leaf_k] + conj(c_k) (-i S psi[hub] + G x).
+
+S and G switch to Taylor series near zero.  State vectors are complex
 ndarrays in the fixed order (A, B, C).
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .areas import SMALL_AREA, DesignSpec, sinc_area, stage_areas, _as_complex
-from .model import Handedness, MoleculeSpec
+from .areas import TWO_PI, ComplexArea, DesignSpec, loop_phase_target, stage_areas
+from .model import CHANNELS, THREE_LEVEL_LOOP, Handedness, MoleculeSpec
 from .pulses import Pulse
+
+#: Below this |theta| the sinc-type helpers switch to their Taylor expansions.
+SMALL_AREA = 1e-4
+
+
+def sinc_area(theta: float) -> float:
+    """S(theta) = sin(theta)/theta with a Taylor branch near zero."""
+    if abs(theta) < SMALL_AREA:
+        t2 = theta * theta
+        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+    return math.sin(theta) / theta
 
 
 def cosc_area(theta: float) -> float:
@@ -32,114 +53,53 @@ def cosc_area(theta: float) -> float:
     return (math.cos(theta) - 1.0) / (theta * theta)
 
 
-def _unit(theta: complex) -> complex:
-    modulus = abs(theta)
-    return theta / modulus if modulus > 0 else 1.0 + 0.0j
-
-
-def stage1_state(theta, hand: Handedness, channel: str = "a") -> np.ndarray:
-    """State after stage 1 from ground |A>, given the stage-1 area.
-
-    Channel 'a' splits A against B (and carries the handedness sign);
-    channel 'b' splits A against C (sign-free).  For |theta| = pi/4 the
-    result is an equal superposition.
-    """
-    th = _as_complex(theta)
-    m = abs(th)
-    u = _unit(th)
-    c = math.cos(m)
-    s = math.sin(m)
-    if channel == "a":
-        return np.array([c, -1j * hand.sign * u * s, 0.0], dtype=complex)
-    if channel == "b":
-        return np.array([c, 0.0, -1j * u * s], dtype=complex)
-    raise ValueError(f"stage 1 drives channel 'a' or 'b', got {channel!r}")
-
-
-def stage2_state_targetC(
-    theta_a_t1,
-    theta_b,
-    theta_c,
-    hand: Handedness,
+def two_stage_state(
+    areas: dict[str, complex], spec: DesignSpec, hand: Handedness
 ) -> np.ndarray:
-    """Final state for the C-targeting sequence (stage 1 on channel a).
+    """Closed-form final amplitudes (A, B, C) of the sequence started in |A>.
 
-    ``theta_a_t1`` is the stage-1 area at the handoff time; ``theta_b`` and
-    ``theta_c`` are the full stage-2 areas.  Writing c1 = cos|theta_a|,
-    s1 = sin|theta_a|, u = theta_a/|theta_a|, s = handedness sign,
-    theta = sqrt(|theta_b|^2 + |theta_c|^2), G = G(theta), S = S(theta) and
-    zeta = theta_c conj(theta_b) G:
-
-        a_A = c1 (1 + |theta_b|^2 G) - s i s1 u zeta
-        a_B = c1 conj(zeta)          - s i s1 u (1 + |theta_c|^2 G)
-        a_C = -S ( i c1 theta_b + s s1 u theta_c )
+    ``areas`` maps each channel to its complex area over its stage window,
+    the ``.value`` of the :func:`esst.areas.stage_areas` entries; the
+    stage-1 channel's area is taken at the stage boundary.  Zero stage-2
+    areas leave the stage-1 state.
     """
-    th1 = _as_complex(theta_a_t1)
-    thb = _as_complex(theta_b)
-    thc = _as_complex(theta_c)
-    s = hand.sign
-    m1 = abs(th1)
-    u = _unit(th1)
-    c1 = math.cos(m1)
-    s1 = math.sin(m1)
-    theta = math.hypot(abs(thb), abs(thc))
-    g = cosc_area(theta)
-    sf = sinc_area(theta)
-    zeta = thc * thb.conjugate() * g
-    a_a = c1 * (1.0 + abs(thb) ** 2 * g) - s * 1j * s1 * u * zeta
-    a_b = c1 * zeta.conjugate() - s * 1j * s1 * u * (1.0 + abs(thc) ** 2 * g)
-    a_c = -sf * (1j * c1 * thb + s * s1 * u * thc)
-    return np.array([a_a, a_b, a_c], dtype=complex)
+    psi = [1.0 + 0.0j, 0.0j, 0.0j]
+    target = "ABC".index(spec.target)
+    for hub, channels in ((0, (spec.stage1_channel,)), (target, spec.stage2_channels)):
+        couplings = []
+        for row, col, channel, signed in THREE_LEVEL_LOOP:
+            if channel in channels:
+                lower = hand.sign * areas[channel] if signed else areas[channel]
+                # Theta[col, row] = lower and Theta[row, col] = conj(lower)
+                if hub == row:
+                    couplings.append((col, lower.conjugate()))
+                else:
+                    couplings.append((row, lower))
+        _apply_stage(psi, hub, couplings)
+    return np.array(psi, dtype=complex)
 
 
-def stage2_state_targetB(
-    theta_b_t1,
-    theta_a,
-    theta_c,
-    hand: Handedness,
-) -> np.ndarray:
-    """Final state for the B-targeting sequence (stage 1 on channel b).
-
-    ``theta_b_t1`` is the stage-1 area at the handoff time; ``theta_a`` and
-    ``theta_c`` are the full stage-2 areas.  With w = theta_b/|theta_b|,
-    c1 = cos|theta_b|, s1 = sin|theta_b|, s = handedness sign,
-    theta = sqrt(|theta_a|^2 + |theta_c|^2), G, S as above and
-    xi = theta_c theta_a G:
-
-        a_A = c1 (1 + |theta_a|^2 G) - s i s1 w conj(xi)
-        a_B = -S ( s1 w conj(theta_c) + s i c1 theta_a )
-        a_C = s c1 xi - i s1 w (1 + |theta_c|^2 G)
-    """
-    th1 = _as_complex(theta_b_t1)
-    tha = _as_complex(theta_a)
-    thc = _as_complex(theta_c)
-    s = hand.sign
-    m1 = abs(th1)
-    w = _unit(th1)
-    c1 = math.cos(m1)
-    s1 = math.sin(m1)
-    theta = math.hypot(abs(tha), abs(thc))
-    g = cosc_area(theta)
-    sf = sinc_area(theta)
-    xi = thc * tha * g
-    a_a = c1 * (1.0 + abs(tha) ** 2 * g) - s * 1j * s1 * w * xi.conjugate()
-    a_b = -sf * (s1 * w * thc.conjugate() + s * 1j * c1 * tha)
-    a_c = s * c1 * xi - 1j * s1 * w * (1.0 + abs(thc) ** 2 * g)
-    return np.array([a_a, a_b, a_c], dtype=complex)
+def _apply_stage(psi: list, hub: int, couplings: list) -> None:
+    """psi <- exp(-i Theta) psi in place, for (leaf_k, c_k) couplings."""
+    theta = math.hypot(*[abs(c) for _, c in couplings])
+    s = sinc_area(theta)
+    x = sum([c * psi[leaf] for leaf, c in couplings])
+    kick = -1j * s * psi[hub] + cosc_area(theta) * x
+    psi[hub] = math.cos(theta) * psi[hub] - 1j * s * x
+    for leaf, c in couplings:
+        psi[leaf] += c.conjugate() * kick
 
 
 def analytic_final_populations(
     molecule: MoleculeSpec,
     pulses: dict[str, Pulse],
     spec: DesignSpec,
-    *,
-    hands: tuple[Handedness, ...] = (Handedness.LEFT, Handedness.RIGHT),
 ) -> dict[Handedness, np.ndarray]:
-    """Closed-form final populations (A, B, C) for each requested hand.
+    """Closed-form final populations (A, B, C) for both hands.
 
     Computes the stage areas of the given pulses in closed form (see
-    :func:`esst.areas.complex_area`), then applies the two-stage closed
-    forms.  Valid when the stages are well separated; overlapping stages are
+    :func:`esst.areas.complex_area`), then applies :func:`two_stage_state`.
+    Valid when the stages are well separated; overlapping stages are
     outside the area theorem's assumptions and are the exact propagator's
     job.  A sequence whose stage-2 pulses are centered
     before the stage-1 pulse violates the protocol ordering outright and is
@@ -154,17 +114,90 @@ def analytic_final_populations(
                 f"pulse at {t1_center} ns; the closed form assumes the "
                 "two-stage ordering"
             )
-    areas = stage_areas(molecule, pulses, spec)
-    return {hand: np.abs(_final_state(areas, spec, hand)) ** 2 for hand in hands}
+    values = {
+        channel: area.value
+        for channel, area in stage_areas(molecule, pulses, spec).items()
+    }
+    return {
+        hand: np.abs(two_stage_state(values, spec, hand)) ** 2 for hand in Handedness
+    }
 
 
-def _final_state(areas: dict, spec: DesignSpec, hand: Handedness) -> np.ndarray:
-    """Closed-form final amplitudes (A, B, C) from per-channel stage areas.
+# ---------------------------------------------------------------------------
+# Condition residuals
+# ---------------------------------------------------------------------------
 
-    ``areas`` maps each channel to its area over its stage window
-    (:class:`esst.areas.ComplexArea` or complex), as :func:`stage_areas`
-    returns them; the design's target picks the two-stage closed form.
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """How far a pulse set sits from the exact-transfer design manifold.
+
+    ``constructive_residual`` is | |LHS_1| - 1 | for the designed hand and
+    ``destructive_residual`` is |LHS_2| for its mirror; both are zero on the
+    design manifold.  ``predicted_target_population`` = |LHS_1|^2 is the
+    closed-form transfer probability for the designed hand.
     """
-    stage2 = stage2_state_targetC if spec.target == "C" else stage2_state_targetB
-    ch2a, ch2c = spec.stage2_channels
-    return stage2(areas[spec.stage1_channel], areas[ch2a], areas[ch2c], hand)
+
+    amplitude_residuals: dict[str, float]
+    phase_residual: float
+    constructive_residual: float
+    destructive_residual: float
+    predicted_target_population: float
+
+
+def _lattice_residual(modulus: float, step: float, offset: float) -> float:
+    """Distance from ``modulus`` to the nearest (n + offset) * step, n >= 0."""
+    n = max(0, round(modulus / step - offset))
+    return abs(modulus - (n + offset) * step)
+
+
+def condition_residuals(
+    areas: dict[str, ComplexArea], spec: DesignSpec
+) -> ConditionReport:
+    """Evaluate the exact-transfer conditions for a set of stage areas.
+
+    ``areas`` maps each channel to its :class:`esst.areas.ComplexArea` over
+    its stage window, as :func:`esst.areas.stage_areas` returns them; the
+    stage-1 channel's entry must be its area at the stage boundary.  |LHS|
+    is the modulus of the target amplitude of :func:`two_stage_state`.
+    """
+    values = {ch: areas[ch].value for ch in CHANNELS}
+    target = "ABC".index(spec.target)
+
+    def lhs(hand: Handedness) -> float:
+        return abs(complex(two_stage_state(values, spec, hand)[target]))
+
+    lhs_designed = lhs(spec.hand)
+    lhs_mirror = lhs(spec.hand.mirror)
+
+    amp_resid: dict[str, float] = {}
+    for channel in CHANNELS:
+        modulus = abs(values[channel])
+        if channel == spec.stage1_channel:
+            amp_resid[channel] = _lattice_residual(modulus, math.pi, 0.25)
+        else:
+            amp_resid[channel] = _lattice_residual(
+                modulus, math.pi / math.sqrt(2.0), 0.5
+            )
+
+    phi = sum(
+        sign * areas[ch].effective_phase
+        for ch, sign in (("a", 1.0), ("c", 1.0), ("b", -1.0))
+    )
+    phase_dist = abs(_wrap_pi(phi - loop_phase_target(spec)))
+
+    return ConditionReport(
+        amplitude_residuals=amp_resid,
+        phase_residual=phase_dist,
+        constructive_residual=abs(lhs_designed - 1.0),
+        destructive_residual=lhs_mirror,
+        predicted_target_population=lhs_designed * lhs_designed,
+    )
+
+
+def _wrap_pi(angle: float) -> float:
+    """Wrap an angle into (-pi, pi]."""
+    wrapped = math.remainder(angle, TWO_PI)
+    if wrapped <= -math.pi:
+        wrapped += TWO_PI
+    return wrapped

@@ -28,8 +28,10 @@ Whether the population lands in the target or returns is controlled by the
 loop phase Phi = phi_a + phi_c - phi_b, whose constructive values form a
 lattice with period 2 pi that depends on target level and handedness.  The
 helpers below produce lattice-exact design parameters, realize them as pulse
-parameters under either carrier-phase convention, and measure how far a
-given pulse set deviates from the design manifold.
+parameters under either carrier-phase convention, and integrate each channel
+over its stage window (:func:`stage_areas`).  :mod:`esst.analytic` turns
+those stage areas into closed-form states and scores them against the
+design conditions.
 """
 from __future__ import annotations
 
@@ -57,9 +59,6 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 #: Gauss-Legendre rule of :func:`_panel_quad`.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-#: Below this |theta| the sinc-type helpers switch to their Taylor expansions.
-SMALL_AREA = 1e-4
-
 
 @dataclass(frozen=True)
 class ComplexArea:
@@ -80,10 +79,6 @@ class ComplexArea:
         if self.value == 0:
             return 0.0
         return -cmath.phase(-self.value)
-
-
-def _as_complex(theta) -> complex:
-    return complex(theta.value) if isinstance(theta, ComplexArea) else complex(theta)
 
 
 def complex_area(
@@ -452,101 +447,6 @@ def stage_areas(
             window = (t1, max(hi, t1 + pulse.duration))
         out[channel] = complex_area(pulse, dipole, transition, window)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Condition residuals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """How far a pulse set sits from the exact-transfer design manifold.
-
-    ``constructive_residual`` is | |LHS_1| - 1 | for the designed hand and
-    ``destructive_residual`` is |LHS_2| for its mirror; both are zero on the
-    design manifold.  ``predicted_target_population`` = |LHS_1|^2 is the
-    closed-form transfer probability for the designed hand.
-    """
-
-    amplitude_residuals: dict[str, float]
-    phase_residual: float
-    constructive_residual: float
-    destructive_residual: float
-    predicted_target_population: float
-
-
-def sinc_area(theta: float) -> float:
-    """S(theta) = sin(theta)/theta with a Taylor branch near zero."""
-    if abs(theta) < SMALL_AREA:
-        t2 = theta * theta
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    return math.sin(theta) / theta
-
-
-def _lattice_residual(modulus: float, step: float, offset: float) -> float:
-    """Distance from ``modulus`` to the nearest (n + offset) * step, n >= 0."""
-    n = max(0, round(modulus / step - offset))
-    return abs(modulus - (n + offset) * step)
-
-
-def condition_residuals(
-    theta_a,
-    theta_b,
-    theta_c,
-    spec: DesignSpec,
-) -> ConditionReport:
-    """Evaluate the exact-transfer conditions for a set of stage areas.
-
-    ``theta_a``/``theta_b``/``theta_c`` are the per-channel
-    :class:`ComplexArea` values over their stage windows (as returned by
-    :func:`stage_areas`); the stage-1 channel's entry must be its area at the
-    stage boundary.  |LHS| is the modulus of the target amplitude of the
-    two-stage closed form in :mod:`esst.analytic`.
-    """
-    from .analytic import _final_state  # analytic imports this module
-
-    areas = {"a": theta_a, "b": theta_b, "c": theta_c}
-    values = {ch: _as_complex(areas[ch]) for ch in CHANNELS}
-    target = "ABC".index(spec.target)
-
-    def lhs(hand: Handedness) -> float:
-        return abs(complex(_final_state(values, spec, hand)[target]))
-
-    lhs_designed = lhs(spec.hand)
-    lhs_mirror = lhs(spec.hand.mirror)
-
-    amp_resid: dict[str, float] = {}
-    for channel in CHANNELS:
-        modulus = abs(values[channel])
-        if channel == spec.stage1_channel:
-            amp_resid[channel] = _lattice_residual(modulus, math.pi, 0.25)
-        else:
-            amp_resid[channel] = _lattice_residual(
-                modulus, math.pi / math.sqrt(2.0), 0.5
-            )
-
-    phi = sum(
-        sign * areas[ch].effective_phase
-        for ch, sign in (("a", 1.0), ("c", 1.0), ("b", -1.0))
-    )
-    phase_dist = abs(_wrap_pi(phi - loop_phase_target(spec)))
-
-    return ConditionReport(
-        amplitude_residuals=amp_resid,
-        phase_residual=phase_dist,
-        constructive_residual=abs(lhs_designed - 1.0),
-        destructive_residual=lhs_mirror,
-        predicted_target_population=lhs_designed * lhs_designed,
-    )
-
-
-def _wrap_pi(angle: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    wrapped = math.remainder(angle, TWO_PI)
-    if wrapped <= -math.pi:
-        wrapped += TWO_PI
-    return wrapped
 
 
 def detuning_compensation(delta: float, tau0: float) -> float:

@@ -23,7 +23,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .areas import stage_areas, condition_residuals
+from .analytic import condition_residuals
+from .areas import stage_areas
 from .config import (
     ConfigError,
     RunSpec,
@@ -174,7 +175,7 @@ def cmd_design(args) -> int:
 def cmd_areas(args) -> int:
     spec = _load(args)
     areas = stage_areas(spec.molecule, spec.pulses, spec.design)
-    report = condition_residuals(areas["a"], areas["b"], areas["c"], spec.design)
+    report = condition_residuals(areas, spec.design)
     header = (
         "theta_abs_a,theta_phase_a,theta_abs_b,theta_phase_b,"
         "theta_abs_c,theta_phase_c,amp_resid_a,amp_resid_b,amp_resid_c,"

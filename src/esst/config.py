@@ -437,12 +437,10 @@ def load_config(path, *, design_overrides: dict[str, str] | None = None) -> RunS
     return parse_config(text, design_overrides=design_overrides)
 
 
-def resolve_grid(spec: RunSpec, levels: int, pulses=None) -> GridConfig:
-    """Materialize the [grid] section against a pulse set."""
-    source = spec.pulses if pulses is None else pulses
-    plist = list(source.values()) if isinstance(source, dict) else list(source)
+def resolve_grid(spec: RunSpec, levels: int) -> GridConfig:
+    """Materialize the [grid] section against the run's pulses."""
     base = default_grid(
-        spec.molecule, plist, levels,
+        spec.molecule, spec.pulses, levels,
         sample_stride=spec.grid.sample_stride,
         drift_tol=spec.grid.drift_tol,
     )

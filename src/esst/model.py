@@ -250,18 +250,28 @@ class CouplingEdge:
     hand_signed: bool
 
 
+#: The three-level loop in basis (A, B, C) as (row, col, channel,
+#: hand_signed) rows: (A,B) = +-Omega_a, (A,C) = Omega_b, (B,C) = Omega_c.
+THREE_LEVEL_LOOP = (
+    (0, 1, "a", True),
+    (0, 2, "b", False),
+    (1, 2, "c", False),
+)
+
+
 def loop_couplings(molecule: MoleculeSpec, levels: int) -> tuple[CouplingEdge, ...]:
     """Coupling topology of the three- or four-level model.
 
-    Three-level basis (A, B, C): (A,B) = +-Omega_a, (A,C) = Omega_b,
-    (B,C) = Omega_c.  Four-level basis (A, B', B, C) adds the spectator
-    entries (A,B') = Omega'_c and (B',C) = +-Omega'_a, with (B',B) = 0.
+    Three levels: the rows of :data:`THREE_LEVEL_LOOP`.  Four-level basis
+    (A, B', B, C) adds the spectator entries (A,B') = Omega'_c and
+    (B',C) = +-Omega'_a, with (B',B) = 0.
     """
     if levels == 3:
-        return (
-            CouplingEdge(0, 1, "a", molecule.mu_a_debye, True),
-            CouplingEdge(0, 2, "b", molecule.mu_b_debye, False),
-            CouplingEdge(1, 2, "c", molecule.mu_c_debye, False),
+        return tuple(
+            CouplingEdge(
+                row, col, channel, molecule.channel_transition(channel)[0], signed
+            )
+            for row, col, channel, signed in THREE_LEVEL_LOOP
         )
     if levels == 4:
         if molecule.spectator is None:

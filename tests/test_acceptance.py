@@ -17,12 +17,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esst.analytic import analytic_final_populations
+from esst.analytic import analytic_final_populations, condition_residuals
 from esst.areas import (
     ComplexArea,
     DesignSpec,
     complex_area,
-    condition_residuals,
     design_phases,
     designed_pulses,
     loop_phase_target,
@@ -323,9 +322,7 @@ def test_criterion_07_lattice_residuals(molecule):
                                 transition_freq=freq,
                                 window=(-1.0, 1.0),
                             )
-                        report = condition_residuals(
-                            areas["a"], areas["b"], areas["c"], spec
-                        )
+                        report = condition_residuals(areas, spec)
                         worst_phase = max(worst_phase, report.phase_residual)
                         worst_pred = min(
                             worst_pred, report.predicted_target_population

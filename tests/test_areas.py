@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import wofz
 
+from esst.analytic import condition_residuals
 from esst.areas import (
     ComplexArea,
     _faddeeva,
     _panel_quad,
     DesignSpec,
     complex_area,
-    condition_residuals,
     design_amplitudes,
     design_phases,
     designed_pulses,
@@ -518,7 +518,7 @@ def test_stage_areas_delayed_stage1_regression(molecule, spec_c, pulses_c):
 def test_residuals_at_designed_point(molecule, wide_spec_c):
     pulses = designed_pulses(molecule, wide_spec_c)
     areas = stage_areas(molecule, pulses, wide_spec_c)
-    rep = condition_residuals(areas["a"], areas["b"], areas["c"], wide_spec_c)
+    rep = condition_residuals(areas, wide_spec_c)
     assert all(r < 1e-6 for r in rep.amplitude_residuals.values())
     assert rep.phase_residual < 1e-6
     assert rep.constructive_residual < 1e-6
@@ -535,7 +535,7 @@ def test_residuals_zero_areas(molecule, spec_c):
         )
         for ch in ("a", "b", "c")
     }
-    rep = condition_residuals(zeros["a"], zeros["b"], zeros["c"], spec_c)
+    rep = condition_residuals(zeros, spec_c)
     assert rep.predicted_target_population == 0.0
     assert rep.destructive_residual == 0.0
 
@@ -550,18 +550,9 @@ def test_residuals_pi_flip_swaps_hands(molecule):
         transition_freq=areas["a"].transition_freq, window=areas["a"].window,
     )
     pred = {
-        ("orig", "L"): condition_residuals(
-            areas["a"], areas["b"], areas["c"], spec_l
-        ).predicted_target_population,
-        ("orig", "R"): condition_residuals(
-            areas["a"], areas["b"], areas["c"], spec_r
-        ).predicted_target_population,
-        ("flip", "L"): condition_residuals(
-            flipped["a"], flipped["b"], flipped["c"], spec_l
-        ).predicted_target_population,
-        ("flip", "R"): condition_residuals(
-            flipped["a"], flipped["b"], flipped["c"], spec_r
-        ).predicted_target_population,
+        (name, hand): condition_residuals(source, spec).predicted_target_population
+        for name, source in (("orig", areas), ("flip", flipped))
+        for hand, spec in (("L", spec_l), ("R", spec_r))
     }
     assert pred[("orig", "L")] == pytest.approx(1.0, abs=1e-12)
     assert pred[("orig", "R")] == pytest.approx(0.0, abs=1e-12)
@@ -576,7 +567,7 @@ def test_lattice_degeneracy(molecule, target, kpair):
     k, kprime = kpair
     spec = DesignSpec(target=target, k=k, kprime=kprime)
     areas = lattice_areas(molecule, spec)
-    rep = condition_residuals(areas["a"], areas["b"], areas["c"], spec)
+    rep = condition_residuals(areas, spec)
     assert rep.predicted_target_population > 1 - 1e-6
     assert rep.phase_residual < 1e-9
 
