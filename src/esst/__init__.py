@@ -40,7 +40,6 @@ from .experiments import (
     sweep_delays,
     sweep_detuning,
     sweep_phase_duration,
-    trace_populations,
     write_detuning_csv,
     write_landscape_csv,
     write_trace_csv,
@@ -54,12 +53,10 @@ from .model import (
     MoleculeSpec,
     SpectatorSpec,
     basis_for_levels,
-    four_level_basis,
     get_preset,
     loop_closure_residual,
     loop_couplings,
     mhz_to_rad_per_ns,
-    three_level_basis,
 )
 from .propagator import (
     GridConfig,
@@ -116,7 +113,6 @@ __all__ = [
     "detuning_compensation",
     "envelope",
     "field",
-    "four_level_basis",
     "get_preset",
     "load_config",
     "loop_closure_residual",
@@ -138,8 +134,6 @@ __all__ = [
     "sweep_delays",
     "sweep_detuning",
     "sweep_phase_duration",
-    "three_level_basis",
-    "trace_populations",
     "trace_table",
     "two_stage_state",
     "write_detuning_csv",

@@ -24,9 +24,10 @@ import sys
 from dataclasses import replace
 
 from .analytic import condition_residuals
-from .areas import stage_areas
+from .areas import designed_pulses, stage_areas
 from .config import (
     ConfigError,
+    GridSection,
     RunSpec,
     load_config,
     resolve_grid,
@@ -127,6 +128,23 @@ def _load(args) -> RunSpec:
     return load_config(args.config, design_overrides=overrides or None)
 
 
+def _load_sweep(args) -> RunSpec:
+    """A sweep's run config, rejecting the sections a sweep would ignore.
+
+    Sweeps design their pulses and grid afresh at every point.
+    """
+    spec = _load(args)
+    designed = designed_pulses(spec.molecule, spec.design)
+    ignored = [f"pulse.{ch}" for ch in CHANNELS if spec.pulses[ch] != designed[ch]]
+    if spec.grid != GridSection():
+        ignored.append("grid")
+    if ignored:
+        raise ConfigError(
+            ignored[0], None, "sweeps design pulses and grid per point and ignore it"
+        )
+    return spec
+
+
 def _levels(args, spec: RunSpec) -> int:
     if args.levels == 4 and spec.molecule.spectator is None:
         raise ConfigError(
@@ -224,7 +242,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_sweep_phase(args) -> int:
-    spec = _load(args)
+    spec = _load_sweep(args)
     levels = _levels(args, spec)
     outdir = _outdir(args, spec)
     result = sweep_phase_duration(
@@ -243,7 +261,7 @@ def cmd_sweep_delay(args) -> int:
     # carrier-phase convention (an absolute-time phase is delay-invariant,
     # an envelope-referenced one is not), so it is run under both and each
     # convention gets its own CSV for side-by-side comparison.
-    spec = _load(args)
+    spec = _load_sweep(args)
     levels = _levels(args, spec)
     outdir = _outdir(args, spec)
     paths = []
@@ -254,7 +272,9 @@ def cmd_sweep_delay(args) -> int:
             spec.sweep.delay1_values(), spec.sweep.delay2_values(),
             levels=levels,
         )
-        snapshot = serialize_config(replace(spec, design=design))
+        snapshot = serialize_config(replace(
+            spec, design=design, pulses=designed_pulses(spec.molecule, design)
+        ))
         path = os.path.join(outdir, f"sweep_delay_{convention.value}.csv")
         write_landscape_csv(path, result, snapshot)
         paths.append(path)
@@ -269,7 +289,7 @@ def _other_convention(design) -> PhaseConvention:
 
 
 def cmd_sweep_detuning(args) -> int:
-    spec = _load(args)
+    spec = _load_sweep(args)
     levels = _levels(args, spec)
     outdir = _outdir(args, spec)
     engine = args.engine if args.engine else spec.sweep.engine

@@ -52,8 +52,8 @@ class GridSection:
     dt_ns: float | None = None
     t_start_ns: float | None = None
     t_end_ns: float | None = None
-    sample_stride: int = 128
-    drift_tol: float = 1e-8
+    sample_stride: int = GridConfig.sample_stride
+    drift_tol: float = GridConfig.drift_tol
 
 
 @dataclass(frozen=True)
@@ -439,14 +439,8 @@ def load_config(path, *, design_overrides: dict[str, str] | None = None) -> RunS
 
 def resolve_grid(spec: RunSpec, levels: int) -> GridConfig:
     """Materialize the [grid] section against the run's pulses."""
-    base = default_grid(
-        spec.molecule, spec.pulses, levels,
-        sample_stride=spec.grid.sample_stride,
-        drift_tol=spec.grid.drift_tol,
-    )
+    base = default_grid(spec.molecule, spec.pulses, levels)
     g = spec.grid
-    if g.dt_ns is None and g.t_start_ns is None and g.t_end_ns is None:
-        return base
     return GridConfig(
         t_start=base.t_start if g.t_start_ns is None else g.t_start_ns,
         t_end=base.t_end if g.t_end_ns is None else g.t_end_ns,

@@ -10,8 +10,10 @@ to self-describing CSV files; an optional config snapshot is embedded in the
 header as comment lines so a result file can be traced back to the exact run
 that produced it.
 
-Work is distributed over a thread pool with one worker per usable CPU (the
-process's CPU affinity); cap it with ``taskset`` or a cpuset.
+Exact propagation is distributed over a thread pool with one worker per
+usable CPU (the process's CPU affinity); cap it with ``taskset`` or a
+cpuset.  The closed form is pure Python under the interpreter lock, so it
+runs in the calling thread.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 from .analytic import analytic_final_populations
 from .areas import DesignSpec, designed_pulses, realize_phase
 from .model import Handedness, MoleculeSpec
-from .propagator import TRACE_COLUMNS, Trajectory, default_grid, propagate, trace_table
+from .propagator import TRACE_COLUMNS, Trajectory, propagate, trace_table
 
 BOTH_HANDS = (Handedness.LEFT, Handedness.RIGHT)
 
@@ -58,34 +60,9 @@ def _default_levels(molecule: MoleculeSpec, levels: int | None) -> int:
     return 4 if molecule.spectator is not None else 3
 
 
-def _final_target_population(traj: Trajectory, target: str) -> float:
-    idx = traj.basis.index(target)
-    return float(np.abs(traj.final_state[idx]) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
-
-
-def trace_populations(
-    molecule: MoleculeSpec,
-    spec: DesignSpec,
-    *,
-    levels: int | None = None,
-    grid=None,
-) -> dict[Handedness, Trajectory]:
-    """Propagate the designed sequence for both enantiomers."""
-    levels = _default_levels(molecule, levels)
-    pulses = designed_pulses(molecule, spec)
-    if grid is None:
-        grid = default_grid(molecule, pulses, levels)
-
-    def job(hand: Handedness) -> Trajectory:
-        return propagate(molecule, pulses, hand, levels=levels, grid=grid)
-
-    results = _run_parallel(job, BOTH_HANDS)
-    return dict(zip(BOTH_HANDS, results))
 
 
 def _sweep(
@@ -102,36 +79,32 @@ def _sweep(
 
     ``pulses_at(v1, v2)`` returns one grid point's design and its pulse
     set.  The exact engine runs one pool item per (point, hand) on that
-    set's default grid; the analytic engine one item per point, since its
-    closed form yields both hands at once.  The closed form takes its stage
-    windows from the point's design, so a point that changes tau0 or
-    another ``DesignSpec`` field must return the design it was built from.
+    set's default grid.  The analytic engine evaluates each point once, in
+    the calling thread: its closed form yields both hands at once and is
+    pure Python, which a thread pool would only slow.  The closed form takes
+    its stage windows from the point's design, so a point that changes tau0
+    or another ``DesignSpec`` field must return the design it was built from.
     """
     levels = _default_levels(molecule, levels)
     points = [(float(v1), float(v2)) for v1 in values1 for v2 in values2]
     if engine == "analytic":
         idx = ("A", "B", "C").index(spec.target)
-        items = points
-
-        def job(point):
+        rows = []
+        for point in points:
             design, pulses = pulses_at(*point)
             pops = analytic_final_populations(molecule, pulses, design)
-            return [float(pops[hand][idx]) for hand in BOTH_HANDS]
-
+            rows.append([float(pops[hand][idx]) for hand in BOTH_HANDS])
     else:
-        items = [(*point, hand) for point in points for hand in BOTH_HANDS]
-
         def job(item):
             v1, v2, hand = item
             _, pulses = pulses_at(v1, v2)
-            traj = propagate(
-                molecule, pulses, hand,
-                levels=levels,
-                grid=default_grid(molecule, pulses, levels),
-            )
-            return _final_target_population(traj, spec.target)
+            traj = propagate(molecule, pulses, hand, levels=levels)
+            return float(np.abs(traj.final_state[traj.basis.index(spec.target)]) ** 2)
 
-    table = np.array(_run_parallel(job, items), dtype=float).reshape(
+        rows = _run_parallel(
+            job, [(*point, hand) for point in points for hand in BOTH_HANDS]
+        )
+    table = np.array(rows, dtype=float).reshape(
         values1.size, values2.size, len(BOTH_HANDS)
     )
     return {hand: table[:, :, k].copy() for k, hand in enumerate(BOTH_HANDS)}
@@ -216,9 +189,9 @@ def sweep_delays(
     base = designed_pulses(molecule, spec)
     ch1, ch2 = spec.stage2_channels
 
-    # The points move single pulse centers, which no DesignSpec can
-    # express, so the closed form cannot score them with ``spec``'s stage
-    # windows; this sweep runs the exact engine only.
+    # Off the diagonal the two stage-2 pulses are not simultaneous, which
+    # lies outside the two-stage theorem, so this sweep runs the exact
+    # engine only.
     def pulses_at(delay1: float, delay2: float):
         pulses = dict(base)
         pulses[ch1] = replace(pulses[ch1], center_time=spec.stage1_center + delay1)

@@ -104,27 +104,18 @@ class MoleculeSpec:
     closure_tol_mhz: float = CLOSURE_TOL_MHZ
 
     def __post_init__(self) -> None:
-        require_finite(
-            self, "omega_ab_mhz", "omega_bc_mhz", "omega_ac_mhz",
-            "mu_a_debye", "mu_b_debye", "mu_c_debye", "closure_tol_mhz",
+        positive = (
+            "omega_ab_mhz", "omega_bc_mhz", "omega_ac_mhz",
+            "mu_a_debye", "mu_b_debye", "mu_c_debye",
         )
-        for label, value in (
-            ("omega_ab_mhz", self.omega_ab_mhz),
-            ("omega_bc_mhz", self.omega_bc_mhz),
-            ("omega_ac_mhz", self.omega_ac_mhz),
-        ):
-            if value <= 0:
-                raise ValueError(f"{label} must be strictly positive, got {value}")
-        for label, value in (
-            ("mu_a_debye", self.mu_a_debye),
-            ("mu_b_debye", self.mu_b_debye),
-            ("mu_c_debye", self.mu_c_debye),
-        ):
+        require_finite(self, *positive, "closure_tol_mhz")
+        for label in positive:
+            value = getattr(self, label)
             if value <= 0:
                 raise ValueError(f"{label} must be strictly positive, got {value}")
         if self.closure_tol_mhz < 0:
             raise ValueError("closure_tol_mhz must be non-negative")
-        residual = self.omega_ac_mhz - self.omega_ab_mhz - self.omega_bc_mhz
+        residual = loop_closure_residual(self)
         if abs(residual) > self.closure_tol_mhz:
             raise ValueError(
                 f"loop closure violated: omega_AC - omega_AB - omega_BC = "
@@ -204,32 +195,24 @@ class LevelBasis:
         return self.labels.index(label)
 
 
-def three_level_basis(molecule: MoleculeSpec) -> LevelBasis:
-    return LevelBasis(
-        labels=("A", "B", "C"),
-        energies=(0.0, molecule.omega_ab, molecule.omega_ac),
-    )
-
-
-def four_level_basis(molecule: MoleculeSpec) -> LevelBasis:
+def _spectator(molecule: MoleculeSpec) -> SpectatorSpec:
+    """The molecule's spectator data, which the four-level model needs."""
     if molecule.spectator is None:
         raise ValueError(f"molecule {molecule.name!r} has no spectator level")
-    return LevelBasis(
-        labels=("A", "Bp", "B", "C"),
-        energies=(
-            0.0,
-            mhz_to_rad_per_ns(molecule.spectator.omega_abp_mhz),
-            molecule.omega_ab,
-            molecule.omega_ac,
-        ),
-    )
+    return molecule.spectator
 
 
 def basis_for_levels(molecule: MoleculeSpec, levels: int) -> LevelBasis:
+    """Basis (A, B, C) of the three-level loop or (A, B', B, C) with the spectator."""
     if levels == 3:
-        return three_level_basis(molecule)
+        return LevelBasis(("A", "B", "C"), (0.0, molecule.omega_ab, molecule.omega_ac))
     if levels == 4:
-        return four_level_basis(molecule)
+        return LevelBasis(("A", "Bp", "B", "C"), (
+            0.0,
+            mhz_to_rad_per_ns(_spectator(molecule).omega_abp_mhz),
+            molecule.omega_ab,
+            molecule.omega_ac,
+        ))
     raise ValueError(f"levels must be 3 or 4, got {levels}")
 
 
@@ -274,9 +257,7 @@ def loop_couplings(molecule: MoleculeSpec, levels: int) -> tuple[CouplingEdge, .
             for row, col, channel, signed in THREE_LEVEL_LOOP
         )
     if levels == 4:
-        if molecule.spectator is None:
-            raise ValueError(f"molecule {molecule.name!r} has no spectator level")
-        sp = molecule.spectator
+        sp = _spectator(molecule)
         return (
             CouplingEdge(0, 1, "c", sp.mu_c_prime_debye, False),   # (A, B')
             CouplingEdge(0, 2, "a", molecule.mu_a_debye, True),    # (A, B)

@@ -37,6 +37,11 @@ from .pulses import PhaseConvention, Pulse, support_window
 #: Hard floor on carrier resolution; coarser grids are rejected.
 MIN_STEPS_PER_PERIOD = 40
 
+#: Default grid: steps per period of the fastest oscillation, and pulse
+#: support half-width in standard deviations.
+STEPS_PER_PERIOD = 64
+PAD_SIGMA = 4.0
+
 #: Trace column of each level's population, in column order.
 POPULATION_COLUMNS = {"A": "P_A", "Bp": "P_Bprime", "B": "P_B", "C": "P_C"}
 TRACE_COLUMNS = ("t_ns", "hand", *POPULATION_COLUMNS.values(), "norm_err")
@@ -101,32 +106,20 @@ def fastest_frequency(
     return carrier + gap
 
 
-def default_grid(
-    molecule: MoleculeSpec,
-    pulses,
-    levels: int = 3,
-    *,
-    steps_per_period: int = 64,
-    sample_stride: int = 128,
-    pad_sigma: float = 4.0,
-    drift_tol: float = 1e-8,
-) -> GridConfig:
-    """Grid covering every pulse's support with a safely resolved step."""
+def default_grid(molecule: MoleculeSpec, pulses, levels: int = 3) -> GridConfig:
+    """Grid covering every pulse's support with a safely resolved step.
+
+    It keeps :class:`GridConfig`'s default sample stride and drift limit.
+    """
     plist = _pulse_list(pulses)
     if not plist:
         raise ValueError("default_grid needs at least one pulse")
-    windows = [support_window(p, pad_sigma) for p in plist]
+    windows = [support_window(p, PAD_SIGMA) for p in plist]
     t_start = min(w[0] for w in windows)
     t_end = max(w[1] for w in windows)
     omega_max = fastest_frequency(molecule, plist, levels)
-    dt = (2.0 * math.pi / omega_max) / steps_per_period
-    return GridConfig(
-        t_start=t_start,
-        t_end=t_end,
-        dt=dt,
-        sample_stride=sample_stride,
-        drift_tol=drift_tol,
-    )
+    dt = (2.0 * math.pi / omega_max) / STEPS_PER_PERIOD
+    return GridConfig(t_start=t_start, t_end=t_end, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -179,23 +172,15 @@ def _kernel_args(
     hand: Handedness,
     levels: int,
     grid: GridConfig,
-    initial_state: np.ndarray | None = None,
 ) -> tuple:
     """``_rk4_numpy.rk4_run``'s positional arguments for one run.
 
-    The pulses are taken in :func:`_pulse_list` order; the initial state
-    defaults to the ground state |A>.
+    The pulses are taken in :func:`_pulse_list` order; the initial state is
+    the ground state |A>.
     """
     basis = basis_for_levels(molecule, levels)
-    if initial_state is None:
-        psi0 = np.zeros(basis.dim, dtype=np.complex128)
-        psi0[0] = 1.0
-    else:
-        psi0 = np.asarray(initial_state, dtype=np.complex128).copy()
-        if psi0.shape != (basis.dim,):
-            raise ValueError(
-                f"initial state has shape {psi0.shape}, expected ({basis.dim},)"
-            )
+    psi0 = np.zeros(basis.dim, dtype=np.complex128)
+    psi0[0] = 1.0
     edges = loop_couplings(molecule, levels)
     plist = _pulse_list(pulses)
     return (
@@ -232,9 +217,8 @@ def propagate(
     *,
     levels: int = 3,
     grid: GridConfig | None = None,
-    initial_state: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate a pulse sequence for one enantiomer.
+    """Integrate a pulse sequence for one enantiomer from the ground state |A>.
 
     ``pulses`` may be a dict keyed by channel, a sequence, or a single
     Pulse; channels may repeat (fields on a channel add) and may be absent.
@@ -256,7 +240,7 @@ def propagate(
         )
 
     times, states, norm_err, status = _rk4_numpy.rk4_run(
-        *_kernel_args(molecule, plist, hand, levels, grid, initial_state)
+        *_kernel_args(molecule, plist, hand, levels, grid)
     )
     if status >= 0:
         raise NumericalGuardError(

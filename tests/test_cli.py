@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from esst.areas import designed_pulses
 from esst.cli import main
 from esst.config import load_config, parse_config
 from esst.experiments import read_snapshot
@@ -237,9 +238,12 @@ def test_sweep_delay_writes_both_conventions(config_path, tmp_path, capsys):
     _, rows = _csv_rows(envelope)
     assert all(0.0 <= float(r[3]) <= 1 + 1e-6 for r in rows)
 
-    # Each file's embedded snapshot records the convention it was run under.
-    assert parse_config(read_snapshot(absolute)).design.convention.value == "absolute"
-    assert parse_config(read_snapshot(envelope)).design.convention.value == "envelope"
+    # Each file's embedded snapshot records the convention it was run under,
+    # in its [design] and in the pulses designed from it.
+    for path, convention in ((absolute, "absolute"), (envelope, "envelope")):
+        spec = parse_config(read_snapshot(path))
+        assert spec.design.convention.value == convention
+        assert spec.pulses == designed_pulses(spec.molecule, spec.design)
 
 
 def test_sweep_detuning_analytic_compensation(config_path, tmp_path, capsys):
@@ -273,6 +277,25 @@ def test_sweep_detuning_engine_flag_overrides_config(tmp_path, capsys):
     _, rows = _csv_rows(os.path.join(out, "sweep_detuning.csv"))
     assert all(r[2] == "analytic" for r in rows)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["sweep-phase", "sweep-delay", "sweep-detuning"])
+@pytest.mark.parametrize("section,override", [
+    ("pulse.b", "carrier_mhz = 7060.0"),
+    ("grid", "drift_tol = 1e-12"),
+])
+def test_sweeps_reject_settings_they_would_ignore(
+    tmp_path, capsys, command, section, override
+):
+    # Sweeps design their pulses and grid per point, so these settings
+    # would be ignored; they are rejected before any point runs.
+    path = tmp_path / "run.ini"
+    text = MINIMAL + TINY_SWEEP + f"\n[{section}]\n{override}\n"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: [{section}]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -25,13 +26,12 @@ from esst.experiments import (
     sweep_delays,
     sweep_detuning,
     sweep_phase_duration,
-    trace_populations,
     write_detuning_csv,
     write_landscape_csv,
     write_trace_csv,
 )
 from esst.model import Handedness
-from esst.propagator import norm_drift, populations
+from esst.propagator import norm_drift, populations, propagate
 from esst.pulses import PhaseConvention
 
 L, R = Handedness.LEFT, Handedness.RIGHT
@@ -46,20 +46,26 @@ PHASE_GRID = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
 # ---------------------------------------------------------------------------
 
 
+def _both_hands(molecule, spec, levels):
+    """The designed sequence propagated for both enantiomers."""
+    pulses = designed_pulses(molecule, spec)
+    return {hand: propagate(molecule, pulses, hand, levels=levels) for hand in BOTH}
+
+
 @pytest.fixture(scope="module")
 def trace_c4(molecule, spec_c):
     """Full designed sequence, both hands, guard level included."""
-    return trace_populations(molecule, spec_c, levels=4)
+    return _both_hands(molecule, spec_c, 4)
 
 
 @pytest.fixture(scope="module")
 def trace_c3(molecule, spec_c):
-    return trace_populations(molecule, spec_c, levels=3)
+    return _both_hands(molecule, spec_c, 3)
 
 
 @pytest.fixture(scope="module")
 def trace_b4(molecule, spec_b):
-    return trace_populations(molecule, spec_b, levels=4)
+    return _both_hands(molecule, spec_b, 4)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +92,7 @@ def detuning_analytic(molecule, spec_c):
 
 
 # ---------------------------------------------------------------------------
-# trace_populations
+# Designed trajectories of both hands
 # ---------------------------------------------------------------------------
 
 
@@ -185,6 +191,22 @@ def test_sweep_core_work_items(molecule, monkeypatch, engine, calls):
     assert len(seen) == calls
     for hand in BOTH:
         assert result.populations[hand].shape == (1, 2)
+
+
+def test_analytic_sweep_runs_in_calling_thread(molecule, monkeypatch):
+    # The closed form is pure Python under the interpreter lock; a pool
+    # would only add hand-offs, so every point runs on the caller's thread.
+    real = experiments.analytic_final_populations
+    threads = []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "analytic_final_populations", recording)
+    spec = DesignSpec(target="C", tau0=2.0)
+    sweep_detuning(molecule, spec, [0.1, 0.2], [1.0, 1.5], engine="analytic")
+    assert threads == [threading.get_ident()] * 4
 
 
 def test_analytic_sweep_uses_each_points_design(molecule, spec_c):

@@ -13,12 +13,10 @@ from esst.model import (
     MoleculeSpec,
     SpectatorSpec,
     basis_for_levels,
-    four_level_basis,
     get_preset,
     loop_closure_residual,
     loop_couplings,
     mhz_to_rad_per_ns,
-    three_level_basis,
 )
 from hamiltonian_oracle import coupling_matrix_3, coupling_matrix_4, interaction_picture_matrix
 
@@ -141,7 +139,7 @@ def test_handedness_sign_and_mirror():
 
 
 def test_three_level_basis_layout(molecule):
-    basis = three_level_basis(molecule)
+    basis = basis_for_levels(molecule, 3)
     assert basis.labels == ("A", "B", "C")
     assert basis.energies[0] == 0.0
     assert basis.energies[1] == pytest.approx(molecule.omega_ab)
@@ -149,7 +147,7 @@ def test_three_level_basis_layout(molecule):
 
 
 def test_four_level_basis_layout(molecule):
-    basis = four_level_basis(molecule)
+    basis = basis_for_levels(molecule, 4)
     assert basis.labels == ("A", "Bp", "B", "C")
     assert basis.energies[1] == pytest.approx(
         mhz_to_rad_per_ns(molecule.spectator.omega_abp_mhz)
@@ -166,8 +164,8 @@ def test_basis_for_levels_dispatch(molecule):
 
 def test_four_level_basis_requires_spectator():
     mol = MoleculeSpec("bare", 1.0, 1.0, 2.0, 0.5, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        four_level_basis(mol)
+    with pytest.raises(ValueError, match="no spectator level"):
+        basis_for_levels(mol, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +288,7 @@ def test_loop_couplings_hand_signed_edges(molecule):
 
 def test_interaction_picture_identity_at_t0(molecule):
     h = loop_hamiltonian(molecule, 3, (0.3, 0.7, -0.2), L)
-    basis = three_level_basis(molecule)
+    basis = basis_for_levels(molecule, 3)
     out = interaction_picture_matrix(h, basis.energies, 0.0)
     np.testing.assert_array_equal(out, h.astype(complex))
 
@@ -313,7 +311,7 @@ def test_interaction_picture_two_level_phase():
 @pytest.mark.parametrize("t", [0.0, 0.37, 12.9, -4.2])
 def test_interaction_picture_preserves_hermiticity_and_spectrum(molecule, t):
     h = loop_hamiltonian(molecule, 3, (0.4, -0.9, 0.6), R)
-    basis = three_level_basis(molecule)
+    basis = basis_for_levels(molecule, 3)
     out = interaction_picture_matrix(h, basis.energies, t)
     np.testing.assert_allclose(out, out.conj().T, atol=1e-14)
     np.testing.assert_allclose(

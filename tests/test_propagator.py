@@ -265,7 +265,7 @@ def test_numpy_kernel_matches_scalar_kernel(molecule, hand, stride):
     # step-by-step scalar RK4 of test_rk4_numpy; stride 7 exercises the odd
     # tails of the pairwise composition and a chunk that is not a power of two
     pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.3))
-    grid = default_grid(molecule, list(pulses.values()), 4, sample_stride=stride)
+    grid = replace(default_grid(molecule, list(pulses.values()), 4), sample_stride=stride)
     traj = propagate(molecule, pulses, hand, levels=4, grid=grid)
     t_ref, s_ref, e_ref = direct_rk4(*_kernel_args(molecule, pulses, hand, 4, grid))
     np.testing.assert_array_equal(traj.times, t_ref)

@@ -8,6 +8,7 @@ exactly here, and the whole kernel against a direct cos/sin RK4.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -137,7 +138,7 @@ def assert_kernel_matches_direct(args, chunk_steps):
 def designed_args(molecule, spec, levels, hand, sample_stride=128):
     """``rk4_run``'s positional arguments for a designed sequence on its grid."""
     pulses = designed_pulses(molecule, spec)
-    grid = default_grid(molecule, pulses, levels, sample_stride=sample_stride)
+    grid = replace(default_grid(molecule, pulses, levels), sample_stride=sample_stride)
     return _kernel_args(molecule, pulses, hand, levels, grid)
 
 
