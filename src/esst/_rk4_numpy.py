@@ -46,6 +46,19 @@ element is one contiguous vector over the steps of the chunk:
 * Per sample only the matrix-vector product and the norm are computed.
   Sample times, |norm - 1| and the scan for a non-finite norm run once per
   run or per chunk, over whole arrays.
+* Everything up to the per-sample propagators depends on the chunk's
+  first step, never on the state.  A run of several chunks is therefore
+  cut into one contiguous range of whole chunks per CPU in the process's
+  affinity mask, and a pool of forked worker processes builds the ranges'
+  propagators.  Each worker rebuilds the phasor table (about 2 ms) rather
+  than receive it.  Chunk boundaries and the table's size are those of a
+  serial run, so every chunk does the same arithmetic and the result is
+  the same to the bit.  The sample loop and the non-finite scan stay in
+  the calling process and run in order.  On one CPU, for a one-chunk run
+  or without ``fork``, the caller builds every chunk itself.  Each range
+  carries the caller's numpy error state, and its warnings come back to be
+  raised in the caller.  The workers leave Ctrl-C to the caller, exit when
+  it dies and are shut down at interpreter exit.
 
 None of this uses a batched ``np.matmul``, which hands each tiny matrix to
 BLAS separately and costs several times the arithmetic.  The numerical
@@ -55,7 +68,14 @@ direct cos/sin only in round-off.
 """
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import signal
+import threading
+import time
+import warnings
+from functools import partial
 
 import numpy as np
 
@@ -288,44 +308,24 @@ def _compose_ordered(mats: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return mats[..., 0]
 
 
-def rk4_run(
-    t0, dt, n_steps, stride,
-    energies, rows, cols, echan, prefactor,
-    pchan, amp, tc, tau, wcar, ph, conv,
-    psi0,
-    chunk_steps: int = 4096,
-):
-    """Propagate ``psi0`` over ``n_steps`` RK4 steps of ``dt`` from ``t0``.
+def _propagators(kernel_args, first_step, end_step, chunk):
+    """Per-sample propagators of the chunks in steps [first_step, end_step).
 
-    * ``energies[n]``: level energies, rad/ns.
-    * Edge arrays (one entry per non-zero coupling): ``rows``/``cols``
-      level indices, ``echan`` channel index (0=a, 1=b, 2=c),
-      ``prefactor`` the full field-to-coupling factor
-      -dipole * handedness_sign.
-    * Pulse arrays (one entry per pulse): ``pchan`` channel index,
-      ``amp``, ``tc``, ``tau``, ``wcar``, ``ph``, and ``conv``
-      (0 absolute, 1 envelope).
-
-    Returns ``(times, states, norm_err, status)``, sampled every ``stride``
-    steps (``n_steps`` must be a multiple of ``stride``) and at ``t0``.
-    ``status`` is the first sample whose norm is not finite, -1 if the run
-    stayed clean; every later sample repeats that one.
+    ``kernel_args`` are :func:`rk4_run`'s positional arguments; ``chunk``
+    is its chunk length in steps, a multiple of the stride, and
+    ``first_step`` starts a chunk.  Returns shape (samples, n, n): entry s
+    takes the state at sample s to sample s + 1 of the range.  Nothing here
+    depends on the state, so ranges can be built in any order and process.
+    The phasor table has the size a run of that chunk length would give it,
+    whichever range asks, so every chunk does the same arithmetic.
     """
+    (
+        t0, dt, n_steps, stride,
+        energies, rows, cols, echan, prefactor,
+        pchan, amp, tc, tau, wcar, ph, conv,
+        psi0,
+    ) = kernel_args
     n = psi0.shape[0]
-    n_samples = n_steps // stride + 1
-
-    times = np.empty(n_samples)
-    states = np.empty((n_samples, n), dtype=np.complex128)
-    norm_err = np.empty(n_samples)
-
-    psi = psi0.astype(np.complex128).copy()
-    times[0] = t0
-    times[1:] = t0 + (np.arange(1, n_samples) * stride) * dt
-    states[0] = psi
-    norm_err[0] = abs(float(np.vdot(psi, psi).real) - 1.0)
-    status = -1
-
-    chunk = max(stride, (int(chunk_steps) // stride) * stride)
     longest = min(chunk, n_steps)
     n_pulses = amp.shape[0]
     gaps = energies[rows] - energies[cols]
@@ -352,11 +352,10 @@ def rk4_run(
     stages = np.empty((max(2, (n + 1) // 2), n, n, longest), dtype=np.complex128)
     k24, k3 = stages[0], stages[1]
     tmp = np.empty((n, longest), dtype=np.complex128)
+    out = np.empty(((end_step - first_step) // stride, n, n), dtype=np.complex128)
 
-    sample = 0
-    step0 = 0
-    while step0 < n_steps and status < 0:
-        nc = min(chunk, n_steps - step0)
+    for step0 in range(first_step, end_step, chunk):
+        nc = min(chunk, end_step - step0)
         starts = t0 + (step0 + np.arange(nc + 1)) * dt
         bases = _base_phasors(exact, step0)
         bases[n_pulses:] *= -1j  # the generator is -i H
@@ -385,23 +384,177 @@ def rk4_run(
             step_mats[i, i] += 1.0
 
         groups = nc // stride
-        per_sample = _compose_ordered(
-            step_mats.reshape(n, n, groups, stride), stages.reshape(-1)
+        first = (step0 - first_step) // stride
+        out[first : first + groups] = np.moveaxis(
+            _compose_ordered(step_mats.reshape(n, n, groups, stride), stages.reshape(-1)),
+            -1, 0,
         )
-        per_sample = np.ascontiguousarray(np.moveaxis(per_sample, -1, 0))
-        block = slice(sample + 1, sample + groups + 1)
-        for s, p in enumerate(per_sample, block.start):
-            psi = np.matmul(p, psi, out=states[s])
-            norm_err[s] = np.vdot(psi, psi).real
-        err = norm_err[block]
-        np.abs(np.subtract(err, 1.0, out=err), out=err)
-        bad = np.flatnonzero(~np.isfinite(err))
-        if bad.size:
-            status = block.start + int(bad[0])
-            times[status + 1 :] = times[status]
-            states[status + 1 :] = states[status]
-            norm_err[status + 1 :] = norm_err[status]
-        sample += groups
-        step0 += nc
+    return out
 
-    return times, states, norm_err, status
+
+def _range_propagators(kernel_args, chunk, err, bounds):
+    """One range's :func:`_propagators`, built under the caller's error state.
+
+    Also returns the (category, message) of every warning the range raised,
+    for the caller to raise again under its own filters.
+    """
+    with np.errstate(**err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        props = _propagators(kernel_args, *bounds, chunk)
+    return props, [(w.category, str(w.message)) for w in caught]
+
+
+def _worker_count() -> int:
+    """Usable CPUs: those in the process's affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The process pool that builds chunk ranges, created on first use.
+
+    Its workers are forked, so they start with this module loaded and cost
+    no import.  esst starts no thread of its own, so the fork copies no
+    lock held by another esst thread.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            _POOL = ProcessPoolExecutor(
+                _worker_count(), mp_context=multiprocessing.get_context("fork"),
+                initializer=_worker_start, initargs=(os.getpid(),),
+            )
+        return _POOL
+
+
+def _worker_start(parent: int) -> None:
+    """Leave Ctrl-C to the caller, and exit once the caller is gone.
+
+    A caller killed outright never shuts the pool down, and its workers
+    would wait for work forever.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
+
+
+def _exit_with(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(1)
+
+
+def _shutdown() -> None:
+    """Stop the pool's workers and wait for them; a later run starts anew."""
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown()
+
+
+def _forget_pool() -> None:
+    # A forked child shares the parent's pool handle but not its workers,
+    # and its copy of the lock may be held by a thread it does not have.
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+# Shut the pool down before interpreter teardown, which otherwise reports
+# errors from the pool's own clean-up.
+atexit.register(_shutdown)
+if hasattr(os, "fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _chunk_ranges(n_steps, chunk, parts):
+    """[first, end) step bounds of ``parts`` runs of whole chunks."""
+    n_chunks = -(-n_steps // chunk)
+    bounds = [min(n_steps, i * n_chunks // parts * chunk) for i in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def rk4_run(
+    t0, dt, n_steps, stride,
+    energies, rows, cols, echan, prefactor,
+    pchan, amp, tc, tau, wcar, ph, conv,
+    psi0,
+    chunk_steps: int = 4096,
+):
+    """Propagate ``psi0`` over ``n_steps`` RK4 steps of ``dt`` from ``t0``.
+
+    * ``energies[n]``: level energies, rad/ns.
+    * Edge arrays (one entry per non-zero coupling): ``rows``/``cols``
+      level indices, ``echan`` channel index (0=a, 1=b, 2=c),
+      ``prefactor`` the full field-to-coupling factor
+      -dipole * handedness_sign.
+    * Pulse arrays (one entry per pulse): ``pchan`` channel index,
+      ``amp``, ``tc``, ``tau``, ``wcar``, ``ph``, and ``conv``
+      (0 absolute, 1 envelope).
+
+    Returns ``(times, states, norm_err, status)``, sampled every ``stride``
+    steps (``n_steps`` must be a multiple of ``stride``) and at ``t0``.
+    ``status`` is the first sample whose norm is not finite, -1 if the run
+    stayed clean; every later sample repeats that one.
+
+    A run of several chunks is cut into one range of whole chunks per
+    usable CPU, and the ranges' propagators are built on the forked
+    process pool; the samples are then taken here, in order.  With one
+    CPU, one chunk or no ``fork``, this process builds them all.
+    """
+    kernel_args = (
+        t0, dt, n_steps, stride,
+        energies, rows, cols, echan, prefactor,
+        pchan, amp, tc, tau, wcar, ph, conv,
+        psi0,
+    )
+    n = psi0.shape[0]
+    n_samples = n_steps // stride + 1
+
+    times = np.empty(n_samples)
+    states = np.empty((n_samples, n), dtype=np.complex128)
+    norm_err = np.empty(n_samples)
+
+    psi = psi0.astype(np.complex128).copy()
+    times[0] = t0
+    times[1:] = t0 + (np.arange(1, n_samples) * stride) * dt
+    states[0] = psi
+    norm_err[0] = abs(float(np.vdot(psi, psi).real) - 1.0)
+
+    chunk = max(stride, (int(chunk_steps) // stride) * stride)
+    parts = min(_worker_count(), -(-n_steps // chunk))
+    if parts > 1 and hasattr(os, "fork"):
+        job = partial(_range_propagators, kernel_args, chunk, np.geterr())
+        results = _pool().map(job, _chunk_ranges(n_steps, chunk, parts))
+    else:
+        results = [(_propagators(kernel_args, 0, n_steps, chunk), [])]
+
+    per_chunk = chunk // stride
+    sample = 1  # the next sample to take
+    for props, caught in results:
+        for category, message in caught:
+            warnings.warn(message, category)
+        for first in range(0, len(props), per_chunk):
+            block = props[first : first + per_chunk]
+            for s, p in enumerate(block, sample):
+                psi = np.matmul(p, psi, out=states[s])
+                norm_err[s] = np.vdot(psi, psi).real
+            err = norm_err[sample : sample + len(block)]
+            np.abs(np.subtract(err, 1.0, out=err), out=err)
+            bad = np.flatnonzero(~np.isfinite(err))
+            if bad.size:
+                status = sample + int(bad[0])
+                times[status + 1 :] = times[status]
+                states[status + 1 :] = states[status]
+                norm_err[status + 1 :] = norm_err[status]
+                return times, states, norm_err, status
+            sample += len(block)
+    return times, states, norm_err, -1

@@ -10,15 +10,13 @@ to self-describing CSV files; an optional config snapshot is embedded in the
 header as comment lines so a result file can be traced back to the exact run
 that produced it.
 
-Exact propagation is distributed over a thread pool with one worker per
-usable CPU (the process's CPU affinity); cap it with ``taskset`` or a
-cpuset.  The closed form is pure Python under the interpreter lock, so it
-runs in the calling thread.
+Every sweep point runs in the calling thread, one after the other.  Exact
+propagation is parallel inside each trajectory instead: the kernel builds a
+run's chunks on one forked worker process per usable CPU (see
+``esst._rk4_numpy``), so each trajectory and its result stay in the caller.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,23 +33,6 @@ DETUNING_MODES = {"scale_b": ("b",), "scale_ac": ("a", "c")}
 
 #: Engines of :func:`sweep_detuning`: exact propagation or the closed form.
 ENGINES = ("exact", "analytic")
-
-
-def _worker_count(n_jobs: int) -> int:
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_jobs))
-
-
-def _run_parallel(fn, items):
-    items = list(items)
-    workers = _worker_count(len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _default_levels(molecule: MoleculeSpec, levels: int | None) -> int:
@@ -78,32 +59,29 @@ def _sweep(
     """P_target per hand on the ``values1 x values2`` grid.
 
     ``pulses_at(v1, v2)`` returns one grid point's design and its pulse
-    set.  The exact engine runs one pool item per (point, hand) on that
-    set's default grid.  The analytic engine evaluates each point once, in
-    the calling thread: its closed form yields both hands at once and is
-    pure Python, which a thread pool would only slow.  The closed form takes
-    its stage windows from the point's design, so a point that changes tau0
-    or another ``DesignSpec`` field must return the design it was built from.
+    set.  Points run in order in the calling thread.  The exact engine
+    propagates both hands of each point on that set's default grid.  The
+    analytic engine evaluates each point once: its closed form yields both
+    hands at once.  The closed form takes its stage windows from the point's
+    design, so a point that changes tau0 or another ``DesignSpec`` field
+    must return the design it was built from.
     """
     levels = _default_levels(molecule, levels)
-    points = [(float(v1), float(v2)) for v1 in values1 for v2 in values2]
-    if engine == "analytic":
-        idx = ("A", "B", "C").index(spec.target)
-        rows = []
-        for point in points:
-            design, pulses = pulses_at(*point)
-            pops = analytic_final_populations(molecule, pulses, design)
-            rows.append([float(pops[hand][idx]) for hand in BOTH_HANDS])
-    else:
-        def job(item):
-            v1, v2, hand = item
-            _, pulses = pulses_at(v1, v2)
-            traj = propagate(molecule, pulses, hand, levels=levels)
-            return float(np.abs(traj.final_state[traj.basis.index(spec.target)]) ** 2)
+    idx = ("A", "B", "C").index(spec.target)
 
-        rows = _run_parallel(
-            job, [(*point, hand) for point in points for hand in BOTH_HANDS]
-        )
+    def exact(pulses, hand):
+        traj = propagate(molecule, pulses, hand, levels=levels)
+        return float(np.abs(traj.final_state[traj.basis.index(spec.target)]) ** 2)
+
+    rows = []
+    for v1 in values1:
+        for v2 in values2:
+            design, pulses = pulses_at(float(v1), float(v2))
+            if engine == "analytic":
+                pops = analytic_final_populations(molecule, pulses, design)
+                rows.append([float(pops[hand][idx]) for hand in BOTH_HANDS])
+            else:
+                rows.append([exact(pulses, hand) for hand in BOTH_HANDS])
     table = np.array(rows, dtype=float).reshape(
         values1.size, values2.size, len(BOTH_HANDS)
     )

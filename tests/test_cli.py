@@ -11,6 +11,7 @@ import csv
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ import pytest
 
 from esst.areas import designed_pulses
 from esst.cli import main
-from esst.config import load_config, parse_config
+from esst.config import load_config, parse_config, resolve_grid
 from esst.experiments import read_snapshot
 
 MINIMAL = "[molecule]\npreset = cyclohexylmethanol\n"
@@ -419,3 +420,26 @@ def test_python_dash_m_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("name,")
+
+
+def test_propagate_leaves_no_process_behind(tmp_path):
+    # A run of more than one chunk forks the kernel's worker processes; the
+    # exiting CLI must reap every one of them and print nothing on stderr.
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL + "[design]\ntau0_ns = 0.5\n", encoding="utf-8")
+    assert resolve_grid(load_config(str(path)), 4).n_steps > 4096
+    with subprocess.Popen(
+        [sys.executable, "-m", "esst", "propagate", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            _, stderr = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    assert proc.returncode == 0
+    assert stderr == ""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no process is left in the run's group

@@ -162,33 +162,23 @@ def test_spectator_level_decouples(trace_c4, trace_c3):
         np.testing.assert_allclose(reduced, p3, atol=1e-3)
 
 
-def test_worker_count_follows_cpu_affinity(monkeypatch):
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 2, 5})
-    assert experiments._worker_count(8) == 3
-    assert experiments._worker_count(2) == 2
-    assert experiments._worker_count(0) == 1
-    # Without an affinity API the CPU count stands in.
-    monkeypatch.delattr(experiments.os, "sched_getaffinity")
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-    assert experiments._worker_count(8) == 1
-
-
 @pytest.mark.parametrize("engine,calls", [("exact", 4), ("analytic", 2)])
 def test_sweep_core_work_items(molecule, monkeypatch, engine, calls):
     # The core looks its workers up in the module namespace: exact sweeps
-    # propagate once per (point, hand), analytic ones evaluate once per point.
+    # propagate once per (point, hand), analytic ones evaluate once per
+    # point, and every call runs on the caller's thread.
     name = "propagate" if engine == "exact" else "analytic_final_populations"
     real = getattr(experiments, name)
     seen = []
 
     def counting(*args, **kwargs):
-        seen.append(args)
+        seen.append(threading.get_ident())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(experiments, name, counting)
     spec = DesignSpec(target="C", tau0=2.0)
     result = sweep_detuning(molecule, spec, [0.1], [1.0, 1.5], engine=engine, levels=3)
-    assert len(seen) == calls
+    assert seen == [threading.get_ident()] * calls
     for hand in BOTH:
         assert result.populations[hand].shape == (1, 2)
 

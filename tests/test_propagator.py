@@ -8,11 +8,16 @@ fixed-step kernel under test.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from esst import _rk4_numpy
@@ -32,7 +37,7 @@ from esst.propagator import (
 )
 from esst.pulses import PhaseConvention, Pulse, field
 from hamiltonian_oracle import coupling_matrix_3, coupling_matrix_4, interaction_picture_matrix
-from test_rk4_numpy import direct_rk4
+from test_rk4_numpy import designed_args, direct_rk4
 
 L = Handedness.LEFT
 R = Handedness.RIGHT
@@ -226,6 +231,38 @@ def test_rk4_error_falls_sixteenfold_per_halving(molecule, tau0, hand, k, kprime
 # ---------------------------------------------------------------------------
 
 
+# No shrinking, as for the kernel property in test_rk4_numpy.
+@settings(
+    max_examples=12, deadline=None, phases=[p for p in Phase if p is not Phase.shrink]
+)
+@given(
+    levels=st.sampled_from([3, 4]),
+    hand=st.sampled_from(BOTH),
+    target=st.sampled_from(["B", "C"]),
+    tau0_64ths=st.integers(19, 38),
+)
+def test_time_shift_leaves_populations_unchanged(molecule, levels, hand, target, tau0_64ths):
+    # Moving envelope-referenced pulses and the grid by T changes H only by
+    # the diagonal gauge exp(i E T), which populations cannot see.  Every
+    # chunk, and every worker's range, starts from base phasors reduced
+    # exactly at t ~ 1e4 ns here.  tau0 in 64ths of a ns keeps every
+    # center and grid bound exact after the shift, so both runs take the
+    # same dt; the sample times still round at ulp(1e4) ~ 2e-12 ns, which
+    # moves a population by at most that times its rate, ~1/tau0.
+    shift = 1e4
+    pulses = designed_pulses(molecule, DesignSpec(target=target, tau0=tau0_64ths / 64))
+    assert all(p.convention is PhaseConvention.ENVELOPE for p in pulses.values())
+    grid = default_grid(molecule, pulses, levels)
+    moved = {ch: replace(p, center_time=p.center_time + shift) for ch, p in pulses.items()}
+    moved_grid = replace(grid, t_start=grid.t_start + shift, t_end=grid.t_end + shift)
+    assert moved_grid.n_steps == grid.n_steps > 4096  # more than one chunk
+    assert moved_grid.dt_eff == grid.dt_eff
+    here = populations(propagate(molecule, pulses, hand, levels=levels, grid=grid))
+    there = populations(propagate(molecule, moved, hand, levels=levels, grid=moved_grid))
+    assert np.abs(there - here).max() <= 1e-11
+    assert np.abs(there[-1] - here[-1]).max() <= 1e-13  # after the pulses
+
+
 def test_mirror_law_hand_flip_equals_pi_phase_shift(molecule, small_seq):
     spec, pulses, grid = small_seq
     phases = design_phases(spec)
@@ -301,6 +338,113 @@ def test_non_finite_guard_names_first_bad_sample(molecule, chunk_steps, opens_ch
     np.testing.assert_array_equal(times[status:], times[status])
     np.testing.assert_array_equal(states[status:], np.broadcast_to(states[status], states[status:].shape))
     np.testing.assert_array_equal(norm_err[status:], norm_err[status])
+
+
+def run_both_paths(monkeypatch, args, chunk_steps):
+    """``rk4_run`` on the path it picks, then with one usable CPU.
+
+    Returns both results and, for each run, the ``(first_step, end_step)``
+    ranges whose propagators this process built itself.
+    """
+    if _rk4_numpy._worker_count() > 1:
+        _rk4_numpy._pool()  # fork the workers before the spy goes in
+    real = _rk4_numpy._propagators
+    built = []
+
+    def spy(kernel_args, first_step, end_step, chunk):
+        built.append((first_step, end_step))
+        return real(kernel_args, first_step, end_step, chunk)
+
+    monkeypatch.setattr(_rk4_numpy, "_propagators", spy)
+    results, ranges = [], []
+    for one_cpu in (False, True):
+        if one_cpu:
+            monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 1)
+        built.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            results.append(_rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps))
+        ranges.append(list(built))
+    return results, ranges
+
+
+@pytest.mark.parametrize("case,chunk_steps", [
+    pytest.param("designed", 4096, id="partial-last-chunk"),  # 4,096 + 256 steps
+    pytest.param("designed", 8192, id="one-chunk"),
+    pytest.param("overflow", 160, id="overflow-160"),  # 13 chunks
+    pytest.param("overflow", 64, id="overflow-64"),  # 32 chunks
+])
+def test_pool_path_gives_in_process_bits(molecule, monkeypatch, case, chunk_steps):
+    # The chunk ranges built on the worker processes must give the bits of
+    # one in-process build over the whole run.  The designed run's second
+    # range is its partial last chunk alone; the overflow runs go
+    # non-finite at sample 11 and repeat it to the end.
+    if case == "designed":
+        args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, L)
+    else:
+        pulse, grid = overflow_case(molecule)
+        args = _kernel_args(molecule, [pulse], L, 3, grid)
+    (pooled, alone), (pool_built, alone_built) = run_both_paths(monkeypatch, args, chunk_steps)
+    for got, want in zip(pooled[:3], alone[:3]):
+        assert got.tobytes() == want.tobytes()
+    assert pooled[3] == alone[3] == (-1 if case == "designed" else 11)
+    n_steps = args[2]
+    assert alone_built == [(0, n_steps)]
+    if n_steps <= chunk_steps:
+        assert pool_built == [(0, n_steps)]
+    elif _rk4_numpy._worker_count() > 1:
+        assert pool_built == []  # every range was built by a worker
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["pool", "in-process"])
+def test_caller_error_state_reaches_the_workers(molecule, monkeypatch, one_cpu):
+    # The envelope underflows at the start of the overflow run, and the
+    # stages overflow later.  Under the caller's errstate the first raises
+    # wherever the chunk is built, and the second warns in the caller.
+    if one_cpu:
+        monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 1)
+    pulse, grid = overflow_case(molecule)
+    args = _kernel_args(molecule, [pulse], L, 3, grid)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        _rk4_numpy.rk4_run(*args, chunk_steps=160)
+    with np.errstate(over="warn", invalid="ignore"):
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            _rk4_numpy.rk4_run(*args, chunk_steps=160)
+
+
+KILLED_CALLER = """
+import os, signal
+from esst.areas import DesignSpec, designed_pulses
+from esst.model import Handedness, get_preset
+from esst.propagator import propagate
+molecule = get_preset("cyclohexylmethanol")
+pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.5))
+propagate(molecule, pulses, Handedness.LEFT, levels=4)  # two chunks
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_workers_exit_when_their_caller_is_killed():
+    # A caller killed outright never shuts its pool down; the workers must
+    # notice and leave the caller's process group empty on their own.
+    with subprocess.Popen(
+        [sys.executable, "-c", KILLED_CALLER], start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ) as proc:
+        try:
+            assert proc.wait(timeout=120) == -signal.SIGKILL
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    deadline = time.monotonic() + 10.0
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        if time.monotonic() > deadline:
+            os.killpg(proc.pid, signal.SIGKILL)
+            pytest.fail("a worker process outlived its killed caller")
+        time.sleep(0.1)
 
 
 def test_propagate_raises_on_non_finite_state(molecule):

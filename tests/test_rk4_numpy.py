@@ -85,6 +85,15 @@ def test_table_reduction_beats_the_plain_product():
     assert np.abs(plain - want).max() > 1e-14  # the test can tell them apart
 
 
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(_rk4_numpy.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert _rk4_numpy._worker_count() == 3
+    # Without an affinity API the CPU count stands in.
+    monkeypatch.delattr(_rk4_numpy.os, "sched_getaffinity")
+    monkeypatch.setattr(_rk4_numpy.os, "cpu_count", lambda: None)
+    assert _rk4_numpy._worker_count() == 1
+
+
 def direct_rk4(
     t0, dt, n_steps, stride,
     energies, rows, cols, echan, prefactor,
