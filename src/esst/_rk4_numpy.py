@@ -59,6 +59,12 @@ element is one contiguous vector over the steps of the chunk:
   carries the caller's numpy error state, and its warnings come back to be
   raised in the caller.  The workers leave Ctrl-C to the caller, exit when
   it dies and are shut down at interpreter exit.
+* A caller with several runs hands the next one to :func:`queue` before it
+  samples the current one, so the workers always have work.  A queued
+  build is keyed by its exact inputs: every argument's dtype, shape and
+  bytes, the chunk length and the numpy error state.  ``rk4_run`` takes the
+  build whose key is its own and submits a fresh one otherwise, so a taken
+  build is the one it would have made.
 
 None of this uses a batched ``np.matmul``, which hands each tiny matrix to
 BLAS separately and costs several times the arithmetic.  The numerical
@@ -80,6 +86,10 @@ from functools import partial
 import numpy as np
 
 from .pulses import SQRT_2_OVER_PI, TWO_PI_DIGITS, exact_sum
+
+
+#: Steps per chunk, the unit of work of one Hamiltonian batch.
+CHUNK_STEPS = 4096
 
 
 def _exact_arguments(freqs, t0, shifts, phases, dt):
@@ -462,10 +472,12 @@ def _shutdown() -> None:
 
 
 def _forget_pool() -> None:
-    # A forked child shares the parent's pool handle but not its workers,
-    # and its copy of the lock may be held by a thread it does not have.
+    # A forked child shares the parent's pool handle and queued builds but
+    # not its workers, and its copy of the lock may be held by a thread it
+    # does not have.
     global _POOL, _POOL_LOCK
     _POOL, _POOL_LOCK = None, threading.Lock()
+    _QUEUED.clear()
 
 
 # Shut the pool down before interpreter teardown, which otherwise reports
@@ -482,12 +494,86 @@ def _chunk_ranges(n_steps, chunk, parts):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _submit(kernel_args, chunk, err):
+    """Submit a run's ranges to the pool: their futures, in order.
+
+    None where the caller builds the run itself: one usable CPU, one chunk
+    or no ``fork``.
+    """
+    n_steps = kernel_args[2]
+    parts = min(_worker_count(), -(-n_steps // chunk))
+    if parts < 2 or not hasattr(os, "fork"):
+        return None
+    job = partial(_range_propagators, kernel_args, chunk, err)
+    pool = _pool()
+    return [pool.submit(job, bounds) for bounds in _chunk_ranges(n_steps, chunk, parts)]
+
+
+def _collect(futures):
+    """Each range's result, in order.
+
+    The ranges not yet taken are cancelled once the caller stops.
+    """
+    try:
+        for future in futures:
+            yield future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+
+
+#: Builds submitted ahead of their :func:`rk4_run` call, by :func:`_run_key`.
+_QUEUED: dict = {}
+
+
+def _run_key(kernel_args, chunk, err):
+    """The exact inputs of a build.
+
+    These are every argument's dtype, shape and bytes, the chunk length and
+    the numpy error state.
+    """
+    arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, kernel_args))
+    return arrays, chunk, tuple(sorted(err.items()))
+
+
+def _chunk_length(stride, chunk_steps):
+    """Steps per chunk: ``chunk_steps`` cut down to a stride multiple."""
+    return max(stride, (int(chunk_steps) // stride) * stride)
+
+
+def queue(kernel_args):
+    """Submit the build of a later ``rk4_run(*kernel_args)``.
+
+    Returns the build's key for :func:`drop`, or None where nothing was
+    queued: the build runs in the caller, or the same build is queued
+    already.  The call with the same arguments and the default chunk
+    length, under the same numpy error state, takes the build instead of
+    submitting its own.
+    """
+    err = np.geterr()
+    chunk = _chunk_length(kernel_args[3], CHUNK_STEPS)
+    key = _run_key(kernel_args, chunk, err)
+    if key in _QUEUED:
+        return None
+    futures = _submit(kernel_args, chunk, err)
+    if futures is None:
+        return None
+    _QUEUED[key] = futures
+    return key
+
+
+def drop(key) -> None:
+    """Forget a queued build that was not taken, cancelling what has not started."""
+    for future in _QUEUED.pop(key, ()):
+        future.cancel()
+
+
 def rk4_run(
     t0, dt, n_steps, stride,
     energies, rows, cols, echan, prefactor,
     pchan, amp, tc, tau, wcar, ph, conv,
     psi0,
-    chunk_steps: int = 4096,
+    chunk_steps: int = CHUNK_STEPS,
 ):
     """Propagate ``psi0`` over ``n_steps`` RK4 steps of ``dt`` from ``t0``.
 
@@ -507,8 +593,10 @@ def rk4_run(
 
     A run of several chunks is cut into one range of whole chunks per
     usable CPU, and the ranges' propagators are built on the forked
-    process pool; the samples are then taken here, in order.  With one
-    CPU, one chunk or no ``fork``, this process builds them all.
+    process pool; the samples are then taken here, in order.  A build
+    that :func:`queue` submitted for these exact arguments is taken as it
+    is.  With one CPU, one chunk or no ``fork``, this process builds them
+    all.
     """
     kernel_args = (
         t0, dt, n_steps, stride,
@@ -529,13 +617,15 @@ def rk4_run(
     states[0] = psi
     norm_err[0] = abs(float(np.vdot(psi, psi).real) - 1.0)
 
-    chunk = max(stride, (int(chunk_steps) // stride) * stride)
-    parts = min(_worker_count(), -(-n_steps // chunk))
-    if parts > 1 and hasattr(os, "fork"):
-        job = partial(_range_propagators, kernel_args, chunk, np.geterr())
-        results = _pool().map(job, _chunk_ranges(n_steps, chunk, parts))
-    else:
+    chunk = _chunk_length(stride, chunk_steps)
+    err = np.geterr()
+    futures = _QUEUED.pop(_run_key(kernel_args, chunk, err), None) if _QUEUED else None
+    if futures is None:
+        futures = _submit(kernel_args, chunk, err)
+    if futures is None:
         results = [(_propagators(kernel_args, 0, n_steps, chunk), [])]
+    else:
+        results = _collect(futures)
 
     per_chunk = chunk // stride
     sample = 1  # the next sample to take

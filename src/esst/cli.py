@@ -50,6 +50,7 @@ from .propagator import (
     TRACE_COLUMNS,
     GridTooCoarseError,
     NumericalGuardError,
+    ahead,
     norm_drift,
     propagate,
 )
@@ -222,10 +223,10 @@ def _run_traces(args, prefix: str) -> int:
     snapshot = serialize_config(spec)
     hands = _HAND_CHOICES[args.hand]
     print(",".join(("hand", *POPULATION_COLUMNS.values(), "norm_drift")))
-    for hand in hands:
-        traj = propagate(
-            spec.molecule, spec.pulses, hand, levels=levels, grid=grid
-        )
+    for pulses, hand in ahead(
+        spec.molecule, [(spec.pulses, hand) for hand in hands], levels, grid
+    ):
+        traj = propagate(spec.molecule, pulses, hand, levels=levels, grid=grid)
         path = os.path.join(outdir, f"{prefix}_{hand.value}.csv")
         last = write_trace_csv(path, traj, snapshot)[-1].tolist()
         pops = [last[TRACE_COLUMNS.index(c)] for c in POPULATION_COLUMNS.values()]

@@ -10,10 +10,13 @@ to self-describing CSV files; an optional config snapshot is embedded in the
 header as comment lines so a result file can be traced back to the exact run
 that produced it.
 
-Every sweep point runs in the calling thread, one after the other.  Exact
-propagation is parallel inside each trajectory instead: the kernel builds a
-run's chunks on one forked worker process per usable CPU (see
-``esst._rk4_numpy``), so each trajectory and its result stay in the caller.
+Every sweep point runs in the calling thread, in order.  Exact propagation
+is parallel inside each trajectory instead: the kernel builds a run's chunks
+on one forked worker process per usable CPU (see ``esst._rk4_numpy``).  The
+exact engine walks its runs through ``propagator.ahead``, which queues the
+next run's chunks on those workers while the caller samples the current
+one, so they do not wait between runs.  Each trajectory and its result still
+come from one ``propagate`` call in the caller.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 from .analytic import analytic_final_populations
 from .areas import DesignSpec, designed_pulses, realize_phase
 from .model import Handedness, MoleculeSpec
-from .propagator import TRACE_COLUMNS, Trajectory, propagate, trace_table
+from .propagator import TRACE_COLUMNS, Trajectory, ahead, propagate, trace_table
 
 BOTH_HANDS = (Handedness.LEFT, Handedness.RIGHT)
 
@@ -60,28 +63,28 @@ def _sweep(
 
     ``pulses_at(v1, v2)`` returns one grid point's design and its pulse
     set.  Points run in order in the calling thread.  The exact engine
-    propagates both hands of each point on that set's default grid.  The
-    analytic engine evaluates each point once: its closed form yields both
-    hands at once.  The closed form takes its stage windows from the point's
-    design, so a point that changes tau0 or another ``DesignSpec`` field
-    must return the design it was built from.
+    propagates both hands of each point on that set's default grid; it
+    walks the runs through :func:`ahead`, so the next run is built while
+    the current one is sampled.  The analytic engine evaluates each point
+    once: its closed form yields both hands at once.  The closed form takes
+    its stage windows from the point's design, so a point that changes
+    tau0 or another ``DesignSpec`` field must return the design it was
+    built from.
     """
     levels = _default_levels(molecule, levels)
     idx = ("A", "B", "C").index(spec.target)
 
-    def exact(pulses, hand):
-        traj = propagate(molecule, pulses, hand, levels=levels)
-        return float(np.abs(traj.final_state[traj.basis.index(spec.target)]) ** 2)
-
+    points = (pulses_at(float(v1), float(v2)) for v1 in values1 for v2 in values2)
     rows = []
-    for v1 in values1:
-        for v2 in values2:
-            design, pulses = pulses_at(float(v1), float(v2))
-            if engine == "analytic":
-                pops = analytic_final_populations(molecule, pulses, design)
-                rows.append([float(pops[hand][idx]) for hand in BOTH_HANDS])
-            else:
-                rows.append([exact(pulses, hand) for hand in BOTH_HANDS])
+    if engine == "analytic":
+        for design, pulses in points:
+            pops = analytic_final_populations(molecule, pulses, design)
+            rows.append([float(pops[hand][idx]) for hand in BOTH_HANDS])
+    else:
+        runs = ((pulses, hand) for _, pulses in points for hand in BOTH_HANDS)
+        for pulses, hand in ahead(molecule, runs, levels):
+            traj = propagate(molecule, pulses, hand, levels=levels)
+            rows.append(float(np.abs(traj.final_state[traj.basis.index(spec.target)]) ** 2))
     table = np.array(rows, dtype=float).reshape(
         values1.size, values2.size, len(BOTH_HANDS)
     )
@@ -111,9 +114,13 @@ def sweep_phase_duration(
     """Landscape of P_target over the stage-1 phase and the pulse duration.
 
     At each (phi, tau0) point the whole sequence is re-designed for that
-    duration (amplitudes and stage centers track tau0), then the stage-1
-    channel's design phase is set to phi.  The designed transfer shows up as
-    stripes at the constructive phase-lattice points, independent of tau0.
+    duration, then the stage-1 channel's design phase is set to phi.  The
+    amplitudes track tau0.  Stage 1 stays at ``spec.stage1_center``, and
+    stage 2 sits 8 tau0 after it only where ``spec.stage2_center`` is None:
+    a set center stays put.  ``load_config`` always sets it, so
+    ``esst sweep-phase`` keeps stage 2 at the config's center.  The designed
+    transfer shows up as stripes at the constructive phase-lattice points,
+    independent of tau0 while the stages stay apart.
     """
     phase_values = np.asarray(phase_values, dtype=float)
     tau_values = np.asarray(tau_values, dtype=float)

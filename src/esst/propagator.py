@@ -210,6 +210,29 @@ def _kernel_args(
     )
 
 
+def _run_args(
+    molecule: MoleculeSpec,
+    pulses,
+    hand: Handedness,
+    levels: int,
+    grid: GridConfig | None,
+) -> tuple[GridConfig, tuple]:
+    """The grid of one run, the default one if ``grid`` is None, and its
+    kernel arguments; raises GridTooCoarseError below the step floor."""
+    plist = _pulse_list(pulses)
+    if grid is None:
+        grid = default_grid(molecule, plist, levels)
+    omega_max = fastest_frequency(molecule, plist, levels)
+    dt_max = (2.0 * math.pi / omega_max) / MIN_STEPS_PER_PERIOD
+    if grid.dt > dt_max * (1.0 + 1e-12):
+        raise GridTooCoarseError(
+            f"dt = {grid.dt:g} ns exceeds {dt_max:g} ns "
+            f"({MIN_STEPS_PER_PERIOD} steps per period of the fastest "
+            f"oscillation, {omega_max:g} rad/ns)"
+        )
+    return grid, _kernel_args(molecule, plist, hand, levels, grid)
+
+
 def propagate(
     molecule: MoleculeSpec,
     pulses,
@@ -227,21 +250,8 @@ def propagate(
     floor.
     """
     basis = basis_for_levels(molecule, levels)
-    plist = _pulse_list(pulses)
-    if grid is None:
-        grid = default_grid(molecule, plist, levels)
-    omega_max = fastest_frequency(molecule, plist, levels)
-    dt_max = (2.0 * math.pi / omega_max) / MIN_STEPS_PER_PERIOD
-    if grid.dt > dt_max * (1.0 + 1e-12):
-        raise GridTooCoarseError(
-            f"dt = {grid.dt:g} ns exceeds {dt_max:g} ns "
-            f"({MIN_STEPS_PER_PERIOD} steps per period of the fastest "
-            f"oscillation, {omega_max:g} rad/ns)"
-        )
-
-    times, states, norm_err, status = _rk4_numpy.rk4_run(
-        *_kernel_args(molecule, plist, hand, levels, grid)
-    )
+    grid, args = _run_args(molecule, pulses, hand, levels, grid)
+    times, states, norm_err, status = _rk4_numpy.rk4_run(*args)
     if status >= 0:
         raise NumericalGuardError(
             f"state went non-finite at t = {times[status]:g} ns "
@@ -263,6 +273,59 @@ def propagate(
         norm_errors=norm_err,
         grid=grid,
     )
+
+
+_END = object()
+
+
+def _queue(molecule, run, levels, grid):
+    """Queue the kernel build of one ``(pulses, hand)`` run; its key or None.
+
+    An error is left for :func:`propagate` to raise when that run's turn
+    comes.
+    """
+    try:
+        _, args = _run_args(molecule, *run, levels, grid)
+        return _rk4_numpy.queue(args)
+    except Exception:
+        return None
+
+
+def ahead(
+    molecule: MoleculeSpec,
+    runs,
+    levels: int = 3,
+    grid: GridConfig | None = None,
+):
+    """Yield each ``(pulses, hand)`` of ``runs`` once the run after it is queued.
+
+    The caller propagates each run it is given, with the same molecule,
+    levels and grid, while the kernel's workers build the next one; that
+    ``propagate`` call takes the queued build, so its result is the same to
+    the bit.  ``runs`` is read one run ahead; an error it raises surfaces
+    after the run before it has been yielded.  Closing the generator drops
+    every build it queued that was not taken.
+    """
+    runs = iter(runs)
+    queued = []  # the keys of the run being yielded and the next one
+    try:
+        run = next(runs, _END)
+        if run is not _END:
+            queued.append(_queue(molecule, run, levels, grid))
+        while run is not _END:
+            try:
+                following = next(runs, _END)
+            except Exception:
+                yield run
+                raise
+            if following is not _END:
+                queued.append(_queue(molecule, following, levels, grid))
+            yield run
+            _rk4_numpy.drop(queued.pop(0))  # taken, unless the caller skipped it
+            run = following
+    finally:
+        for key in queued:
+            _rk4_numpy.drop(key)
 
 
 def trace_table(trajectory: Trajectory) -> np.ndarray:

@@ -284,10 +284,12 @@ def test_far_shift_multiplies_by_transition_phasor(molecule, channel):
 
 
 def test_import_loads_no_scipy_fractions_or_fft():
+    # Nor the process machinery: the kernel's pool is created on the first
+    # multi-chunk run, so a program that only designs pulses never loads it.
     code = (
         "import sys, esst\n"
-        "print(sorted(m for m in ('scipy', 'fractions', 'numpy.fft', 'numba')"
-        " if m in sys.modules))\n"
+        "print(sorted(m for m in ('scipy', 'fractions', 'numpy.fft', 'numba',"
+        " 'multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120

@@ -422,15 +422,11 @@ def test_python_dash_m_entry():
     assert proc.stdout.startswith("name,")
 
 
-def test_propagate_leaves_no_process_behind(tmp_path):
-    # A run of more than one chunk forks the kernel's worker processes; the
-    # exiting CLI must reap every one of them and print nothing on stderr.
-    path = tmp_path / "run.ini"
-    path.write_text(MINIMAL + "[design]\ntau0_ns = 0.5\n", encoding="utf-8")
-    assert resolve_grid(load_config(str(path)), 4).n_steps > 4096
+def run_in_own_group(argv):
+    """``python -m esst argv`` in a new session: its exit code and stderr,
+    once no process is left in its process group."""
     with subprocess.Popen(
-        [sys.executable, "-m", "esst", "propagate", "--config", str(path),
-         "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "esst", *argv],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
     ) as proc:
@@ -439,7 +435,55 @@ def test_propagate_leaves_no_process_behind(tmp_path):
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             raise
-    assert proc.returncode == 0
-    assert stderr == ""
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)  # no process is left in the run's group
+    return proc.returncode, stderr
+
+
+def test_propagate_leaves_no_process_behind(tmp_path):
+    # A run of more than one chunk forks the kernel's worker processes; the
+    # exiting CLI must reap every one of them and print nothing on stderr.
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL + "[design]\ntau0_ns = 0.5\n", encoding="utf-8")
+    assert resolve_grid(load_config(str(path)), 4).n_steps > 4096
+    assert run_in_own_group(
+        ["propagate", "--config", str(path), "--out", str(tmp_path / "out")]
+    ) == (0, "")
+
+
+def test_sweep_phase_leaves_no_process_behind(tmp_path):
+    # A sweep queues each run's chunk ranges on the workers while the run
+    # before it is sampled; the exiting CLI must still reap every worker
+    # and print nothing on stderr.
+    path = tmp_path / "run.ini"
+    path.write_text(
+        MINIMAL + "[design]\ntau0_ns = 0.5\n[sweep]\nphase_count = 2\n"
+        "tau_min_ns = 0.5\ntau_max_ns = 0.5\ntau_count = 1\n",
+        encoding="utf-8",
+    )
+    assert resolve_grid(load_config(str(path)), 3).n_steps > 4096
+    assert run_in_own_group(
+        ["sweep-phase", "--config", str(path), "--out", str(tmp_path / "out"),
+         "--levels", "3"]
+    ) == (0, "")
+    with open(tmp_path / "out" / "sweep_phase.csv", encoding="utf-8") as fh:
+        assert sum(1 for line in fh if not line.startswith("#")) == 1 + 2 * 2
+
+
+def test_propagate_both_hands_match_single_hand_runs(tmp_path, capsys):
+    # The right hand's build is queued while the left one is sampled and
+    # written; both must come out as they do from single-hand runs.
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL + "[design]\ntau0_ns = 0.5\n", encoding="utf-8")
+    assert resolve_grid(load_config(str(path)), 4).n_steps > 4096
+    stdout = {}
+    for hand in ("both", "left", "right"):
+        assert main(["propagate", "--config", str(path), "--out",
+                     str(tmp_path / hand), "--hand", hand]) == 0
+        stdout[hand] = capsys.readouterr().out.splitlines()
+    header, left, right = stdout["both"]
+    assert stdout["left"] == [header, left]
+    assert stdout["right"] == [header, right]
+    for hand in ("left", "right"):
+        name = f"propagate_{hand}.csv"
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / hand / name).read_bytes()

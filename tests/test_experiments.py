@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esst import experiments
+from esst import _rk4_numpy, experiments, propagator
 from esst.areas import DesignSpec, designed_pulses
 from esst.experiments import (
     DetuningResult,
@@ -31,8 +31,11 @@ from esst.experiments import (
     write_trace_csv,
 )
 from esst.model import Handedness
-from esst.propagator import norm_drift, populations, propagate
+from esst.propagator import (
+    GridTooCoarseError, NumericalGuardError, norm_drift, populations, propagate,
+)
 from esst.pulses import PhaseConvention
+from test_propagator import PIPE_GRID, pipe_runs
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 BOTH = (L, R)
@@ -217,6 +220,73 @@ def test_analytic_sweep_uses_each_points_design(molecule, spec_c):
     for hand in BOTH:
         np.testing.assert_allclose(got["analytic"][hand], got["exact"][hand], rtol=0, atol=1e-2)
     assert got["exact"][L].min() > 0.99  # the comparison is not vacuous
+
+
+def test_pipelined_sweep_gives_the_bits_of_single_runs(molecule, monkeypatch):
+    # Each exact run's build is queued while the caller samples the run
+    # before it.  Every trajectory must have the bits of the same call
+    # made alone, and at most that run and the next may be queued.
+    real_propagate, real_run = experiments.propagate, _rk4_numpy.rk4_run
+    runs, depth = [], []
+
+    def recording(molecule, pulses, hand, **kwargs):
+        runs.append((pulses, hand, kwargs, real_propagate(molecule, pulses, hand, **kwargs)))
+        return runs[-1][-1]
+
+    def counting(*args):
+        depth.append(len(_rk4_numpy._QUEUED))
+        return real_run(*args)
+
+    monkeypatch.setattr(experiments, "propagate", recording)
+    monkeypatch.setattr(_rk4_numpy, "rk4_run", counting)
+    spec = DesignSpec(target="C", tau0=1.0)  # 4-5 chunks a run
+    result = sweep_phase_duration(molecule, spec, [0.0, 2.0], [1.0, 1.25], levels=3)
+    assert len(runs) == 8
+    if _rk4_numpy._worker_count() > 1:
+        assert depth == [2] * 7 + [1]
+    for pulses, hand, kwargs, traj in runs:
+        alone = propagate(molecule, pulses, hand, **kwargs)
+        for got, want in ((traj.times, alone.times), (traj.states, alone.states),
+                          (traj.norm_errors, alone.norm_errors)):
+            assert got.tobytes() == want.tobytes()
+    finals = [float(np.abs(traj.final_state[traj.basis.index("C")]) ** 2) for *_, traj in runs]
+    assert [result.populations[hand][i, j] for i in range(2) for j in range(2)
+            for hand in BOTH] == finals
+
+
+def test_sweep_raises_the_error_of_its_failing_point(molecule, monkeypatch):
+    # Point 1 goes non-finite; point 2 is too fast for the grid, which
+    # shows already when it is queued while point 1 is sampled.  With one
+    # hand a point, point 1's run is the last one before point 2, so
+    # point 2 is designed and queued.  The sweep must raise point 1's
+    # error, not point 2's, and leave no build queued.
+    runs = pipe_runs(molecule)
+    real = propagator._run_args
+    designed, raised = [], []
+
+    def pulses_at(point, _):
+        designed.append(int(point))
+        return None, runs[int(point)][0]
+
+    def spy(*args):
+        try:
+            return real(*args)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(propagator, "default_grid", lambda *args: PIPE_GRID)
+    monkeypatch.setattr(propagator, "_run_args", spy)
+    monkeypatch.setattr(experiments, "BOTH_HANDS", (L,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            experiments._sweep(
+                molecule, DesignSpec(target="C"), np.arange(3.0), np.zeros(1), pulses_at,
+                engine="exact", levels=3,
+            )
+    assert designed == [0, 1, 2]
+    assert raised == [GridTooCoarseError]
+    assert not _rk4_numpy._QUEUED
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from esst import _rk4_numpy
+from esst import _rk4_numpy, propagator
 from esst.areas import DesignSpec, design_phases, designed_pulses, realize_phase
 from esst.model import Handedness, basis_for_levels
 from esst.propagator import (
@@ -28,6 +28,7 @@ from esst.propagator import (
     GridTooCoarseError,
     NumericalGuardError,
     _kernel_args,
+    ahead,
     default_grid,
     fastest_frequency,
     norm_drift,
@@ -263,6 +264,32 @@ def test_time_shift_leaves_populations_unchanged(molecule, levels, hand, target,
     assert np.abs(there[-1] - here[-1]).max() <= 1e-13  # after the pulses
 
 
+#: Largest norm drift allowed on a small design.  RK4 is not unitary; at
+#: 64 steps per period its drift peaks at tau0 = 0.5 ns, where the areas
+#: are driven fastest: 1.66e-9 at worst over every target, lattice index,
+#: convention, level count and hand there.
+SMALL_DESIGN_DRIFT = 3e-9
+
+
+# No shrinking, as for the kernel property in test_rk4_numpy.
+@settings(
+    max_examples=16, deadline=None, phases=[p for p in Phase if p is not Phase.shrink]
+)
+@given(
+    tau0=st.floats(0.5, 3.0),
+    target=st.sampled_from(["B", "C"]),
+    hand=st.sampled_from(BOTH),
+    convention=st.sampled_from(list(PhaseConvention)),
+    levels=st.sampled_from([3, 4]),
+    k=st.integers(0, 1),
+    kprime=st.integers(0, 1),
+    l=st.integers(-1, 1),
+)
+def test_norm_drift_stays_small_on_random_designs(molecule, hand, levels, **design):
+    traj = propagate(molecule, designed_pulses(molecule, DesignSpec(**design)), hand, levels=levels)
+    assert norm_drift(traj) <= SMALL_DESIGN_DRIFT
+
+
 def test_mirror_law_hand_flip_equals_pi_phase_shift(molecule, small_seq):
     spec, pulses, grid = small_seq
     phases = design_phases(spec)
@@ -445,6 +472,72 @@ def test_workers_exit_when_their_caller_is_killed():
             os.killpg(proc.pid, signal.SIGKILL)
             pytest.fail("a worker process outlived its killed caller")
         time.sleep(0.1)
+
+
+# ---------------------------------------------------------------------------
+# Pipelined runs
+# ---------------------------------------------------------------------------
+
+
+#: 10,000 steps: three chunks, so each run below is built on the pool.
+PIPE_GRID = GridConfig(t_start=-10.0, t_end=0.0, dt=1e-3, sample_stride=16)
+
+
+def pipe_runs(molecule):
+    """A clean run, one that goes non-finite near t = 0, and one whose
+    carrier is too fast for PIPE_GRID's step."""
+    clean = Pulse("a", area_param=0.5, center_time=-5.0, duration=1.0,
+                  carrier_mhz=molecule.omega_ab_mhz, phase=0.0)
+    fast = replace(clean, carrier_mhz=5 * molecule.omega_ab_mhz)
+    return ([clean], L), ([overflow_case(molecule)[0]], L), ([fast], L)
+
+
+@pytest.mark.parametrize("after", ["coarse-grid", "failing-design"])
+def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, after):
+    # The second run goes non-finite.  The third fails while the second is
+    # built: queueing it raises GridTooCoarseError, or the run iterable
+    # itself raises.  The second run's error must surface first, and no
+    # build may stay queued.
+    clean, blowup, fast = pipe_runs(molecule)
+    real = propagator._run_args
+    raised = []
+
+    def spy(*args):
+        try:
+            return real(*args)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    def runs():
+        yield clean
+        yield blowup
+        if after == "failing-design":
+            raise ValueError("no design for this point")
+        yield fast
+
+    monkeypatch.setattr(propagator, "_run_args", spy)
+    done = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            for pulses, hand in ahead(molecule, runs(), 3, PIPE_GRID):
+                propagate(molecule, pulses, hand, levels=3, grid=PIPE_GRID)
+                done.append(pulses)
+    assert done == [clean[0]]
+    assert not _rk4_numpy._QUEUED
+    assert raised == ([GridTooCoarseError] if after == "coarse-grid" else [])
+
+
+def test_closing_ahead_drops_its_queued_builds(molecule):
+    # Leaving the loop early closes the generator, which must drop the
+    # builds of the run it yielded and of the run after it.
+    (pulses, _), *_ = pipe_runs(molecule)
+    other = [replace(pulses[0], phase=1.0)]
+    for _ in ahead(molecule, [(pulses, L), (pulses, R), (other, L)], 3, PIPE_GRID):
+        queued = len(_rk4_numpy._QUEUED)
+        break
+    assert queued == (2 if _rk4_numpy._worker_count() > 1 else 0)
+    assert not _rk4_numpy._QUEUED
 
 
 def test_propagate_raises_on_non_finite_state(molecule):

@@ -94,6 +94,29 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     assert _rk4_numpy._worker_count() == 1
 
 
+def test_a_queued_build_is_taken_only_by_its_exact_call(molecule):
+    # A build is keyed by every argument, the chunk length and the numpy
+    # error state; a call that differs in any of them builds its own.
+    args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, Handedness.LEFT)
+    key = _rk4_numpy.queue(args)
+    if _rk4_numpy._worker_count() < 2:
+        assert key is None and not _rk4_numpy._QUEUED  # the caller builds every run
+        return
+    assert _rk4_numpy.queue(args) is None  # queued already
+    flipped = args[:8] + (-args[8],) + args[9:]  # the other hand
+    with np.errstate(divide="raise"):
+        _rk4_numpy.rk4_run(*args)
+    _rk4_numpy.rk4_run(*args, chunk_steps=2048)
+    _rk4_numpy.rk4_run(*flipped)
+    assert list(_rk4_numpy._QUEUED) == [key]
+    taken = _rk4_numpy.rk4_run(*args)
+    assert not _rk4_numpy._QUEUED
+    _rk4_numpy.drop(key)  # a no-op once taken
+    alone = _rk4_numpy.rk4_run(*args)
+    for got, want in zip(taken[:3], alone[:3]):
+        assert got.tobytes() == want.tobytes()
+
+
 def direct_rk4(
     t0, dt, n_steps, stride,
     energies, rows, cols, echan, prefactor,
