@@ -59,12 +59,9 @@ element is one contiguous vector over the steps of the chunk:
   carries the caller's numpy error state, and its warnings come back to be
   raised in the caller.  The workers leave Ctrl-C to the caller, exit when
   it dies and are shut down at interpreter exit.
-* A caller with several runs hands the next one to :func:`queue` before it
-  samples the current one, so the workers always have work.  A queued
-  build is keyed by its exact inputs: every argument's dtype, shape and
-  bytes, the chunk length and the numpy error state.  ``rk4_run`` takes the
-  build whose key is its own and submits a fresh one otherwise, so a taken
-  build is the one it would have made.
+* :func:`submit` starts a run's build without waiting for it, and
+  ``rk4_run(..., build=...)`` samples it, so a caller with several runs can
+  keep the workers busy with the next one (``propagator.ahead``).
 
 None of this uses a batched ``np.matmul``, which hands each tiny matrix to
 BLAS separately and costs several times the arithmetic.  The numerical
@@ -85,7 +82,8 @@ from functools import partial
 
 import numpy as np
 
-from .pulses import SQRT_2_OVER_PI, TWO_PI_DIGITS, exact_sum
+from .pulses import SQRT_2_OVER_PI, _dyadic_sum, _two_pi_scaled
+from .pulses import _TWO_PI_DENOMINATOR, _TWO_PI_NUMERATOR
 
 
 #: Steps per chunk, the unit of work of one Hamiltonian batch.
@@ -97,24 +95,27 @@ def _exact_arguments(freqs, t0, shifts, phases, dt):
 
     Every float is a dyadic rational, so row r's argument at half-step s is
     (start[r] + s * half[r]) / scale with integer start and half and a
-    power-of-two scale.  ``period`` is 2 pi * scale to the nearest integer,
-    so ``(start + s * half) % period`` reduces the argument exactly (up to
+    power-of-two scale, above every argument's denominator in lowest
+    terms.  ``period`` is 2 pi * scale to the nearest integer, so
+    ``(start + s * half) % period`` reduces the argument exactly (up to
     the 100 digits of 2 pi) however far the run is from t = 0.
     """
-    from fractions import Fraction  # not needed on the ``import esst`` path
-
     start = [
-        exact_sum(((w, t0), (-w, shift), (phase, 1.0)))
+        _lowest_terms(*_dyadic_sum(((w, t0), (-w, shift), (phase, 1.0))))
         for w, shift, phase in zip(freqs, shifts, phases)
     ]
-    half = [exact_sum(((w, dt),)) / 2 for w in freqs]
-    bits = max(128, *(x.denominator.bit_length() for x in start + half))
-    scale = 1 << bits
-    period = round(Fraction(TWO_PI_DIGITS) * scale)
+    half = [_lowest_terms(n, e + 1) for n, e in (_dyadic_sum(((w, dt),)) for w in freqs)]
+    bits = max(128, *(e + 1 for _, e in start + half))
     return (
-        [int(x * scale) for x in start], [int(x * scale) for x in half],
-        period, scale,
+        [n << (bits - e) for n, e in start], [n << (bits - e) for n, e in half],
+        (_two_pi_scaled(bits + 1) + 1) >> 1, 1 << bits,  # 2 pi * scale, never a tie
     )
+
+
+def _lowest_terms(n, e):
+    """n / 2**e as (n', e') with the common factors of two cancelled."""
+    twos = min(e, (n & -n).bit_length() - 1) if n else e
+    return n >> twos, e - twos
 
 
 def _base_phasors(exact, step):
@@ -132,15 +133,17 @@ def _base_phasors(exact, step):
     return np.exp(1j * np.array(args))
 
 
-def _split(x, bits):
-    """A rational x as hi + lo: hi a float of ``bits`` significant bits."""
-    from fractions import Fraction
-
-    if not x:
+def _split(n, d, bits):
+    """n / d as hi + lo: hi rounded half to even to ``bits`` significant
+    bits, lo the exact rest rounded once."""
+    if not n:
         return 0.0, 0.0
-    shift = bits - math.frexp(float(x))[1]
-    hi = math.ldexp(round(x * Fraction(2) ** shift), -shift)
-    return hi, float(x - Fraction(hi))
+    shift = bits - math.frexp(n / d)[1]
+    num, den = n << max(shift, 0), d << max(-shift, 0)  # n / d * 2**shift
+    q, r = divmod(num, den)
+    q += 2 * r > den or (2 * r == den and q & 1)
+    rest = (num - q * den) << max(-shift, 0)
+    return math.ldexp(q, -shift), rest / (den << max(shift, 0))
 
 
 def _phasor_table(freqs, dt, size):
@@ -152,14 +155,15 @@ def _phasor_table(freqs, dt, size):
     multiple k taken off.  Entries are then good to a few ulp at any j,
     where the plain product j * (w * dt) would carry j ulps of w dt.
     """
-    from fractions import Fraction
-
     j = np.arange(size, dtype=np.float64)
-    steps = [exact_sum(((w, dt),)) for w in freqs]
-    hi, lo = np.array([_split(x, 53 - (size - 1).bit_length()) for x in steps]).T
+    steps = [_dyadic_sum(((w, dt),)) for w in freqs]
+    hi, lo = np.array([_split(n, 1 << e, 53 - (size - 1).bit_length()) for n, e in steps]).T
     x = hi[:, None] * j
     k = np.rint(x / (2.0 * math.pi))
-    c1, c2 = _split(Fraction(TWO_PI_DIGITS), 53 - int(np.abs(k).max(initial=0)).bit_length())
+    c1, c2 = _split(
+        _TWO_PI_NUMERATOR, _TWO_PI_DENOMINATOR,
+        53 - int(np.abs(k).max(initial=0)).bit_length(),
+    )
     r = x - k * c1
     r += lo[:, None] * j - k * c2
     table = np.empty(r.shape, dtype=np.complex128)
@@ -472,12 +476,10 @@ def _shutdown() -> None:
 
 
 def _forget_pool() -> None:
-    # A forked child shares the parent's pool handle and queued builds but
-    # not its workers, and its copy of the lock may be held by a thread it
-    # does not have.
+    # A forked child shares the parent's pool handle but not its workers,
+    # and its copy of the lock may be held by a thread it does not have.
     global _POOL, _POOL_LOCK
     _POOL, _POOL_LOCK = None, threading.Lock()
-    _QUEUED.clear()
 
 
 # Shut the pool down before interpreter teardown, which otherwise reports
@@ -494,21 +496,6 @@ def _chunk_ranges(n_steps, chunk, parts):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _submit(kernel_args, chunk, err):
-    """Submit a run's ranges to the pool: their futures, in order.
-
-    None where the caller builds the run itself: one usable CPU, one chunk
-    or no ``fork``.
-    """
-    n_steps = kernel_args[2]
-    parts = min(_worker_count(), -(-n_steps // chunk))
-    if parts < 2 or not hasattr(os, "fork"):
-        return None
-    job = partial(_range_propagators, kernel_args, chunk, err)
-    pool = _pool()
-    return [pool.submit(job, bounds) for bounds in _chunk_ranges(n_steps, chunk, parts)]
-
-
 def _collect(futures):
     """Each range's result, in order.
 
@@ -522,50 +509,27 @@ def _collect(futures):
             future.cancel()
 
 
-#: Builds submitted ahead of their :func:`rk4_run` call, by :func:`_run_key`.
-_QUEUED: dict = {}
-
-
-def _run_key(kernel_args, chunk, err):
-    """The exact inputs of a build.
-
-    These are every argument's dtype, shape and bytes, the chunk length and
-    the numpy error state.
-    """
-    arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, kernel_args))
-    return arrays, chunk, tuple(sorted(err.items()))
-
-
 def _chunk_length(stride, chunk_steps):
     """Steps per chunk: ``chunk_steps`` cut down to a stride multiple."""
     return max(stride, (int(chunk_steps) // stride) * stride)
 
 
-def queue(kernel_args):
-    """Submit the build of a later ``rk4_run(*kernel_args)``.
+def submit(kernel_args, chunk_steps: int = CHUNK_STEPS):
+    """Start the build of ``rk4_run(*kernel_args)`` on the pool.
 
-    Returns the build's key for :func:`drop`, or None where nothing was
-    queued: the build runs in the caller, or the same build is queued
-    already.  The call with the same arguments and the default chunk
-    length, under the same numpy error state, takes the build instead of
-    submitting its own.
+    Returns its range futures, in order, built under the caller's numpy
+    error state, for ``rk4_run``'s ``build``.  None where the caller builds
+    the run itself: one usable CPU, one chunk or no ``fork``.  A build that
+    is not passed on is dropped by cancelling its futures.
     """
-    err = np.geterr()
-    chunk = _chunk_length(kernel_args[3], CHUNK_STEPS)
-    key = _run_key(kernel_args, chunk, err)
-    if key in _QUEUED:
+    n_steps = kernel_args[2]
+    chunk = _chunk_length(kernel_args[3], chunk_steps)
+    parts = min(_worker_count(), -(-n_steps // chunk))
+    if parts < 2 or not hasattr(os, "fork"):
         return None
-    futures = _submit(kernel_args, chunk, err)
-    if futures is None:
-        return None
-    _QUEUED[key] = futures
-    return key
-
-
-def drop(key) -> None:
-    """Forget a queued build that was not taken, cancelling what has not started."""
-    for future in _QUEUED.pop(key, ()):
-        future.cancel()
+    job = partial(_range_propagators, kernel_args, chunk, np.geterr())
+    pool = _pool()
+    return [pool.submit(job, bounds) for bounds in _chunk_ranges(n_steps, chunk, parts)]
 
 
 def rk4_run(
@@ -574,6 +538,8 @@ def rk4_run(
     pchan, amp, tc, tau, wcar, ph, conv,
     psi0,
     chunk_steps: int = CHUNK_STEPS,
+    *,
+    build=None,
 ):
     """Propagate ``psi0`` over ``n_steps`` RK4 steps of ``dt`` from ``t0``.
 
@@ -593,10 +559,11 @@ def rk4_run(
 
     A run of several chunks is cut into one range of whole chunks per
     usable CPU, and the ranges' propagators are built on the forked
-    process pool; the samples are then taken here, in order.  A build
-    that :func:`queue` submitted for these exact arguments is taken as it
-    is.  With one CPU, one chunk or no ``fork``, this process builds them
-    all.
+    process pool; the samples are then taken here, in order.  With one
+    CPU, one chunk or no ``fork``, this process builds them all.
+    ``build`` is what :func:`submit` returned for these same arguments,
+    under the same numpy error state and ``chunk_steps``; it is taken as
+    it is instead of submitting the run again.
     """
     kernel_args = (
         t0, dt, n_steps, stride,
@@ -618,10 +585,7 @@ def rk4_run(
     norm_err[0] = abs(float(np.vdot(psi, psi).real) - 1.0)
 
     chunk = _chunk_length(stride, chunk_steps)
-    err = np.geterr()
-    futures = _QUEUED.pop(_run_key(kernel_args, chunk, err), None) if _QUEUED else None
-    if futures is None:
-        futures = _submit(kernel_args, chunk, err)
+    futures = submit(kernel_args, chunk_steps) if build is None else build
     if futures is None:
         results = [(_propagators(kernel_args, 0, n_steps, chunk), [])]
     else:

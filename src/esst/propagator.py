@@ -8,6 +8,8 @@ oscillating fields enter the Hamiltonian.
 One vectorized numpy kernel, ``_rk4_numpy.rk4_run``, does the stepping; its
 module docstring says how.  It takes no cos or sin of floating-point times:
 every drive phasor comes from an argument reduced mod 2 pi exactly.
+:func:`ahead` queues each next run of a sequence, built and submitted to
+the kernel, for the ``propagate`` call with exactly its inputs.
 
 Grid safety: carriers oscillate at up to omega_max (fastest of carrier and
 transition frequencies), and the step must resolve that:
@@ -18,6 +20,7 @@ the default grid uses 64 steps per period.  Runs whose norm drifts beyond
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,8 +253,10 @@ def propagate(
     floor.
     """
     basis = basis_for_levels(molecule, levels)
-    grid, args = _run_args(molecule, pulses, hand, levels, grid)
-    times, states, norm_err, status = _rk4_numpy.rk4_run(*args)
+    plist = _pulse_list(pulses)
+    queued = _QUEUED.pop(_run_key(molecule, plist, hand, levels, grid), None) if _QUEUED else None
+    grid, args, build = queued or (*_run_args(molecule, plist, hand, levels, grid), None)
+    times, states, norm_err, status = _rk4_numpy.rk4_run(*args, build=build)
     if status >= 0:
         raise NumericalGuardError(
             f"state went non-finite at t = {times[status]:g} ns "
@@ -275,36 +280,61 @@ def propagate(
     )
 
 
+#: Runs queued by :func:`ahead`, by :func:`_run_key`: each one's grid,
+#: kernel arguments and kernel build.
+_QUEUED: dict = {}
+
 _END = object()
+
+if hasattr(os, "fork"):
+    # A forked child does not share the parent's kernel workers.
+    os.register_at_fork(after_in_child=_QUEUED.clear)
+
+
+def _run_key(molecule, plist, hand, levels, grid):
+    """One ``propagate`` call, with its pulses as a :func:`_pulse_list`,
+    under the numpy error state it runs in."""
+    return molecule, plist, hand, levels, grid, tuple(sorted(np.geterr().items()))
 
 
 def _queue(molecule, run, levels, grid):
-    """Queue the kernel build of one ``(pulses, hand)`` run; its key or None.
-
-    An error is left for :func:`propagate` to raise when that run's turn
-    comes.
-    """
+    """Build and submit one ``(pulses, hand)`` run; its key, or None if it
+    is queued already or fails, an error left for :func:`propagate` to
+    raise in that run's turn."""
     try:
-        _, args = _run_args(molecule, *run, levels, grid)
-        return _rk4_numpy.queue(args)
+        plist, hand = _pulse_list(run[0]), run[1]
+        key = _run_key(molecule, plist, hand, levels, grid)
+        if key in _QUEUED:
+            return None
+        grid, args = _run_args(molecule, plist, hand, levels, grid)
+        _QUEUED[key] = grid, args, _rk4_numpy.submit(args)
+        return key
     except Exception:
         return None
+
+
+def _drop(key) -> None:
+    """Forget a queued run that was not taken, cancelling its build."""
+    *_, build = _QUEUED.pop(key, (None,))
+    for future in build or ():
+        future.cancel()
 
 
 def ahead(
     molecule: MoleculeSpec,
     runs,
-    levels: int = 3,
+    levels: int,
     grid: GridConfig | None = None,
 ):
     """Yield each ``(pulses, hand)`` of ``runs`` once the run after it is queued.
 
-    The caller propagates each run it is given, with the same molecule,
-    levels and grid, while the kernel's workers build the next one; that
-    ``propagate`` call takes the queued build, so its result is the same to
-    the bit.  ``runs`` is read one run ahead; an error it raises surfaces
-    after the run before it has been yielded.  Closing the generator drops
-    every build it queued that was not taken.
+    A queued run has its grid and kernel arguments built and its kernel
+    build submitted, so the workers build it while the caller propagates
+    the run before.  Only the ``propagate`` call with the same molecule,
+    pulses, hand, levels, grid and numpy error state takes it, and builds
+    nothing again.  ``runs`` is read one run ahead; an error it raises
+    surfaces after the run before it has been yielded.  Closing the
+    generator drops every run it queued that was not taken.
     """
     runs = iter(runs)
     queued = []  # the keys of the run being yielded and the next one
@@ -321,11 +351,11 @@ def ahead(
             if following is not _END:
                 queued.append(_queue(molecule, following, levels, grid))
             yield run
-            _rk4_numpy.drop(queued.pop(0))  # taken, unless the caller skipped it
+            _drop(queued.pop(0))  # taken, unless the caller skipped it
             run = following
     finally:
         for key in queued:
-            _rk4_numpy.drop(key)
+            _drop(key)
 
 
 def trace_table(trajectory: Trajectory) -> np.ndarray:

@@ -54,12 +54,9 @@ def _dyadic_sum(products) -> tuple[int, int]:
     return sum(n << (e - k) for n, k in terms), e
 
 
-def exact_sum(products):
-    """Sum of a * b over float pairs (a, b), as an exact ``Fraction``."""
-    from fractions import Fraction  # not needed on the ``import esst`` path
-
-    n, e = _dyadic_sum(products)
-    return Fraction(n, 1 << e)
+def _two_pi_scaled(bits: int) -> int:
+    """2 pi * 2**bits, rounded down to an integer, from the 100 digits."""
+    return (_TWO_PI_NUMERATOR << bits) // _TWO_PI_DENOMINATOR
 
 
 def phase_mod_two_pi(products) -> float:
@@ -72,8 +69,7 @@ def phase_mod_two_pi(products) -> float:
     """
     n, e = _dyadic_sum(products)
     bits = e + 128
-    period = (_TWO_PI_NUMERATOR << bits) // _TWO_PI_DENOMINATOR
-    return ((n << 128) % period) / (1 << bits)
+    return ((n << 128) % _two_pi_scaled(bits)) / (1 << bits)
 
 
 class PhaseConvention(enum.Enum):

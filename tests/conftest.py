@@ -7,20 +7,20 @@ from __future__ import annotations
 
 import pytest
 
-from esst import _rk4_numpy
+from esst import propagator
 from esst.areas import DesignSpec, designed_pulses
 from esst.model import Handedness, get_preset
 
 
 @pytest.fixture(autouse=True)
-def no_queued_build():
-    """Fail a test that leaves a queued kernel build behind, and drop it."""
+def no_queued_run():
+    """Fail a test that leaves a queued run behind, and drop it."""
     yield
-    left = list(_rk4_numpy._QUEUED)
+    left = list(propagator._QUEUED)
     for key in left:
-        _rk4_numpy.drop(key)
+        propagator._drop(key)
     if left:
-        pytest.fail(f"{len(left)} queued kernel build(s) left behind")
+        pytest.fail(f"{len(left)} queued run(s) left behind")
 
 
 @pytest.fixture(scope="session")

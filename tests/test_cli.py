@@ -14,6 +14,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -402,13 +403,28 @@ def test_bad_choice_value_exits_2(config_path):
 # ---------------------------------------------------------------------------
 
 
+CONSOLE_SCRIPT = """
+import sys
+from {module} import {function}
+sys.argv = ["esst", "presets"]
+sys.exit({function}())
+"""
+
+
 def test_console_script_runs():
+    # Without an installed ``esst`` script, run the function pyproject.toml
+    # names for it the way the generated script does.
     exe = shutil.which("esst")
     if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run(
-        [exe, "presets"], capture_output=True, text=True, timeout=120
-    )
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["esst"]
+        assert target == "esst.cli:main"
+        module, function = target.split(":")
+        argv = [sys.executable, "-c", CONSOLE_SCRIPT.format(module=module, function=function)]
+    else:
+        argv = [exe, "presets"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "cyclohexylmethanol" in proc.stdout
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esst import _rk4_numpy, experiments, propagator
+from esst import experiments, propagator
 from esst.areas import DesignSpec, designed_pulses
 from esst.experiments import (
     DetuningResult,
@@ -223,27 +223,22 @@ def test_analytic_sweep_uses_each_points_design(molecule, spec_c):
 
 
 def test_pipelined_sweep_gives_the_bits_of_single_runs(molecule, monkeypatch):
-    # Each exact run's build is queued while the caller samples the run
-    # before it.  Every trajectory must have the bits of the same call
-    # made alone, and at most that run and the next may be queued.
-    real_propagate, real_run = experiments.propagate, _rk4_numpy.rk4_run
+    # Each exact run is queued while the caller samples the run before it.
+    # Every trajectory must have the bits of the same call made alone, and
+    # at most that run and the next may be queued.
+    real_propagate = experiments.propagate
     runs, depth = [], []
 
     def recording(molecule, pulses, hand, **kwargs):
+        depth.append(len(propagator._QUEUED))  # propagate takes its own entry
         runs.append((pulses, hand, kwargs, real_propagate(molecule, pulses, hand, **kwargs)))
         return runs[-1][-1]
 
-    def counting(*args):
-        depth.append(len(_rk4_numpy._QUEUED))
-        return real_run(*args)
-
     monkeypatch.setattr(experiments, "propagate", recording)
-    monkeypatch.setattr(_rk4_numpy, "rk4_run", counting)
     spec = DesignSpec(target="C", tau0=1.0)  # 4-5 chunks a run
     result = sweep_phase_duration(molecule, spec, [0.0, 2.0], [1.0, 1.25], levels=3)
     assert len(runs) == 8
-    if _rk4_numpy._worker_count() > 1:
-        assert depth == [2] * 7 + [1]
+    assert depth == [2] * 7 + [1]
     for pulses, hand, kwargs, traj in runs:
         alone = propagate(molecule, pulses, hand, **kwargs)
         for got, want in ((traj.times, alone.times), (traj.states, alone.states),
@@ -286,7 +281,17 @@ def test_sweep_raises_the_error_of_its_failing_point(molecule, monkeypatch):
             )
     assert designed == [0, 1, 2]
     assert raised == [GridTooCoarseError]
-    assert not _rk4_numpy._QUEUED
+    assert not propagator._QUEUED
+
+
+def test_a_pipelined_run_builds_its_arguments_once(molecule, monkeypatch):
+    # Queuing a run builds its grid and kernel arguments; its propagate
+    # call takes them instead of building them again.
+    real, built = propagator._run_args, []
+    monkeypatch.setattr(propagator, "_run_args", lambda *args: built.append(args) or real(*args))
+    spec = DesignSpec(target="C", tau0=1.0)
+    sweep_phase_duration(molecule, spec, [0.0, 2.0], [1.0, 1.25], levels=3)
+    assert len(built) == 8
 
 
 # ---------------------------------------------------------------------------

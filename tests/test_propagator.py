@@ -524,7 +524,7 @@ def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, after):
                 propagate(molecule, pulses, hand, levels=3, grid=PIPE_GRID)
                 done.append(pulses)
     assert done == [clean[0]]
-    assert not _rk4_numpy._QUEUED
+    assert not propagator._QUEUED
     assert raised == ([GridTooCoarseError] if after == "coarse-grid" else [])
 
 
@@ -534,10 +534,36 @@ def test_closing_ahead_drops_its_queued_builds(molecule):
     (pulses, _), *_ = pipe_runs(molecule)
     other = [replace(pulses[0], phase=1.0)]
     for _ in ahead(molecule, [(pulses, L), (pulses, R), (other, L)], 3, PIPE_GRID):
-        queued = len(_rk4_numpy._QUEUED)
+        queued = len(propagator._QUEUED)
         break
-    assert queued == (2 if _rk4_numpy._worker_count() > 1 else 0)
-    assert not _rk4_numpy._QUEUED
+    assert queued == 2
+    assert not propagator._QUEUED
+
+
+def test_a_queued_build_is_taken_only_by_its_exact_call(molecule, monkeypatch):
+    # A queued run is keyed by its propagate call: molecule, pulses, hand,
+    # levels, grid and numpy error state.  A call that differs in any of
+    # them builds its own run and leaves the queued one in place.
+    (pulses, _), *_ = pipe_runs(molecule)
+    key = propagator._queue(molecule, (pulses, L), 3, PIPE_GRID)
+    assert list(propagator._QUEUED) == [key]
+    assert propagator._queue(molecule, (pulses, L), 3, PIPE_GRID) is None  # queued already
+    with np.errstate(divide="raise"):
+        propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
+    propagate(molecule, pulses, R, levels=3, grid=PIPE_GRID)
+    propagate(molecule, pulses, L, levels=4, grid=PIPE_GRID)
+    propagate(molecule, pulses, L, levels=3, grid=replace(PIPE_GRID, sample_stride=8))
+    assert list(propagator._QUEUED) == [key]
+
+    real, built = propagator._run_args, []
+    monkeypatch.setattr(propagator, "_run_args", lambda *args: built.append(args) or real(*args))
+    taken = propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
+    assert not propagator._QUEUED and not built  # the queued run, as it was built
+    alone = propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
+    assert len(built) == 1
+    for got, want in ((taken.times, alone.times), (taken.states, alone.states),
+                      (taken.norm_errors, alone.norm_errors)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_propagate_raises_on_non_finite_state(molecule):

@@ -8,6 +8,8 @@ exactly here, and the whole kernel against a direct cos/sin RK4.
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -94,27 +96,38 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     assert _rk4_numpy._worker_count() == 1
 
 
-def test_a_queued_build_is_taken_only_by_its_exact_call(molecule):
-    # A build is keyed by every argument, the chunk length and the numpy
-    # error state; a call that differs in any of them builds its own.
+def test_a_submitted_build_gives_the_bytes_of_a_fresh_one(molecule):
+    # Two chunks: built on the pool with two or more CPUs, else in the caller.
     args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, Handedness.LEFT)
-    key = _rk4_numpy.queue(args)
-    if _rk4_numpy._worker_count() < 2:
-        assert key is None and not _rk4_numpy._QUEUED  # the caller builds every run
-        return
-    assert _rk4_numpy.queue(args) is None  # queued already
-    flipped = args[:8] + (-args[8],) + args[9:]  # the other hand
-    with np.errstate(divide="raise"):
-        _rk4_numpy.rk4_run(*args)
-    _rk4_numpy.rk4_run(*args, chunk_steps=2048)
-    _rk4_numpy.rk4_run(*flipped)
-    assert list(_rk4_numpy._QUEUED) == [key]
-    taken = _rk4_numpy.rk4_run(*args)
-    assert not _rk4_numpy._QUEUED
-    _rk4_numpy.drop(key)  # a no-op once taken
+    build = _rk4_numpy.submit(args)
+    assert (build is None) == (_rk4_numpy._worker_count() < 2)
+    taken = _rk4_numpy.rk4_run(*args, build=build)
     alone = _rk4_numpy.rk4_run(*args)
+    assert taken[3] == alone[3] == -1
     for got, want in zip(taken[:3], alone[:3]):
         assert got.tobytes() == want.tobytes()
+
+
+ONE_CHUNK_RUN = """
+import sys
+from esst.areas import DesignSpec, designed_pulses
+from esst.model import Handedness, get_preset
+from esst.propagator import default_grid, propagate
+molecule = get_preset("cyclohexylmethanol")
+pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.2))
+assert default_grid(molecule, pulses, 3).n_steps <= 4096
+propagate(molecule, pulses, Handedness.LEFT, levels=3)
+print("fractions" in sys.modules)
+"""
+
+
+def test_a_run_built_in_the_caller_loads_no_fractions():
+    # The exact phase reductions work on integers alone.
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_CHUNK_RUN], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def direct_rk4(
