@@ -20,10 +20,11 @@ element is one contiguous vector over the steps of the chunk:
   Omega(t) exp(i dE t), and each pulse field is envelope times
   cos(w t + phi).  The grid is uniform, so every such phasor is a base
   phasor times an entry of a fixed table exp(i w j dt), j = 0..chunk.  The
-  table is built once per run and has one row per carrier and one per edge
-  gap.  The base phasors are computed once per chunk, at the chunk's first
-  start and first midpoint, from arguments reduced mod 2 pi in exact
-  integer arithmetic.  The carrier phase and the -i of the generator are
+  table has one row per carrier and one per edge gap; it is built once per
+  grid and kept, read-only, for the next build with the same grid.  The
+  base phasors are computed once per chunk, at the chunk's first start and
+  first midpoint, from arguments reduced mod 2 pi in exact integer
+  arithmetic.  The carrier phase and the -i of the generator are
   folded into them.  The table's own arguments are reduced without
   rounding error too, so each phasor is good to a few ulp at any time,
   where cos(w t) of a floating-point t carries ulp(t) * w.  Only the
@@ -40,9 +41,9 @@ element is one contiguous vector over the steps of the chunk:
   ((2 K2 + K1) + 2 K3) + K4, then scaled by dt/6, then given its identity.
 * Each sample stride's worth of M matrices is composed into one propagator
   by an order-preserving pairwise reduction over ``(n, n, groups, k)``
-  blocks.  Each level is one broadcast multiply, whose n**3 terms per
-  product go into the K2/K3 buffers (free once M is summed), and one
-  ``sum`` over m, which adds the terms in ascending m.
+  blocks.  Each level writes its products into the K2/K3 buffers (free
+  once M is summed): one broadcast multiply for m = 0, then a multiply and
+  an add for each further m, so every entry adds its terms in ascending m.
 * Per sample only the matrix-vector product and the norm are computed.
   Sample times, |norm - 1| and the scan for a non-finite norm run once per
   run or per chunk, over whole arrays.
@@ -50,14 +51,17 @@ element is one contiguous vector over the steps of the chunk:
   first step, never on the state.  A run of several chunks is therefore
   cut into one contiguous range of whole chunks per CPU in the process's
   affinity mask, and a pool of forked worker processes builds the ranges'
-  propagators.  Each worker rebuilds the phasor table (about 2 ms) rather
-  than receive it.  Chunk boundaries and the table's size are those of a
-  serial run, so every chunk does the same arithmetic and the result is
-  the same to the bit.  The sample loop and the non-finite scan stay in
-  the calling process and run in order.  On one CPU, for a one-chunk run
-  or without ``fork``, the caller builds every chunk itself.  Each range
-  carries the caller's numpy error state, and its warnings come back to be
-  raised in the caller.  The workers leave Ctrl-C to the caller, exit when
+  propagators.  Each worker builds the phasor table rather than receive
+  it, and keeps it for its next range: the ranges and both hands of a run
+  share one grid.  Each thread also keeps its chunk buffers for the next
+  build of the same shape, about 3 MB at three levels and 5 MB at four, so
+  a warm range pays no set-up but the drive's exact arguments.  Chunk
+  boundaries and the table's size are those of a serial run, so every
+  chunk does the same arithmetic and the result is the same to the bit.
+  The sample loop and the non-finite scan stay in the calling process and
+  run in order.  On one CPU, for a one-chunk run or without ``fork``, the
+  caller builds every chunk itself.  Each range carries the caller's numpy
+  error state, and its warnings come back to be raised in the caller.  The workers leave Ctrl-C to the caller, exit when
   it dies and are shut down at interpreter exit.
 * :func:`submit` starts a run's build without waiting for it, and
   ``rk4_run(..., build=...)`` samples it, so a caller with several runs can
@@ -304,22 +308,90 @@ def _compose_ordered(mats: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     always end up on the left.  An odd tail is carried unmerged to the next
     round so the latest factor stays latest.
 
-    Each round forms every term left[i, m] right[m, j] in one broadcast
-    multiply into ``scratch``, a flat buffer of at least n**3 groups k / 2
-    elements, and adds them with one ``sum`` over m.  A reduction over an
-    axis that is not the innermost adds its slices in order, so every entry
-    is ((t0 + t1) + t2) + ..., the order of an explicit loop over m.
+    ``scratch`` is a flat buffer of at least 2 n**2 groups k elements: a
+    round's terms, the products of a round with a tail, and two round
+    results, which the rounds take in turn.  Each entry is the sum
+    ((+0 + t0) + t1) + ... of its terms t_m = left[i, m] right[m, j], in
+    ascending m from numpy's additive identity, as ``np.sum`` adds them:
+    one broadcast multiply for m = 0, a multiply and an add for each
+    further m, and +0.0 added to the result.  That last add turns a -0,
+    which no sum from +0 gives, into +0 and leaves every other value as it
+    is.
     """
-    n = mats.shape[0]
-    while mats.shape[-1] > 1:
-        k = mats.shape[-1]
-        half = k // 2
+    n, _, groups, k = mats.shape
+    if k == 1:
+        return mats[..., 0]
+    size = n * n * groups
+    room = size * (k // 2)  # one round's products
+    slot = size * -(-k // 2)  # one round's result, its tail included
+    turn = 0
+    while k > 1:
+        half, odd = k // 2, k % 2
         left, right = mats[..., 1 : 2 * half : 2], mats[..., 0 : 2 * half : 2]
-        terms = scratch[: n * left.size].reshape((n,) + left.shape)
-        np.multiply(left[:, :, None], right[None], out=terms)
-        body = terms.sum(axis=1)
-        mats = np.concatenate([body, mats[..., -1:]], axis=-1) if k % 2 else body
+        start = 2 * room + turn * slot
+        result = scratch[start : start + size * (half + odd)]
+        product = (scratch[room : room + size * half] if odd else result).reshape(left.shape)
+        term = scratch[: size * half].reshape(left.shape)
+        np.multiply(left[:, 0, None], right[None, 0], out=product)
+        for m in range(1, n):
+            product += np.multiply(left[:, m, None], right[None, m], out=term)
+        body = result.reshape(n, n, groups, half + odd)
+        if odd:
+            body[..., :half] = product
+            body[..., half] = mats[..., -1]
+        mats, k, turn = body, half + odd, 1 - turn
+    mats += 0.0
     return mats[..., 0]
+
+
+_KEPT = threading.local()
+
+
+def _scratch(n, n_edges, longest):
+    """This thread's buffers for chunks of up to ``longest`` steps.
+
+    Kept until a build of another shape asks, so a warm build allocates
+    no scratch.  Each thread keeps its own: a worker keeps one set, and a
+    calling thread keeps one once it has built a run itself.
+    """
+    key = (n, n_edges, longest)
+    kept = getattr(_KEPT, "scratch", None)
+    if kept is None or kept[0] != key:
+        _KEPT.scratch = None  # free the old set before the new one is made
+        n_times = 2 * longest + 1
+        hamiltonian = (
+            np.empty(n_times, dtype=np.complex128),
+            np.empty((3, n_times)),
+            np.empty(n_times),
+            np.empty((n_edges, n_times), dtype=np.complex128),
+        )
+        kept = _KEPT.scratch = (key, (
+            hamiltonian,
+            np.empty((n_edges, n_times), dtype=np.complex128),  # -i conj(H)
+            np.empty((n, n, longest), dtype=np.complex128),  # M
+            # K2 (then K4) and K3; free again once M is summed, when they
+            # hold the composition's products, 2 n**2 longest elements
+            np.empty((2, n, n, longest), dtype=np.complex128),
+            np.empty((n, longest), dtype=np.complex128),
+        ))
+    return kept[1]
+
+
+def _table(freqs, dt, size):
+    """:func:`_phasor_table`, read-only, kept for the next call of this
+    thread with the same frequencies, step and size.
+
+    One entry is enough: the hands and ranges of a run share its grid, and
+    a worker takes a pipelined sweep's ranges in order, one point after the
+    other.
+    """
+    key = (freqs.tobytes(), dt, size)
+    kept = getattr(_KEPT, "table", None)
+    if kept is None or kept[0] != key:
+        table = _phasor_table(freqs, dt, size)
+        table.flags.writeable = False
+        kept = _KEPT.table = (key, table)
+    return kept[1]
 
 
 def _propagators(kernel_args, first_step, end_step, chunk):
@@ -350,22 +422,10 @@ def _propagators(kernel_args, first_step, end_step, chunk):
         np.concatenate([ph, np.zeros_like(gaps)]),
         dt,
     )
-    table = _phasor_table(freqs, dt, longest + 1)
-    n_times = 2 * longest + 1
-    buffers = (
-        np.empty(n_times, dtype=np.complex128),
-        np.empty((3, n_times)),
-        np.empty(n_times),
-        np.empty((rows.shape[0], n_times), dtype=np.complex128),
-    )
-    flipped = np.empty((rows.shape[0], n_times), dtype=np.complex128)
+    table = _table(freqs, dt, longest + 1)
+    buffers, flipped, m_buf, stages, tmp = _scratch(n, rows.shape[0], longest)
     entries = _generator_rows(rows, cols, n)
-    m_buf = np.empty((n, n, longest), dtype=np.complex128)
-    # K2 (then K4) and K3; free again once M is summed, when they hold the
-    # composition's terms, n**3 longest / 2 elements at most
-    stages = np.empty((max(2, (n + 1) // 2), n, n, longest), dtype=np.complex128)
     k24, k3 = stages[0], stages[1]
-    tmp = np.empty((n, longest), dtype=np.complex128)
     out = np.empty(((end_step - first_step) // stride, n, n), dtype=np.complex128)
 
     for step0 in range(first_step, end_step, chunk):
@@ -378,8 +438,9 @@ def _propagators(kernel_args, first_step, end_step, chunk):
             pchan, amp, tc, tau, echan, prefactor, buffers,
         )
         # -i conj(H), the transposed entries
-        mirrored = np.conjugate(upper, out=flipped[:, : upper.shape[1]])
-        np.negative(mirrored, out=mirrored)
+        mirrored = flipped[:, : upper.shape[1]]
+        np.negative(upper.real, out=mirrored.real)
+        np.copyto(mirrored.imag, upper.imag)
         a1 = _sparse_rows(entries, upper, mirrored, slice(0, nc))  # starts
         a2 = _sparse_rows(entries, upper, mirrored, slice(nc + 1, None))  # midpoints
         a3 = _sparse_rows(entries, upper, mirrored, slice(1, nc + 1))  # ends

@@ -20,6 +20,7 @@ the default grid uses 64 steps per period.  Runs whose norm drifts beyond
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -76,8 +77,15 @@ class GridConfig:
             )
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.sample_stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        try:  # a whole number of steps per sample; numpy integers pass
+            stride = operator.index(self.sample_stride)
+        except TypeError:
+            raise ValueError(
+                f"sample_stride must be an integer, got {self.sample_stride!r}"
+            ) from None
+        if stride < 1:
+            raise ValueError(f"sample_stride must be >= 1, got {stride}")
+        object.__setattr__(self, "sample_stride", stride)
         if self.drift_tol <= 0:
             raise ValueError(f"drift_tol must be > 0, got {self.drift_tol}")
 

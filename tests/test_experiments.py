@@ -12,12 +12,13 @@ import csv
 import math
 import os
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from esst import experiments, propagator
+from esst import _rk4_numpy, experiments, propagator
 from esst.areas import DesignSpec, designed_pulses
 from esst.experiments import (
     DetuningResult,
@@ -292,6 +293,29 @@ def test_a_pipelined_run_builds_its_arguments_once(molecule, monkeypatch):
     spec = DesignSpec(target="C", tau0=1.0)
     sweep_phase_duration(molecule, spec, [0.0, 2.0], [1.0, 1.25], levels=3)
     assert len(built) == 8
+
+
+def test_a_pipelined_sweep_builds_a_points_table_once_per_process(molecule, monkeypatch, tmp_path):
+    # Both hands of a point share its grid, and so its phasor table.  Every
+    # process that builds the point's ranges keeps the table from one range
+    # to the next, so it builds the table at most once per point: at most
+    # 4 times here, where one table per range makes about 8 per process.
+    log, real = tmp_path / "tables", _rk4_numpy._phasor_table
+
+    def logged(*args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    _rk4_numpy._shutdown()  # fork the workers anew, with the spy in place
+    monkeypatch.setattr(_rk4_numpy, "_phasor_table", logged)
+    try:
+        spec = DesignSpec(target="C", tau0=1.0)
+        sweep_phase_duration(molecule, spec, [0.0, 2.0], [1.0, 1.25], levels=3)
+    finally:
+        _rk4_numpy._shutdown()
+    builds = Counter(log.read_text(encoding="utf-8").split())
+    assert builds and max(builds.values()) <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,20 @@ def test_grid_config_rejects_non_positive_drift_tol(tol):
         GridConfig(t_start=0.0, t_end=1.0, dt=0.1, drift_tol=tol)
 
 
+@pytest.mark.parametrize("stride", [1.5, 3.7, 128.0])
+def test_grid_config_rejects_a_float_stride(stride):
+    # 1.5 made n_steps a float and the run stopped half a step short of
+    # t_end; 3.7 failed inside the kernel.  A whole float is refused too.
+    with pytest.raises(ValueError, match="sample_stride must be an integer"):
+        GridConfig(t_start=0.0, t_end=6.0, dt=1e-3, sample_stride=stride)
+
+
+def test_grid_config_takes_a_numpy_integer_stride():
+    grid = GridConfig(t_start=0.0, t_end=1.0, dt=0.003, sample_stride=np.int64(7))
+    assert type(grid.sample_stride) is int and grid == replace(grid, sample_stride=7)
+    assert type(grid.n_steps) is int and grid.n_steps % 7 == 0
+
+
 def test_grid_steps_align_with_stride():
     grid = GridConfig(t_start=0.0, t_end=1.0, dt=0.003, sample_stride=7)
     assert grid.n_steps % 7 == 0

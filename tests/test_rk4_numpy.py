@@ -7,9 +7,11 @@ exactly here, and the whole kernel against a direct cos/sin RK4.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -128,6 +130,139 @@ def test_a_run_built_in_the_caller_loads_no_fractions():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def reference_compose(mats):
+    """The pairwise product tree of ``_compose_ordered``, entry by entry.
+
+    Each entry starts from +0 and adds left[i, m] right[m, j] for m = 0, 1,
+    ... in turn; an odd tail is carried to the next round unmerged.
+    """
+    n = mats.shape[0]
+    level = [mats[..., s] for s in range(mats.shape[-1])]
+    while len(level) > 1:
+        merged = []
+        for right, left in zip(level[0::2], level[1::2]):
+            product = np.zeros_like(left)
+            for i in range(n):
+                for j in range(n):
+                    for m in range(n):
+                        product[i, j] = product[i, j] + left[i, m] * right[m, j]
+            merged.append(product)
+        level = merged + level[len(merged) * 2 :]
+    return level[0]
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 7, 128])
+@pytest.mark.parametrize("n", [3, 4])
+def test_composition_adds_in_ascending_m(n, stride):
+    # Groups 0-7 are random, 8-15 random with half their parts -0, and
+    # 16-31 zeros of random sign: the products must carry the reference's
+    # bits, the sign of every zero included.
+    rng = np.random.default_rng(n * 1000 + stride)
+    shape = (n, n, 32, stride)
+    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for part in (mats.real, mats.imag):
+        part[:, :, 8:16][rng.random((n, n, 8, stride)) < 0.5] = -0.0
+        part[:, :, 16:] = np.where(rng.random((n, n, 16, stride)) < 0.5, -0.0, 0.0)
+    scratch = np.empty(2 * mats.size, dtype=np.complex128)
+    got = _rk4_numpy._compose_ordered(mats.copy(), scratch)
+    assert got.shape == shape[:3]
+    assert got.tobytes() == reference_compose(mats).tobytes()
+
+
+def test_kept_phasor_table_is_a_fresh_one_and_read_only():
+    freqs, dt = np.array([50.0, 31.7, -18.25]), 0.0011
+    calls = [
+        (freqs, dt, 4097), (freqs, dt * 1.001, 4097), (freqs[::-1].copy(), dt, 4097),
+        (freqs, dt, 1001), (freqs, dt, 4097),
+    ]
+    for args in calls:
+        table = _rk4_numpy._table(*args)
+        assert table is _rk4_numpy._table(*args)  # kept for the next call
+        assert table.tobytes() == _rk4_numpy._phasor_table(*args).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+
+
+def test_a_warm_build_takes_no_fresh_memory(molecule):
+    # A build on fresh scratch faults in about 900 pages; ten warm builds
+    # may fault in at most 50 pages in all.
+    resource = pytest.importorskip("resource")
+    who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+    args = designed_args(molecule, DesignSpec(target="C", tau0=0.2), 3, Handedness.LEFT)
+    _rk4_numpy._propagators(args, 0, args[2], args[2])  # one chunk
+    before = resource.getrusage(who).ru_minflt
+    for _ in range(10):
+        _rk4_numpy._propagators(args, 0, args[2], args[2])
+    assert resource.getrusage(who).ru_minflt - before <= 50
+
+
+ALONE_RUN = """
+import hashlib, sys
+from esst import _rk4_numpy
+from esst.areas import DesignSpec, designed_pulses
+from esst.model import Handedness, get_preset
+from esst.propagator import _kernel_args, default_grid
+molecule = get_preset("cyclohexylmethanol")
+tau0, levels = float(sys.argv[1]), int(sys.argv[2])
+pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=tau0))
+args = _kernel_args(molecule, pulses, Handedness.LEFT, levels, default_grid(molecule, pulses, levels))
+for chunk_steps in (args[2], _rk4_numpy.CHUNK_STEPS):  # one chunk, then the kernel's
+    run = _rk4_numpy.rk4_run(*args, chunk_steps)
+    print(hashlib.sha256(b"".join(a.tobytes() for a in run[:3])).hexdigest())
+"""
+
+
+def run_digest(args, chunk_steps):
+    """sha256 of a run's times, states and norms."""
+    run = _rk4_numpy.rk4_run(*args, chunk_steps)
+    return hashlib.sha256(b"".join(a.tobytes() for a in run[:3])).hexdigest()
+
+
+def test_kept_set_up_gives_the_bits_of_a_lone_run(molecule):
+    # A short run, a long one, four levels, then three on another grid,
+    # each built in one chunk in this thread and then in the kernel's
+    # chunks (on the pool with two or more CPUs): every run, made after the
+    # others, must give the bits of the same run made first in a fresh
+    # process.
+    for tau0, levels in ((0.2, 3), (1.5, 3), (1.5, 4), (2.25, 3)):
+        pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=tau0))
+        grid = default_grid(molecule, pulses, levels)
+        args = _kernel_args(molecule, pulses, Handedness.LEFT, levels, grid)
+        here = [run_digest(args, chunk_steps) for chunk_steps in (args[2], _rk4_numpy.CHUNK_STEPS)]
+        proc = subprocess.run(
+            [sys.executable, "-c", ALONE_RUN, str(tau0), str(levels)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == here, (tau0, levels)
+
+
+def test_threads_building_at_once_keep_their_own_scratch(molecule, monkeypatch):
+    # Both hands' one-chunk runs have the same scratch shape.  Each thread
+    # waits for the other once its Hamiltonian is in scratch, so the two
+    # builds are under way at once; each must still give its lone run's bits.
+    runs = [designed_args(molecule, DesignSpec(target="C", tau0=0.2), 3, hand) for hand in Handedness]
+    alone = [run_digest(args, args[2]) for args in runs]
+    barrier, real = threading.Barrier(len(runs), timeout=60), _rk4_numpy._sparse_stage
+
+    def meet(*args):
+        barrier.wait()
+        return real(*args)
+
+    monkeypatch.setattr(_rk4_numpy, "_sparse_stage", meet)
+    got = [None] * len(runs)
+
+    def build(k):
+        got[k] = run_digest(runs[k], runs[k][2])
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(len(runs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == alone
 
 
 def direct_rk4(
