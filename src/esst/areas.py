@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,28 +102,23 @@ def complex_area(
     function (see :func:`_lobe`).  The constant lobe phases, omega_t tc plus
     or minus the carrier's phase at tc, run to thousands of radians for a
     pulse centered hundreds of ns from t = 0; they are reduced mod 2 pi
-    exactly before the exponential is taken.
+    exactly before the exponential is taken.  A window end may be infinite.
+
+    The area is linear in the amplitude, so the lobe sum, which is all of
+    the work, is taken from :func:`_lobe_sum`: a bounded cache keyed on the
+    exact bits of every other input.  A sweep that only rescales amplitudes
+    evaluates each distinct lobe sum once, and the area has the same bits
+    whether its lobe sum was cached or not.
     """
     if window is None:
         window = support_window(pulse)
     t_lo, t_hi = window
     if not t_hi > t_lo:
         raise ValueError(f"empty integration window {window}")
-
-    tc, tau, omega = pulse.center_time, pulse.duration, pulse.carrier
-    # The carrier is cos(omega (t - shift) + phi).
-    shift = 0.0 if pulse.convention is PhaseConvention.ABSOLUTE else tc
-    s_lo = (t_lo - tc) / tau * _SQRT_HALF
-    s_hi = (t_hi - tc) / tau * _SQRT_HALF
-    value = 0j
-    for sign in (1.0, -1.0):
-        kappa = transition_freq + sign * omega
-        beta = _SQRT_2 * kappa * tau
-        phase = phase_mod_two_pi(
-            ((transition_freq, tc), (sign * omega, tc), (-sign * omega, shift),
-             (sign, pulse.phase))
-        )
-        value += cmath.exp(1j * phase) * (_lobe(beta, s_lo) - _lobe(beta, s_hi))
+    value = _lobe_sum(_LOBE_KEY.pack(
+        transition_freq, pulse.carrier, pulse.center_time, pulse.duration,
+        pulse.phase, t_lo, t_hi, pulse.convention is PhaseConvention.ABSOLUTE,
+    ))
     # sqrt(2/pi) (A / tau) from the envelope, 1/2 from the cosine and
     # tau sqrt(pi/2) from the lobe integral leave A / 2.
     return ComplexArea(
@@ -133,14 +129,56 @@ def complex_area(
     )
 
 
+#: Key of :func:`_lobe_sum`: transition, carrier, center, width, phase and
+#: window ends as raw doubles, then whether the phase is absolute.  Packing
+#: keeps -0.0 apart from +0.0, which float ``==`` and ``hash`` merge though
+#: they can flip the sign of a zero imaginary part (and so an effective
+#: phase between -pi and pi).
+_LOBE_KEY = struct.Struct("<7d?")
+
+
+# 1024 entries is about 0.3 MB.  A sweep reuses an area only while the
+# other axis runs, so the reusable entries are few: 9 on a 7 x 7 detuning
+# grid, 128 (two fixed channels per tau0) on a 64 x 64 phase x tau0 grid,
+# where at most 192 lookups separate two uses of one entry.
+@functools.lru_cache(maxsize=1024)
+def _lobe_sum(key: bytes) -> complex:
+    """The lobe sum of :func:`complex_area` for one packed ``_LOBE_KEY``.
+
+    sum over sign = +-1 of exp(i phase_sign) (G(s_lo) - G(s_hi)), with both
+    phases reduced exactly; the area is -dipole A / 2 times this.
+    """
+    transition_freq, omega, tc, tau, pulse_phase, t_lo, t_hi, absolute = (
+        _LOBE_KEY.unpack(key)
+    )
+    # The carrier is cos(omega (t - shift) + phi).
+    shift = 0.0 if absolute else tc
+    s_lo = (t_lo - tc) / tau * _SQRT_HALF
+    s_hi = (t_hi - tc) / tau * _SQRT_HALF
+    value = 0j
+    for sign in (1.0, -1.0):
+        kappa = transition_freq + sign * omega
+        beta = _SQRT_2 * kappa * tau
+        phase = phase_mod_two_pi(
+            ((transition_freq, tc), (sign * omega, tc), (-sign * omega, shift),
+             (sign, pulse_phase))
+        )
+        value += cmath.exp(1j * phase) * (_lobe(beta, s_lo) - _lobe(beta, s_hi))
+    return value
+
+
 def _lobe(beta: float, s: float) -> complex:
     """G(s) = exp(-s^2 + i beta s) w(beta/2 + i s), w taken where Im z >= 0.
 
     For s < 0 the reflection w(z) = 2 exp(-z^2) - w(-z) gives
     G(s) = 2 exp(-beta^2/4) - exp(-s^2 + i beta s) w(-beta/2 - i s).  Either
     way w is evaluated in the closed upper half-plane, where |w| <= 1, so
-    nothing overflows however large beta is.
+    nothing overflows however large beta is.  Once exp(-s^2) is 0 (|s| above
+    about 27, an infinite s or an s whose square overflows) G is at its
+    limit: 0 as s -> +inf and 2 exp(-beta^2/4) as s -> -inf.
     """
+    if math.exp(-s * s) == 0.0:
+        return 0j if s > 0.0 else complex(2.0 * math.exp(-0.25 * beta * beta))
     gauss = cmath.exp(complex(-s * s, beta * s))
     if s >= 0.0:
         return gauss * _faddeeva(complex(0.5 * beta, s))
@@ -379,8 +417,10 @@ def designed_pulses(
             if key not in CHANNELS:
                 raise ValueError(f"{label} has unknown channel {key!r}")
     amplitudes = design_amplitudes(molecule, spec)
+    phases = design_phases(spec)
     out: dict[str, Pulse] = {}
     for channel in CHANNELS:
+        _, transition = molecule.channel_transition(channel)
         delta = float(detunings.get(channel, 0.0))
         carrier_mhz = (
             molecule.channel_transition_mhz(channel) + delta / mhz_to_rad_per_ns(1.0)
@@ -396,8 +436,8 @@ def designed_pulses(
             center_time=center,
             duration=spec.tau0,
             carrier_mhz=carrier_mhz,
-            phase=_design_phase(
-                molecule, spec, channel,
+            phase=realize_phase(
+                phases[channel], transition,
                 mhz_to_rad_per_ns(carrier_mhz), center, spec.convention,
             ),
             convention=spec.convention,

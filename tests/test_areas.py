@@ -3,20 +3,23 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import wofz
 
 from esst.analytic import condition_residuals
 from esst.areas import (
+    _LOBE_KEY,
     ComplexArea,
     _faddeeva,
+    _lobe_sum,
     _panel_quad,
     DesignSpec,
     complex_area,
@@ -28,6 +31,7 @@ from esst.areas import (
     realize_phase,
     stage_areas,
 )
+from esst.experiments import sweep_detuning
 from esst.model import CYCLOHEXYLMETHANOL, Handedness, mhz_to_rad_per_ns
 from esst.pulses import (
     TWO_PI_DIGITS,
@@ -145,6 +149,30 @@ def test_inverted_window_rejected(molecule):
     p = make_pulse(area=1.0)
     with pytest.raises(ValueError):
         complex_area(p, 0.4, molecule.omega_ab, window=(10.0, -10.0))
+
+
+@pytest.mark.parametrize("tc", [0.0, 120.0])
+def test_full_line_resonant_area_is_minus_mu_a_phasor(tc):
+    # The module docstring's theta = -mu A e^{-i phi}, on a window whose
+    # ends are infinite or so far out that s * s overflows.
+    mu, area, phi = 0.5, 1.3, 0.7
+    p = make_pulse(area, phase=phi, tc=tc)
+    expected = -mu * area * cmath.exp(-1j * phi)
+    for window in [(-math.inf, math.inf), (-1e308, 1e308)]:
+        theta = complex_area(p, mu, p.carrier, window).value
+        assert abs(theta - expected) <= 1e-14, window
+
+
+def test_half_infinite_window_matches_the_support_window():
+    p = make_pulse(1.3, phase=0.7)
+    lo, hi = support_window(p)
+    omega_t = p.carrier
+    assert complex_area(p, 0.5, omega_t, (-200.0, math.inf)).value == pytest.approx(
+        complex_area(p, 0.5, omega_t, (-200.0, hi)).value, abs=1e-14
+    )
+    assert complex_area(p, 0.5, omega_t, (-math.inf, 200.0)).value == pytest.approx(
+        complex_area(p, 0.5, omega_t, (lo, 200.0)).value, abs=1e-14
+    )
 
 
 @settings(max_examples=20, deadline=None)
@@ -296,6 +324,138 @@ def test_import_loads_no_scipy_fractions_or_fft():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# The lobe-sum cache behind complex_area
+# ---------------------------------------------------------------------------
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<2d", z.real, z.imag)
+
+
+def _uncached_area(pulse, dipole, omega_t, window=None):
+    lo, hi = window if window is not None else support_window(pulse)
+    key = _LOBE_KEY.pack(
+        omega_t, pulse.carrier, pulse.center_time, pulse.duration, pulse.phase,
+        lo, hi, pulse.convention is ABS,
+    )
+    return complex(-0.5 * dipole * pulse.area_param * _lobe_sum.__wrapped__(key))
+
+
+@st.composite
+def _windows(draw):
+    if draw(st.booleans()):
+        return None
+    lo = draw(st.one_of(st.just(-math.inf), st.floats(-1e3, 1e3)))
+    hi = draw(st.one_of(st.just(math.inf), st.floats(-1e3, 1e3)))
+    assume(hi > lo)
+    return (lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    area=st.floats(0.0, 10.0),
+    dipole=st.floats(-3.0, 3.0),
+    omega_t=st.floats(0.0, 60.0),
+    carrier_mhz=st.floats(1.0, 1e4),
+    tc=st.floats(-500.0, 500.0),
+    tau=st.floats(0.05, 100.0),
+    phase=st.floats(-100.0, 100.0),
+    convention=st.sampled_from(list(PhaseConvention)),
+    window=_windows(),
+)
+def test_cached_area_has_the_bits_of_the_uncached_one(
+    area, dipole, omega_t, carrier_mhz, tc, tau, phase, convention, window
+):
+    p = make_pulse(area, phase=phase, tc=tc, tau=tau, carrier_mhz=carrier_mhz,
+                   convention=convention)
+    want = _bits(_uncached_area(p, dipole, omega_t, window))
+    _lobe_sum.cache_clear()
+    cold = complex_area(p, dipole, omega_t, window).value
+    warm = complex_area(p, dipole, omega_t, window).value
+    assert _lobe_sum.cache_info().hits == 1
+    assert _bits(cold) == want
+    assert _bits(warm) == want
+
+
+_BASE = dict(area=1.0, phase=0.5, tc=40.0, tau=20.0, carrier_mhz=4720.0,
+             convention=ABS)
+_BASE_OMEGA = mhz_to_rad_per_ns(4700.0)
+_BASE_WINDOW = (-100.0, 150.0)
+
+
+@pytest.mark.parametrize(
+    "pulse_change,omega_t,window",
+    [
+        ({}, math.nextafter(_BASE_OMEGA, 1.0), _BASE_WINDOW),
+        ({"carrier_mhz": math.nextafter(4720.0, 1e4)}, _BASE_OMEGA, _BASE_WINDOW),
+        ({"tc": math.nextafter(40.0, 0.0)}, _BASE_OMEGA, _BASE_WINDOW),
+        ({"tau": math.nextafter(20.0, 0.0)}, _BASE_OMEGA, _BASE_WINDOW),
+        ({"phase": math.nextafter(0.5, 1.0)}, _BASE_OMEGA, _BASE_WINDOW),
+        ({"convention": PhaseConvention.ENVELOPE}, _BASE_OMEGA, _BASE_WINDOW),
+        ({}, _BASE_OMEGA, (math.nextafter(-100.0, 0.0), 150.0)),
+        ({}, _BASE_OMEGA, (-100.0, math.nextafter(150.0, 0.0))),
+    ],
+    ids=["transition", "carrier", "center", "width", "phase", "convention",
+         "window_lo", "window_hi"],
+)
+def test_one_keyed_field_apart_never_shares_an_entry(pulse_change, omega_t, window):
+    base = make_pulse(**_BASE)
+    other = make_pulse(**{**_BASE, **pulse_change})
+    _lobe_sum.cache_clear()
+    complex_area(base, 0.4, _BASE_OMEGA, _BASE_WINDOW)
+    complex_area(other, 0.4, omega_t, window)
+    info = _lobe_sum.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "tc,windows",
+    [
+        ((0.0, -0.0), ((-100.0, 150.0), (-100.0, 150.0))),
+        ((40.0, 40.0), ((0.0, 150.0), (-0.0, 150.0))),
+        ((40.0, 40.0), ((-100.0, 0.0), (-100.0, -0.0))),
+    ],
+    ids=["center", "window_lo", "window_hi"],
+)
+def test_signed_zeros_get_their_own_entries(tc, windows):
+    _lobe_sum.cache_clear()
+    for center, window in zip(tc, windows):
+        complex_area(make_pulse(**{**_BASE, "tc": center}), 0.4, _BASE_OMEGA, window)
+    info = _lobe_sum.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+
+
+def test_amplitude_dipole_and_channel_changes_hit_the_cache():
+    base = make_pulse(**_BASE)
+    _lobe_sum.cache_clear()
+    first = complex_area(base, 0.4, _BASE_OMEGA, _BASE_WINDOW)
+    scaled = complex_area(make_pulse(**{**_BASE, "area": 2.5}), 0.4, _BASE_OMEGA, _BASE_WINDOW)
+    other_dipole = complex_area(base, 1.1, _BASE_OMEGA, _BASE_WINDOW)
+    other_channel = complex_area(
+        make_pulse(**_BASE, channel="c"), 0.4, _BASE_OMEGA, _BASE_WINDOW
+    )
+    info = _lobe_sum.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+    assert scaled.value == pytest.approx(2.5 * first.value, rel=1e-15)
+    assert other_dipole.value == pytest.approx(1.1 / 0.4 * first.value, rel=1e-15)
+    assert other_channel.channel == "c"
+    assert _bits(other_channel.value) == _bits(first.value)
+
+
+def test_detuning_sweep_evaluates_each_distinct_area_once(molecule, spec_b):
+    # 7 x 7 (delta, scale) points x 3 channels = 147 areas: channels a and
+    # c never change, b changes with delta only.
+    tau0 = spec_b.tau0
+    _lobe_sum.cache_clear()
+    sweep_detuning(
+        molecule, spec_b, np.linspace(0.5, 1.5, 7) / tau0, np.linspace(1.0, 1.8, 7),
+        mode="scale_b", engine="analytic",
+    )
+    info = _lobe_sum.cache_info()
+    assert (info.misses, info.hits) == (9, 138)
 
 
 # ---------------------------------------------------------------------------
