@@ -108,8 +108,12 @@ def complex_area(
     the work, is taken from :func:`_lobe_sum`: a bounded cache keyed on the
     exact bits of every other input.  A sweep that only rescales amplitudes
     evaluates each distinct lobe sum once, and the area has the same bits
-    whether its lobe sum was cached or not.
+    whether its lobe sum was cached or not.  A non-finite ``dipole`` or
+    ``transition_freq`` raises ``ValueError``.
     """
+    for name, value in (("dipole", dipole), ("transition_freq", transition_freq)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if window is None:
         window = support_window(pulse)
     t_lo, t_hi = window
@@ -418,50 +422,49 @@ def designed_pulses(
                 raise ValueError(f"{label} has unknown channel {key!r}")
     amplitudes = design_amplitudes(molecule, spec)
     phases = design_phases(spec)
-    out: dict[str, Pulse] = {}
-    for channel in CHANNELS:
-        _, transition = molecule.channel_transition(channel)
-        delta = float(detunings.get(channel, 0.0))
-        carrier_mhz = (
-            molecule.channel_transition_mhz(channel) + delta / mhz_to_rad_per_ns(1.0)
+    return {
+        channel: _designed_pulse(
+            molecule, spec, channel, amplitudes[channel], phases[channel],
+            detunings.get(channel, 0.0), scales.get(channel, 1.0),
         )
-        center = (
-            spec.stage1_center
-            if channel == spec.stage1_channel
-            else spec.stage2_center_eff
-        )
-        out[channel] = Pulse(
-            channel=channel,
-            area_param=amplitudes[channel] * float(scales.get(channel, 1.0)),
-            center_time=center,
-            duration=spec.tau0,
-            carrier_mhz=carrier_mhz,
-            phase=realize_phase(
-                phases[channel], transition,
-                mhz_to_rad_per_ns(carrier_mhz), center, spec.convention,
-            ),
-            convention=spec.convention,
-        )
-    return out
+        for channel in CHANNELS
+    }
 
 
-def _design_phase(
+def _designed_pulse(
     molecule: MoleculeSpec,
     spec: DesignSpec,
     channel: str,
-    carrier: float,
-    center_time: float,
-    convention: PhaseConvention,
-) -> float:
-    """Phase parameter realizing ``channel``'s design phase on a pulse.
+    amplitude: float,
+    phase: float,
+    detuning: float,
+    scale: float,
+) -> Pulse:
+    """One channel of :func:`designed_pulses`.
 
-    ``carrier`` (rad/ns, the pulse's ``carrier``), ``center_time`` and
-    ``convention`` are the pulse's own, so the phase is solved against the
-    carrier the kernel integrates.
+    ``amplitude`` and ``phase`` are the channel's entries of
+    :func:`design_amplitudes` and :func:`design_phases`; ``detuning``
+    (rad/ns) and ``scale`` apply to this channel only.  A detuning of 0.0
+    and a scale of 1.0 give the resonant designed pulse bit for bit.
     """
     _, transition = molecule.channel_transition(channel)
-    return realize_phase(
-        design_phases(spec)[channel], transition, carrier, center_time, convention
+    carrier_mhz = (
+        molecule.channel_transition_mhz(channel)
+        + float(detuning) / mhz_to_rad_per_ns(1.0)
+    )
+    center = (
+        spec.stage1_center if channel == spec.stage1_channel else spec.stage2_center_eff
+    )
+    return Pulse(
+        channel=channel,
+        area_param=amplitude * float(scale),
+        center_time=center,
+        duration=spec.tau0,
+        carrier_mhz=carrier_mhz,
+        phase=realize_phase(
+            phase, transition, mhz_to_rad_per_ns(carrier_mhz), center, spec.convention
+        ),
+        convention=spec.convention,
     )
 
 
@@ -494,9 +497,13 @@ def detuning_compensation(delta: float, tau0: float) -> float:
 
     A carrier detuned by ``delta`` (rad/ns) reduces a Gaussian pulse's area
     modulus by exp(-(delta*tau0)^2/2); multiplying the area parameter by this
-    factor restores the designed modulus.  Raises ``ValueError`` once the
-    exponent would overflow (the compensation is no longer physical anyway).
+    factor restores the designed modulus.  Raises ``ValueError`` for a
+    non-finite argument and once the exponent would overflow (the
+    compensation is no longer physical anyway).
     """
+    for name, value in (("delta", delta), ("tau0", tau0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if tau0 <= 0:
         raise ValueError(f"tau0 must be > 0 ns, got {tau0}")
     exponent = 0.5 * (delta * tau0) ** 2

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .areas import TWO_PI, DesignSpec, _design_phase, designed_pulses
+from .areas import TWO_PI, DesignSpec, design_phases, designed_pulses, realize_phase
 from .experiments import DETUNING_MODES, ENGINES
 from .model import CHANNELS, Handedness, MoleculeSpec, SpectatorSpec, get_preset
 from .propagator import GridConfig, default_grid
@@ -362,8 +362,9 @@ def _resolve_pulse(
     try:
         pulse = replace(designed, **values)
         if "phase" not in values:
-            pulse = replace(pulse, phase=_design_phase(
-                molecule, design, pulse.channel,
+            _, transition = molecule.channel_transition(pulse.channel)
+            pulse = replace(pulse, phase=realize_phase(
+                design_phases(design)[pulse.channel], transition,
                 pulse.carrier, pulse.center_time, pulse.convention,
             ))
     except ValueError as exc:

@@ -1,14 +1,15 @@
 """Canonical numerical experiments: traces, landscapes and detuning curves.
 
-Every driver here rebuilds its pulse sequence from the design parameters at
-each grid point (amplitudes are re-laid-out when the duration changes, phase
+Every driver here builds each grid point's pulses from the design
+parameters (amplitudes are re-laid-out when the duration changes, phase
 parameters are realized under the configured carrier-phase convention), runs
-both enantiomers, and reports the target-state population.  The sweeps share
-one core, :func:`_sweep`; each public driver only says how a grid point
-changes the designed pulses.  Results carry enough metadata to be serialized
-to self-describing CSV files; an optional config snapshot is embedded in the
-header as comment lines so a result file can be traced back to the exact run
-that produced it.
+both enantiomers, and reports the target-state population.  A detuning sweep
+designs its base sequence once and builds each point's detuned channels on
+that base.  The sweeps share one core, :func:`_sweep`; each public driver
+only says how a grid point changes the designed pulses.  Results carry
+enough metadata to be serialized to self-describing CSV files; an optional
+config snapshot is embedded in the header as comment lines so a result file
+can be traced back to the exact run that produced it.
 
 Every sweep point runs in the calling thread, in order.  Exact propagation
 is parallel inside each trajectory instead: the kernel builds a run's chunks
@@ -26,7 +27,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import analytic_final_populations
-from .areas import DesignSpec, designed_pulses, realize_phase
+from .areas import (
+    DesignSpec, _designed_pulse, design_amplitudes, design_phases, designed_pulses,
+    realize_phase,
+)
 from .model import Handedness, MoleculeSpec
 from .propagator import TRACE_COLUMNS, Trajectory, ahead, propagate, trace_table
 
@@ -237,13 +241,19 @@ def sweep_detuning(
     delta_values = np.asarray(delta_values, dtype=float)
     scale_values = np.asarray(scale_values, dtype=float)
     channels = DETUNING_MODES[mode]
+    base = designed_pulses(molecule, spec)
+    amplitudes = design_amplitudes(molecule, spec)
+    phases = design_phases(spec)
 
+    # A point only touches its mode's channels, so the others are the base
+    # design's pulses, which designed_pulses would rebuild with the same bits.
     def pulses_at(delta: float, scale: float):
-        return spec, designed_pulses(
-            molecule, spec,
-            detunings={ch: delta for ch in channels},
-            scales={ch: scale for ch in channels},
-        )
+        pulses = dict(base)
+        for ch in channels:
+            pulses[ch] = _designed_pulse(
+                molecule, spec, ch, amplitudes[ch], phases[ch], delta, scale
+            )
+        return spec, pulses
 
     return DetuningResult(
         delta_values=delta_values,

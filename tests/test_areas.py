@@ -151,6 +151,20 @@ def test_inverted_window_rejected(molecule):
         complex_area(p, 0.4, molecule.omega_ab, window=(10.0, -10.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("argument", ["dipole", "transition_freq"])
+def test_non_finite_dipole_or_transition_rejected(molecule, argument, bad):
+    # Unchecked, a NaN or infinite dipole gave a NaN or infinite area, and a
+    # NaN or infinite transition failed inside the exact phase reduction.
+    p = make_pulse(area=1.0)
+    args = {"dipole": 0.4, "transition_freq": molecule.omega_ab, argument: bad}
+    lookups = _lobe_sum.cache_info()
+    with pytest.raises(ValueError, match=f"^{argument} must be finite"):
+        complex_area(p, **args)
+    after = _lobe_sum.cache_info()
+    assert (after.hits, after.misses) == (lookups.hits, lookups.misses)
+
+
 @pytest.mark.parametrize("tc", [0.0, 120.0])
 def test_full_line_resonant_area_is_minus_mu_a_phasor(tc):
     # The module docstring's theta = -mu A e^{-i phi}, on a window whose
@@ -752,6 +766,16 @@ def test_compensation_trivial_and_reference_values():
 def test_compensation_overflow_guard():
     with pytest.raises(ValueError):
         detuning_compensation(38.0, 1.0)  # exponent 722 > 700
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("argument", ["delta", "tau0"])
+def test_compensation_rejects_non_finite_input(argument, bad):
+    # Unchecked, NaN gave NaN and an infinite tau0 reported an overflowing
+    # exponent; the message must name the argument instead.
+    args = {"delta": 0.01, "tau0": 35.0, argument: bad}
+    with pytest.raises(ValueError, match=f"^{argument} must be finite"):
+        detuning_compensation(**args)
 
 
 def test_compensated_area_restores_modulus(molecule):

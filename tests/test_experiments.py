@@ -13,13 +13,14 @@ import math
 import os
 import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esst import _rk4_numpy, experiments, propagator
-from esst.areas import DesignSpec, designed_pulses
+from esst.areas import DesignSpec, design_amplitudes, designed_pulses
 from esst.experiments import (
     DetuningResult,
     SweepResult,
@@ -31,7 +32,7 @@ from esst.experiments import (
     write_landscape_csv,
     write_trace_csv,
 )
-from esst.model import Handedness
+from esst.model import Handedness, mhz_to_rad_per_ns
 from esst.propagator import (
     GridTooCoarseError, NumericalGuardError, norm_drift, populations, propagate,
 )
@@ -440,6 +441,83 @@ def test_detuning_rejects_unknown_mode(molecule, spec_c):
 def test_detuning_rejects_unknown_engine(molecule, spec_c):
     with pytest.raises(ValueError, match="unknown engine"):
         sweep_detuning(molecule, spec_c, [0.0], [1.0], engine="magic")
+
+
+def _pulse_bits(pulses):
+    """Channel order and every field of every pulse, floats as exact hex."""
+    return [
+        (channel, [
+            value.hex() if isinstance(value, float) else value
+            for value in (getattr(pulse, f.name) for f in fields(pulse))
+        ])
+        for channel, pulse in pulses.items()
+    ]
+
+
+# Detunings up to about 2/tau0 and scales up to 2, signed zeros included.
+_DELTAS = st.lists(
+    st.floats(-0.06, 0.06) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=3
+)
+_SCALES = st.lists(
+    st.floats(0.0, 2.0) | st.sampled_from([1.0, -0.0]), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(sorted(experiments.DETUNING_MODES)),
+    target=st.sampled_from(["B", "C"]),
+    convention=st.sampled_from(list(PhaseConvention)),
+    deltas=_DELTAS,
+    scales=_SCALES,
+)
+def test_detuning_sweep_builds_the_bits_of_a_full_design(
+    molecule, mode, target, convention, deltas, scales
+):
+    # Each point builds only its mode's channels on the base design; its
+    # pulses and populations must have the bits of designing every channel
+    # again at that point.
+    spec = DesignSpec(target=target, convention=convention)
+    channels = experiments.DETUNING_MODES[mode]
+    real = experiments.analytic_final_populations
+    seen = []
+
+    def recording(molecule, pulses, design):
+        seen.append(pulses)
+        return real(molecule, pulses, design)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "analytic_final_populations", recording)
+        result = sweep_detuning(
+            molecule, spec, deltas, scales, mode=mode, engine="analytic"
+        )
+
+    idx = ("A", "B", "C").index(target)
+    amplitudes = design_amplitudes(molecule, spec)
+    points = [(d, k) for d in deltas for k in scales]
+    assert len(seen) == len(points)
+    expected = {hand: [] for hand in BOTH}
+    for pulses, (delta, scale) in zip(seen, points):
+        full = designed_pulses(
+            molecule, spec,
+            detunings={ch: delta for ch in channels},
+            scales={ch: scale for ch in channels},
+        )
+        assert _pulse_bits(pulses) == _pulse_bits(full)
+        # The detuned channels follow the documented carrier and amplitude
+        # rules, so a slip shared by both builds still shows.
+        for ch in channels:
+            carrier_mhz = (
+                molecule.channel_transition_mhz(ch) + delta / mhz_to_rad_per_ns(1.0)
+            )
+            assert pulses[ch].carrier_mhz.hex() == carrier_mhz.hex()
+            assert pulses[ch].area_param.hex() == (amplitudes[ch] * scale).hex()
+        pops = real(molecule, full, spec)
+        for hand in BOTH:
+            expected[hand].append(float(pops[hand][idx]))
+    for hand in BOTH:
+        want = np.array(expected[hand]).reshape(len(deltas), len(scales))
+        assert result.populations[hand].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
