@@ -313,10 +313,9 @@ def _compose_ordered(mats: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     results, which the rounds take in turn.  Each entry is the sum
     ((+0 + t0) + t1) + ... of its terms t_m = left[i, m] right[m, j], in
     ascending m from numpy's additive identity, as ``np.sum`` adds them:
-    one broadcast multiply for m = 0, a multiply and an add for each
-    further m, and +0.0 added to the result.  That last add turns a -0,
-    which no sum from +0 gives, into +0 and leaves every other value as it
-    is.
+    :func:`_sum_products` over m, then +0.0 added to the result.  That last
+    add turns a -0, which no sum from +0 gives, into +0 and leaves every
+    other value as it is.
     """
     n, _, groups, k = mats.shape
     if k == 1:
@@ -332,9 +331,7 @@ def _compose_ordered(mats: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         result = scratch[start : start + size * (half + odd)]
         product = (scratch[room : room + size * half] if odd else result).reshape(left.shape)
         term = scratch[: size * half].reshape(left.shape)
-        np.multiply(left[:, 0, None], right[None, 0], out=product)
-        for m in range(1, n):
-            product += np.multiply(left[:, m, None], right[None, m], out=term)
+        _sum_products([(left[:, m, None], right[None, m]) for m in range(n)], product, term)
         body = result.reshape(n, n, groups, half + odd)
         if odd:
             body[..., :half] = product

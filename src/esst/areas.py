@@ -431,6 +431,12 @@ def designed_pulses(
     }
 
 
+def _carrier_mhz(molecule: MoleculeSpec, channel: str, detuning: float) -> float:
+    """A channel's carrier in MHz, ``detuning`` rad/ns off its transition."""
+    shift = float(detuning) / mhz_to_rad_per_ns(1.0)
+    return molecule.channel_transition_mhz(channel) + shift
+
+
 def _designed_pulse(
     molecule: MoleculeSpec,
     spec: DesignSpec,
@@ -448,10 +454,7 @@ def _designed_pulse(
     and a scale of 1.0 give the resonant designed pulse bit for bit.
     """
     _, transition = molecule.channel_transition(channel)
-    carrier_mhz = (
-        molecule.channel_transition_mhz(channel)
-        + float(detuning) / mhz_to_rad_per_ns(1.0)
-    )
+    carrier_mhz = _carrier_mhz(molecule, channel, detuning)
     center = (
         spec.stage1_center if channel == spec.stage1_channel else spec.stage2_center_eff
     )

@@ -6,7 +6,8 @@ Subcommands:
 * ``design``          - resolve a config into concrete pulse parameters
 * ``areas``           - stage pulse areas and design-condition residuals
 * ``propagate``       - integrate the configured pulses, write trace CSVs
-* ``trace``           - alias of ``propagate`` that names its CSVs trace_*.csv
+* ``trace``           - the same as ``propagate``; one handler serves both
+                        and names the CSVs after the command
 * ``sweep-phase``     - P_target over (stage-1 phase, duration)
 * ``sweep-delay``     - P_target over the two stage-2 delays
 * ``sweep-detuning``  - P_target over (detuning, amplitude scale)
@@ -94,14 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_areas)
 
-    for name, func in (("propagate", cmd_propagate), ("trace", cmd_trace)):
+    for name in ("propagate", "trace"):
         sp = sub.add_parser(name, help=f"{name} and write population traces")
         common(sp)
         sp.add_argument(
             "--hand", choices=sorted(_HAND_CHOICES), default="both",
             help="which enantiomer(s) to run",
         )
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=cmd_propagate)
 
     sp = sub.add_parser("sweep-phase", help="phase/duration landscape")
     common(sp)
@@ -129,10 +130,11 @@ def _load(args) -> RunSpec:
     return load_config(args.config, design_overrides=overrides or None)
 
 
-def _load_sweep(args) -> RunSpec:
-    """A sweep's run config, rejecting the sections a sweep would ignore.
+def _load_sweep(args) -> tuple[RunSpec, int, str]:
+    """A sweep's run config, levels and output directory.
 
-    Sweeps design their pulses and grid afresh at every point.
+    Sweeps design their pulses and grid afresh at every point, so the
+    sections a sweep would ignore are rejected first.
     """
     spec = _load(args)
     designed = designed_pulses(spec.molecule, spec.design)
@@ -143,7 +145,7 @@ def _load_sweep(args) -> RunSpec:
         raise ConfigError(
             ignored[0], None, "sweeps design pulses and grid per point and ignore it"
         )
-    return spec
+    return spec, _levels(args, spec), _outdir(args, spec)
 
 
 def _levels(args, spec: RunSpec) -> int:
@@ -157,7 +159,11 @@ def _levels(args, spec: RunSpec) -> int:
 
 def _outdir(args, spec: RunSpec) -> str:
     out = args.out if args.out is not None else spec.output_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        key = "dir" if args.out is None else "--out"
+        raise ConfigError("output", key, f"cannot make directory {out!r}: {exc.strerror}")
     return out
 
 
@@ -215,7 +221,8 @@ def cmd_areas(args) -> int:
     return 0
 
 
-def _run_traces(args, prefix: str) -> int:
+def cmd_propagate(args) -> int:
+    """``propagate`` and ``trace``: each names its CSVs after itself."""
     spec = _load(args)
     levels = _levels(args, spec)
     outdir = _outdir(args, spec)
@@ -227,25 +234,15 @@ def _run_traces(args, prefix: str) -> int:
         spec.molecule, [(spec.pulses, hand) for hand in hands], levels, grid
     ):
         traj = propagate(spec.molecule, pulses, hand, levels=levels, grid=grid)
-        path = os.path.join(outdir, f"{prefix}_{hand.value}.csv")
+        path = os.path.join(outdir, f"{args.command}_{hand.value}.csv")
         last = write_trace_csv(path, traj, snapshot)[-1].tolist()
         pops = [last[TRACE_COLUMNS.index(c)] for c in POPULATION_COLUMNS.values()]
         print(f"{hand.value},{','.join(map(repr, pops))},{norm_drift(traj)!r}")
     return 0
 
 
-def cmd_propagate(args) -> int:
-    return _run_traces(args, "propagate")
-
-
-def cmd_trace(args) -> int:
-    return _run_traces(args, "trace")
-
-
 def cmd_sweep_phase(args) -> int:
-    spec = _load_sweep(args)
-    levels = _levels(args, spec)
-    outdir = _outdir(args, spec)
+    spec, levels, outdir = _load_sweep(args)
     result = sweep_phase_duration(
         spec.molecule, spec.design,
         spec.sweep.phase_values(), spec.sweep.tau_values(),
@@ -262,11 +259,10 @@ def cmd_sweep_delay(args) -> int:
     # carrier-phase convention (an absolute-time phase is delay-invariant,
     # an envelope-referenced one is not), so it is run under both and each
     # convention gets its own CSV for side-by-side comparison.
-    spec = _load_sweep(args)
-    levels = _levels(args, spec)
-    outdir = _outdir(args, spec)
+    spec, levels, outdir = _load_sweep(args)
     paths = []
-    for convention in (spec.design.convention, _other_convention(spec.design)):
+    other = [c for c in PhaseConvention if c is not spec.design.convention]
+    for convention in (spec.design.convention, *other):
         design = replace(spec.design, convention=convention)
         result = sweep_delays(
             spec.molecule, design,
@@ -283,16 +279,8 @@ def cmd_sweep_delay(args) -> int:
     return 0
 
 
-def _other_convention(design) -> PhaseConvention:
-    if design.convention is PhaseConvention.ABSOLUTE:
-        return PhaseConvention.ENVELOPE
-    return PhaseConvention.ABSOLUTE
-
-
 def cmd_sweep_detuning(args) -> int:
-    spec = _load_sweep(args)
-    levels = _levels(args, spec)
-    outdir = _outdir(args, spec)
+    spec, levels, outdir = _load_sweep(args)
     engine = args.engine if args.engine else spec.sweep.engine
     result = sweep_detuning(
         spec.molecule, spec.design,

@@ -27,7 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .areas import TWO_PI, DesignSpec, design_phases, designed_pulses, realize_phase
+from .areas import (
+    TWO_PI, DesignSpec, _carrier_mhz, design_phases, designed_pulses, realize_phase,
+)
 from .experiments import DETUNING_MODES, ENGINES
 from .model import CHANNELS, Handedness, MoleculeSpec, SpectatorSpec, get_preset
 from .propagator import GridConfig, default_grid
@@ -231,16 +233,19 @@ _GRID_TABLE = _same_names(
     ("drift_tol", _checked(_parse_float, lambda v: v > 0, "must be > 0, got {}")),
 )
 _COUNT = _checked(_parse_int, lambda v: v >= 1, "count must be >= 1, got {}")
+# A linspace lies between its ends, so checking the ends checks every point.
+_TAU = _checked(_parse_float, lambda v: v > 0, "must be > 0 ns, got {}")
+_SCALE = _checked(_parse_float, lambda v: v >= 0, "must be >= 0, got {}")
 _SWEEP_TABLE = _same_names(
     ("phase_min_rad", _parse_float), ("phase_max_rad", _parse_float),
     ("phase_count", _COUNT),
-    ("tau_min_ns", _parse_float), ("tau_max_ns", _parse_float), ("tau_count", _COUNT),
+    ("tau_min_ns", _TAU), ("tau_max_ns", _TAU), ("tau_count", _COUNT),
     ("delay1_min_ns", _parse_float), ("delay1_max_ns", _parse_float),
     ("delay1_count", _COUNT),
     ("delay2_min_ns", _parse_float), ("delay2_max_ns", _parse_float),
     ("delay2_count", _COUNT),
     ("delta_tau_products", _parse_products),
-    ("scale_min", _parse_float), ("scale_max", _parse_float), ("scale_count", _COUNT),
+    ("scale_min", _SCALE), ("scale_max", _SCALE), ("scale_count", _COUNT),
     ("mode", _choice(tuple(DETUNING_MODES))),
     ("engine", _choice(ENGINES)),
 )
@@ -372,13 +377,26 @@ def _resolve_pulse(
     return pulse
 
 
-def _parse_sweep(items: dict[str, str], design: DesignSpec) -> SweepSection:
+def _parse_sweep(
+    items: dict[str, str], molecule: MoleculeSpec, design: DesignSpec
+) -> SweepSection:
+    """The [sweep] section; every channel its mode detunes keeps a positive carrier."""
     lo, hi = 4.0 * design.tau0, 12.0 * design.tau0  # delay ranges track tau0
-    return SweepSection(**{
+    sweep = SweepSection(**{
         "delay1_min_ns": lo, "delay1_max_ns": hi,
         "delay2_min_ns": lo, "delay2_max_ns": hi,
         **_parse_table("sweep", items, _SWEEP_TABLE),
     })
+    deltas = sweep.delta_values(design.tau0)
+    for channel in DETUNING_MODES[sweep.mode]:
+        for delta in (deltas.min(), deltas.max()):
+            carrier = _carrier_mhz(molecule, channel, delta)
+            if not 0 < carrier < math.inf:
+                raise ConfigError("sweep", "delta_tau_products", (
+                    f"detunes channel {channel} to a carrier of {carrier!r} MHz;"
+                    " a carrier must be > 0 and finite"
+                ))
+    return sweep
 
 
 def parse_config(text: str, *, design_overrides: dict[str, str] | None = None) -> RunSpec:
@@ -416,9 +434,10 @@ def parse_config(text: str, *, design_overrides: dict[str, str] | None = None) -
         for channel, pulse in designed_pulses(molecule, design).items()
     }
     grid = GridSection(**_parse_table("grid", _section_dict(cp, "grid"), _GRID_TABLE))
-    sweep = _parse_sweep(_section_dict(cp, "sweep"), design)
-    output_items = _section_dict(cp, "output")
-    output_dir = output_items.get("dir", ".").strip()
+    sweep = _parse_sweep(_section_dict(cp, "sweep"), molecule, design)
+    output_dir = _section_dict(cp, "output").get("dir", ".").strip()
+    if not output_dir:
+        raise ConfigError("output", "dir", "must not be empty")
     return RunSpec(
         molecule=molecule,
         design=design,

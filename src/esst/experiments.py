@@ -273,13 +273,14 @@ def sweep_detuning(
 # ---------------------------------------------------------------------------
 
 
-def _snapshot_lines(snapshot: str | None) -> list[str]:
-    if not snapshot:
-        return []
-    lines = ["# config:"]
-    for line in snapshot.rstrip("\n").split("\n"):
-        lines.append(f"# {line}" if line else "#")
-    return lines
+def _write_csv(path, comments, header: str, rows, snapshot: str | None) -> None:
+    """The ``# `` comment lines, the snapshot after ``# config:``, the header, the rows."""
+    if snapshot:
+        comments = [*comments, "config:", *snapshot.rstrip("\n").split("\n")]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {line}\n" if line else "#\n" for line in comments)
+        fh.write(header + "\n")
+        fh.writelines(row + "\n" for row in rows)
 
 
 def read_snapshot(path) -> str:
@@ -307,48 +308,38 @@ def write_trace_csv(path, trajectory: Trajectory, snapshot: str | None = None) -
     """
     hand = trajectory.hand.value
     table = trace_table(trajectory)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _snapshot_lines(snapshot):
-            fh.write(line + "\n")
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in table:
-            cells = list(map(repr, row.tolist()))
-            cells[1] = hand
-            fh.write(",".join(cells) + "\n")
+    # One row at a time: a whole-table list of floats would raise the peak RSS.
+    rows = (
+        ",".join((repr(t), hand, *map(repr, rest)))
+        for t, _, *rest in map(np.ndarray.tolist, table)
+    )
+    _write_csv(path, (), ",".join(TRACE_COLUMNS), rows, snapshot)
     return table
+
+
+def _grid_rows(values1, values2, populations, *cells):
+    """``v1,v2,*cells,hand,P`` per grid point and hand, in grid order."""
+    for i, v1 in enumerate(values1):
+        for j, v2 in enumerate(values2):
+            axes = f"{float(v1)!r},{float(v2)!r}"
+            for hand in BOTH_HANDS:
+                value = float(populations[hand][i, j])
+                yield ",".join((axes, *cells, hand.value, repr(value)))
 
 
 def write_landscape_csv(path, result: SweepResult, snapshot: str | None = None) -> None:
     """Long-format landscape rows: axis1, axis2, hand, P_target."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# axis1 = {result.axis1_name}\n")
-        fh.write(f"# axis2 = {result.axis2_name}\n")
-        fh.write(f"# target = {result.target}\n")
-        for line in _snapshot_lines(snapshot):
-            fh.write(line + "\n")
-        fh.write("axis1,axis2,hand,P_target\n")
-        for i, v1 in enumerate(result.axis1_values):
-            for j, v2 in enumerate(result.axis2_values):
-                for hand in BOTH_HANDS:
-                    fh.write(
-                        f"{float(v1)!r},{float(v2)!r},{hand.value},"
-                        f"{float(result.populations[hand][i, j])!r}\n"
-                    )
+    comments = (f"axis1 = {result.axis1_name}", f"axis2 = {result.axis2_name}")
+    _write_csv(
+        path, (*comments, f"target = {result.target}"), "axis1,axis2,hand,P_target",
+        _grid_rows(result.axis1_values, result.axis2_values, result.populations), snapshot,
+    )
 
 
 def write_detuning_csv(path, result: DetuningResult, snapshot: str | None = None) -> None:
     """Detuning-curve rows: delta, scale, engine, hand, P_target."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# delta in rad/ns\n")
-        fh.write(f"# mode = {result.mode}\n")
-        fh.write(f"# target = {result.target}\n")
-        for line in _snapshot_lines(snapshot):
-            fh.write(line + "\n")
-        fh.write("delta,scale,engine,hand,P_target\n")
-        for i, delta in enumerate(result.delta_values):
-            for j, scale in enumerate(result.scale_values):
-                for hand in BOTH_HANDS:
-                    fh.write(
-                        f"{float(delta)!r},{float(scale)!r},{result.engine},"
-                        f"{hand.value},{float(result.populations[hand][i, j])!r}\n"
-                    )
+    comments = ("delta in rad/ns", f"mode = {result.mode}", f"target = {result.target}")
+    rows = _grid_rows(
+        result.delta_values, result.scale_values, result.populations, result.engine
+    )
+    _write_csv(path, comments, "delta,scale,engine,hand,P_target", rows, snapshot)

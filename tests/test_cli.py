@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from esst import experiments
 from esst.areas import designed_pulses
 from esst.cli import main
 from esst.config import load_config, parse_config, resolve_grid
@@ -182,6 +183,20 @@ def test_propagate_single_hand_writes_one_csv(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_trace_and_propagate_differ_only_in_names(config_path, tmp_path, capsys):
+    # One handler serves both commands; only the CSV names follow the command.
+    stdout = {}
+    for command in ("trace", "propagate"):
+        assert main([command, "--config", config_path, "--out",
+                     str(tmp_path / command), "--levels", "3"]) == 0
+        stdout[command] = capsys.readouterr().out
+    assert stdout["trace"] == stdout["propagate"]
+    for hand in ("left", "right"):
+        trace = (tmp_path / "trace" / f"trace_{hand}.csv").read_bytes()
+        assert trace == (tmp_path / "propagate" / f"propagate_{hand}.csv").read_bytes()
+    assert len(os.listdir(tmp_path / "trace")) == len(os.listdir(tmp_path / "propagate")) == 2
+
+
 def test_output_dir_from_config_section(tmp_path, capsys):
     outdir = tmp_path / "from_config"
     path = tmp_path / "run.ini"
@@ -316,6 +331,56 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["design", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "[grid] wavelength" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["trace", "--levels", "3", "--hand", "left"], ["sweep-phase", "--levels", "3"],
+])
+@pytest.mark.parametrize("flags,section,named", [
+    ([], "\n[output]\ndir =\n", "[output] dir: "),
+    (["--out", "taken"], "", "[output] --out: "),
+])
+def test_unusable_output_location_exits_2(
+    tmp_path, monkeypatch, capsys, command, flags, section, named
+):
+    # An empty [output] dir, or an --out that names a file, is a
+    # configuration error: one line on stderr, exit 2 and no file written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "run.ini").write_text(MINIMAL + TINY_SWEEP + section, encoding="utf-8")
+    assert main([*command, "--config", "run.ini", *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {named}")
+    assert sorted(os.listdir(tmp_path)) == ["run.ini", "taken"]
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("command,key,value,design", [
+    ("sweep-phase", "tau_min_ns", "0.0", ""),
+    ("sweep-detuning", "scale_min", "-1.0", ""),
+    ("sweep-detuning", "delta_tau_products", "-40", "[design]\ntau0_ns = 0.3\n"),
+])
+def test_sweep_bounds_that_make_an_invalid_design_exit_2(
+    tmp_path, monkeypatch, capsys, command, key, value, design
+):
+    # A bound that is bad only at the far end of its range fails at load
+    # time, before any run.
+    calls = []
+    monkeypatch.setattr(experiments, "propagate", lambda *a, **k: calls.append(a))
+    sweep = "\n".join(
+        f"{key} = {value}" if line.startswith(f"{key} =") else line
+        for line in TINY_SWEEP.splitlines()
+    )
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL + design + sweep + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out), "--levels", "3"]
+    if command == "sweep-detuning":
+        argv += ["--engine", "exact"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: [sweep] {key}: ")
+    assert calls == []
+    assert not out.exists()
 
 
 def test_grid_too_coarse_exits_2(tmp_path, capsys):

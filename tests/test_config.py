@@ -482,14 +482,25 @@ _GRID_SECTIONS = st.builds(
     sample_stride=_COUNTS,
     drift_tol=_POSITIVE,
 )
+# Sweep bounds from their valid domains: tau > 0, scale >= 0, and products
+# whose detuning keeps every carrier of CUSTOM_MOLECULE at tau0 = 35 ns
+# positive and finite (-100 / 35 rad/ns is -455 MHz; its lowest transition
+# is 2857 MHz).
+_SWEEP_BOUNDS = {
+    "tau": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "scale": st.floats(min_value=0.0, allow_infinity=False),
+}
 _SWEEP_SECTIONS = st.builds(
     SweepSection,
     **{
-        name: _COUNTS if name.endswith("_count") else _FINITE
+        name: _COUNTS if name.endswith("_count")
+        else _SWEEP_BOUNDS.get(name.partition("_")[0], _FINITE)
         for name in SweepSection.__dataclass_fields__
         if name not in ("delta_tau_products", "mode", "engine")
     },
-    delta_tau_products=st.lists(_FINITE, min_size=1, max_size=4).map(tuple),
+    delta_tau_products=st.lists(
+        st.floats(min_value=-100.0, max_value=1e300), min_size=1, max_size=4
+    ).map(tuple),
     mode=st.sampled_from(sorted(DETUNING_MODES)),
     engine=st.sampled_from(ENGINES),
 )

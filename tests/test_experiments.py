@@ -9,6 +9,7 @@ where the expected values are known a priori.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import os
 import threading
@@ -32,7 +33,7 @@ from esst.experiments import (
     write_landscape_csv,
     write_trace_csv,
 )
-from esst.model import Handedness, mhz_to_rad_per_ns
+from esst.model import Handedness, basis_for_levels, get_preset, mhz_to_rad_per_ns
 from esst.propagator import (
     GridTooCoarseError, NumericalGuardError, norm_drift, populations, propagate,
 )
@@ -610,3 +611,64 @@ def test_read_snapshot_without_snapshot(tmp_path, phase_sweep):
     path = os.path.join(tmp_path, "bare.csv")
     write_landscape_csv(path, phase_sweep)
     assert read_snapshot(path) == ""
+
+
+# Hand-built results whose cells cover the float forms a writer must keep:
+# signed zeros, a subnormal-adjacent 1e-300 and a large 3e20.
+EDGE = np.array([0.0, -0.0, 1e-300, 3e20])
+
+
+def _edge_trajectory(levels, hand):
+    basis = basis_for_levels(get_preset("cyclohexylmethanol"), levels)
+    amps = np.array([0.0, -0.0, 1e-150, 1.5e10, 0.5, -0.25j, 1e-160 + 1e-150j, 1.0])
+    states = np.resize(amps, (EDGE.size, levels)) + 0j
+    grid = propagator.GridConfig(t_start=0.0, t_end=1.0, dt=0.5)
+    return propagator.Trajectory(basis, hand, EDGE.copy(), states, EDGE[::-1].copy(), grid)
+
+
+def _edge_grid(shift):
+    return np.roll(EDGE, shift).reshape(2, 2)
+
+
+EDGE_SWEEP = SweepResult(
+    axis1_name="phi_a_rad", axis2_name="tau0_ns",
+    axis1_values=EDGE[:2].copy(), axis2_values=EDGE[2:].copy(), target="C",
+    populations={L: _edge_grid(1), R: _edge_grid(2)},
+)
+EDGE_DETUNING = DetuningResult(
+    delta_values=EDGE[2:].copy(), scale_values=EDGE[:2].copy(), mode="scale_ac",
+    engine="exact", target="B",
+    populations={L: _edge_grid(3), R: _edge_grid(0)},
+)
+
+# sha256 of each writer's bytes, with (True) and without (False) a snapshot.
+WRITER_PINS = {
+    ("trace3", L, False): "506f48853a3afebe41ff99428279144781309712f041263f7e233fe8f8697f6e",
+    ("trace3", L, True): "fd36b4dc35286dcd68e2fa00d357fdbb8160458f84b97bd4cfa15bebd369e5bd",
+    ("trace3", R, False): "e2ca79fd915981bc345cf5d854afa1741d7d6ba5c67ce8399f5af30c555569fc",
+    ("trace3", R, True): "917f33436927edac7cd9c3451715dec589d6b9eb5028d4f1a7d602e8f4238095",
+    ("trace4", L, False): "7f35aa7a0497513492ffeb7b1b98c22951d72046bd70fa0577d179b1f9ca5b0f",
+    ("trace4", L, True): "ac55542d1154ee548d5fd7797bde717084e8a0e85d4c5444d1ad44d1771957dd",
+    ("trace4", R, False): "3f47fe357d857f90777f8c05fea8960db2655c207779049c121dae9f71e03b9a",
+    ("trace4", R, True): "d2a86e2f3fe9f4af28772b21bdffcf92c28935e172b462f5f7c3adcc8edac2c3",
+    ("landscape", None, False): "990875d256e655b4b269be858b864ae627480aa5479d067e23b45575701228f4",
+    ("landscape", None, True): "5630eba58e474a9bcf2ed21ce5db1ca282f4eb67b7b4efbd688774fc4277312e",
+    ("detuning", None, False): "bd8b8ce4c1d94ab6ec3af531dcebdb61aa57d3465a1e8ecfe8109397142d31ac",
+    ("detuning", None, True): "e9760557db64ea4f35b61d9c0eb854a1b0e2a11b77fc3eda8914801b811937d5",
+}
+
+
+@pytest.mark.parametrize("kind,hand,with_snapshot", list(WRITER_PINS))
+def test_writers_keep_their_bytes(tmp_path, kind, hand, with_snapshot):
+    path = tmp_path / "out.csv"
+    snapshot = "[a]\nx = 1\n\n[b]\ny = -0.0\n" if with_snapshot else None
+    if kind.startswith("trace"):
+        traj = _edge_trajectory(int(kind[-1]), hand)
+        table = write_trace_csv(path, traj, snapshot)
+        assert table.tobytes() == propagator.trace_table(traj).tobytes()
+    elif kind == "landscape":
+        assert write_landscape_csv(path, EDGE_SWEEP, snapshot) is None
+    else:
+        assert write_detuning_csv(path, EDGE_DETUNING, snapshot) is None
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == WRITER_PINS[kind, hand, with_snapshot]
