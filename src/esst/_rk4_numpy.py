@@ -45,8 +45,8 @@ element is one contiguous vector over the steps of the chunk:
   once M is summed): one broadcast multiply for m = 0, then a multiply and
   an add for each further m, so every entry adds its terms in ascending m.
 * Per sample only the matrix-vector product and the norm are computed.
-  Sample times, |norm - 1| and the scan for a non-finite norm run once per
-  run or per chunk, over whole arrays.
+  Sample times and |norm - 1| are taken once per run, over whole arrays.
+  The kernel judges no run: ``propagator.propagate`` holds the guards.
 * Everything up to the per-sample propagators depends on the chunk's
   first step, never on the state.  A run of several chunks is therefore
   cut into one contiguous range of whole chunks per CPU in the process's
@@ -58,11 +58,12 @@ element is one contiguous vector over the steps of the chunk:
   a warm range pays no set-up but the drive's exact arguments.  Chunk
   boundaries and the table's size are those of a serial run, so every
   chunk does the same arithmetic and the result is the same to the bit.
-  The sample loop and the non-finite scan stay in the calling process and
-  run in order.  On one CPU, for a one-chunk run or without ``fork``, the
-  caller builds every chunk itself.  Each range carries the caller's numpy
-  error state, and its warnings come back to be raised in the caller.  The workers leave Ctrl-C to the caller, exit when
-  it dies and are shut down at interpreter exit.
+  The sample loop stays in the calling process and runs in order.  On one
+  CPU, for a one-chunk run or without ``fork``, the caller builds every
+  chunk itself.  Each range carries the caller's numpy error state, and
+  its warnings come back to be raised in the caller.  The workers leave
+  Ctrl-C to the caller, exit when it dies and are shut down at
+  interpreter exit.
 * :func:`submit` starts a run's build without waiting for it, and
   ``rk4_run(..., build=...)`` samples it, so a caller with several runs can
   keep the workers busy with the next one (``propagator.ahead``).
@@ -610,10 +611,10 @@ def rk4_run(
       ``amp``, ``tc``, ``tau``, ``wcar``, ``ph``, and ``conv``
       (0 absolute, 1 envelope).
 
-    Returns ``(times, states, norm_err, status)``, sampled every ``stride``
-    steps (``n_steps`` must be a multiple of ``stride``) and at ``t0``.
-    ``status`` is the first sample whose norm is not finite, -1 if the run
-    stayed clean; every later sample repeats that one.
+    Returns ``(times, states, norm_err)``, sampled every ``stride`` steps
+    (``n_steps`` must be a multiple of ``stride``) and at ``t0``;
+    ``norm_err`` is |<psi|psi> - 1|.  Every step is taken, and a state
+    that goes non-finite stays so for the caller to judge.
 
     A run of several chunks is cut into one range of whole chunks per
     usable CPU, and the ranges' propagators are built on the forked
@@ -640,7 +641,7 @@ def rk4_run(
     times[0] = t0
     times[1:] = t0 + (np.arange(1, n_samples) * stride) * dt
     states[0] = psi
-    norm_err[0] = abs(float(np.vdot(psi, psi).real) - 1.0)
+    norm_err[0] = np.vdot(psi, psi).real
 
     chunk = _chunk_length(stride, chunk_steps)
     futures = submit(kernel_args, chunk_steps) if build is None else build
@@ -649,24 +650,13 @@ def rk4_run(
     else:
         results = _collect(futures)
 
-    per_chunk = chunk // stride
     sample = 1  # the next sample to take
     for props, caught in results:
         for category, message in caught:
             warnings.warn(message, category)
-        for first in range(0, len(props), per_chunk):
-            block = props[first : first + per_chunk]
-            for s, p in enumerate(block, sample):
-                psi = np.matmul(p, psi, out=states[s])
-                norm_err[s] = np.vdot(psi, psi).real
-            err = norm_err[sample : sample + len(block)]
-            np.abs(np.subtract(err, 1.0, out=err), out=err)
-            bad = np.flatnonzero(~np.isfinite(err))
-            if bad.size:
-                status = sample + int(bad[0])
-                times[status + 1 :] = times[status]
-                states[status + 1 :] = states[status]
-                norm_err[status + 1 :] = norm_err[status]
-                return times, states, norm_err, status
-            sample += len(block)
-    return times, states, norm_err, -1
+        for p in props:
+            psi = np.matmul(p, psi, out=states[sample])
+            norm_err[sample] = np.vdot(psi, psi).real
+            sample += 1
+    np.abs(np.subtract(norm_err, 1.0, out=norm_err), out=norm_err)
+    return times, states, norm_err

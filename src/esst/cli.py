@@ -130,8 +130,8 @@ def _load(args) -> RunSpec:
     return load_config(args.config, design_overrides=overrides or None)
 
 
-def _load_sweep(args) -> tuple[RunSpec, int, str]:
-    """A sweep's run config, levels and output directory.
+def _load_sweep(args, *names: str) -> tuple[RunSpec, int, str]:
+    """A sweep's run config, levels and output directory for ``names``.
 
     Sweeps design their pulses and grid afresh at every point, so the
     sections a sweep would ignore are rejected first.
@@ -145,7 +145,7 @@ def _load_sweep(args) -> tuple[RunSpec, int, str]:
         raise ConfigError(
             ignored[0], None, "sweeps design pulses and grid per point and ignore it"
         )
-    return spec, _levels(args, spec), _outdir(args, spec)
+    return spec, _levels(args, spec), _outdir(args, spec, *names)
 
 
 def _levels(args, spec: RunSpec) -> int:
@@ -157,13 +157,18 @@ def _levels(args, spec: RunSpec) -> int:
     return _default_levels(spec.molecule, args.levels)
 
 
-def _outdir(args, spec: RunSpec) -> str:
+def _outdir(args, spec: RunSpec, *names: str) -> str:
+    """The output directory, made if need be, checked before any run for
+    the result files ``names``: one that exists must be a regular file."""
     out = args.out if args.out is not None else spec.output_dir
+    key = "dir" if args.out is None else "--out"
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
-        key = "dir" if args.out is None else "--out"
         raise ConfigError("output", key, f"cannot make directory {out!r}: {exc.strerror}")
+    for path in (os.path.join(out, name) for name in names):
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ConfigError("output", key, f"cannot write {path!r}: not a regular file")
     return out
 
 
@@ -225,16 +230,16 @@ def cmd_propagate(args) -> int:
     """``propagate`` and ``trace``: each names its CSVs after itself."""
     spec = _load(args)
     levels = _levels(args, spec)
-    outdir = _outdir(args, spec)
+    names = {hand: f"{args.command}_{hand.value}.csv" for hand in _HAND_CHOICES[args.hand]}
+    outdir = _outdir(args, spec, *names.values())
     grid = resolve_grid(spec, levels)
     snapshot = serialize_config(spec)
-    hands = _HAND_CHOICES[args.hand]
     print(",".join(("hand", *POPULATION_COLUMNS.values(), "norm_drift")))
     for pulses, hand in ahead(
-        spec.molecule, [(spec.pulses, hand) for hand in hands], levels, grid
+        spec.molecule, [(spec.pulses, hand) for hand in names], levels, grid
     ):
         traj = propagate(spec.molecule, pulses, hand, levels=levels, grid=grid)
-        path = os.path.join(outdir, f"{args.command}_{hand.value}.csv")
+        path = os.path.join(outdir, names[hand])
         last = write_trace_csv(path, traj, snapshot)[-1].tolist()
         pops = [last[TRACE_COLUMNS.index(c)] for c in POPULATION_COLUMNS.values()]
         print(f"{hand.value},{','.join(map(repr, pops))},{norm_drift(traj)!r}")
@@ -242,7 +247,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_sweep_phase(args) -> int:
-    spec, levels, outdir = _load_sweep(args)
+    spec, levels, outdir = _load_sweep(args, "sweep_phase.csv")
     result = sweep_phase_duration(
         spec.molecule, spec.design,
         spec.sweep.phase_values(), spec.sweep.tau_values(),
@@ -259,7 +264,8 @@ def cmd_sweep_delay(args) -> int:
     # carrier-phase convention (an absolute-time phase is delay-invariant,
     # an envelope-referenced one is not), so it is run under both and each
     # convention gets its own CSV for side-by-side comparison.
-    spec, levels, outdir = _load_sweep(args)
+    names = {c: f"sweep_delay_{c.value}.csv" for c in PhaseConvention}
+    spec, levels, outdir = _load_sweep(args, *names.values())
     paths = []
     other = [c for c in PhaseConvention if c is not spec.design.convention]
     for convention in (spec.design.convention, *other):
@@ -272,7 +278,7 @@ def cmd_sweep_delay(args) -> int:
         snapshot = serialize_config(replace(
             spec, design=design, pulses=designed_pulses(spec.molecule, design)
         ))
-        path = os.path.join(outdir, f"sweep_delay_{convention.value}.csv")
+        path = os.path.join(outdir, names[convention])
         write_landscape_csv(path, result, snapshot)
         paths.append(path)
     print(f"wrote {paths[0]} and {paths[1]}")
@@ -280,7 +286,7 @@ def cmd_sweep_delay(args) -> int:
 
 
 def cmd_sweep_detuning(args) -> int:
-    spec, levels, outdir = _load_sweep(args)
+    spec, levels, outdir = _load_sweep(args, "sweep_detuning.csv")
     engine = args.engine if args.engine else spec.sweep.engine
     result = sweep_detuning(
         spec.molecule, spec.design,

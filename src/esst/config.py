@@ -458,16 +458,22 @@ def load_config(path, *, design_overrides: dict[str, str] | None = None) -> RunS
 
 
 def resolve_grid(spec: RunSpec, levels: int) -> GridConfig:
-    """Materialize the [grid] section against the run's pulses."""
+    """Materialize the [grid] section against the run's pulses.
+
+    Bounds or a step that make no grid raise ConfigError.
+    """
     base = default_grid(spec.molecule, spec.pulses, levels)
     g = spec.grid
-    return GridConfig(
-        t_start=base.t_start if g.t_start_ns is None else g.t_start_ns,
-        t_end=base.t_end if g.t_end_ns is None else g.t_end_ns,
-        dt=base.dt if g.dt_ns is None else g.dt_ns,
-        sample_stride=g.sample_stride,
-        drift_tol=g.drift_tol,
-    )
+    try:
+        return GridConfig(
+            t_start=base.t_start if g.t_start_ns is None else g.t_start_ns,
+            t_end=base.t_end if g.t_end_ns is None else g.t_end_ns,
+            dt=base.dt if g.dt_ns is None else g.dt_ns,
+            sample_stride=g.sample_stride,
+            drift_tol=g.drift_tol,
+        )
+    except ValueError as exc:
+        raise ConfigError("grid", None, str(exc))
 
 
 # ---------------------------------------------------------------------------

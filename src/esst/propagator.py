@@ -11,11 +11,13 @@ every drive phasor comes from an argument reduced mod 2 pi exactly.
 :func:`ahead` queues each next run of a sequence, built and submitted to
 the kernel, for the ``propagate`` call with exactly its inputs.
 
-Grid safety: carriers oscillate at up to omega_max (fastest of carrier and
-transition frequencies), and the step must resolve that:
-dt <= (2 pi / omega_max) / 40 is enforced (GridTooCoarseError otherwise);
-the default grid uses 64 steps per period.  Runs whose norm drifts beyond
-``GridConfig.drift_tol`` or go non-finite raise NumericalGuardError.
+The kernel only integrates; :func:`propagate` judges every run, and this
+module holds all three guards.  Grid safety: carriers oscillate at up to
+omega_max (fastest of carrier and transition frequencies), and the step
+must resolve that: dt <= (2 pi / omega_max) / 40 is enforced
+(GridTooCoarseError otherwise); the default grid uses 64 steps per period.
+Runs that go non-finite or whose norm drifts beyond
+``GridConfig.drift_tol`` raise NumericalGuardError.
 """
 from __future__ import annotations
 
@@ -177,24 +179,35 @@ def _pulse_list(pulses) -> tuple[Pulse, ...]:
     return tuple(pulses)
 
 
-def _kernel_args(
+def _run_args(
     molecule: MoleculeSpec,
     pulses,
     hand: Handedness,
     levels: int,
-    grid: GridConfig,
-) -> tuple:
-    """``_rk4_numpy.rk4_run``'s positional arguments for one run.
+    grid: GridConfig | None,
+) -> tuple[GridConfig, tuple]:
+    """The grid of one run, the default one if ``grid`` is None, and
+    ``_rk4_numpy.rk4_run``'s positional arguments for it.
 
-    The pulses are taken in :func:`_pulse_list` order; the initial state is
-    the ground state |A>.
+    Raises GridTooCoarseError below the step floor.  The pulses are taken
+    in :func:`_pulse_list` order; the initial state is the ground state |A>.
     """
+    plist = _pulse_list(pulses)
+    if grid is None:
+        grid = default_grid(molecule, plist, levels)
+    omega_max = fastest_frequency(molecule, plist, levels)
+    dt_max = (2.0 * math.pi / omega_max) / MIN_STEPS_PER_PERIOD
+    if grid.dt > dt_max * (1.0 + 1e-12):
+        raise GridTooCoarseError(
+            f"dt = {grid.dt:g} ns exceeds {dt_max:g} ns "
+            f"({MIN_STEPS_PER_PERIOD} steps per period of the fastest "
+            f"oscillation, {omega_max:g} rad/ns)"
+        )
     basis = basis_for_levels(molecule, levels)
     psi0 = np.zeros(basis.dim, dtype=np.complex128)
     psi0[0] = 1.0
     edges = loop_couplings(molecule, levels)
-    plist = _pulse_list(pulses)
-    return (
+    return grid, (
         float(grid.t_start), float(grid.dt_eff), int(grid.n_steps),
         int(grid.sample_stride),
         np.asarray(basis.energies, dtype=np.float64),
@@ -221,29 +234,6 @@ def _kernel_args(
     )
 
 
-def _run_args(
-    molecule: MoleculeSpec,
-    pulses,
-    hand: Handedness,
-    levels: int,
-    grid: GridConfig | None,
-) -> tuple[GridConfig, tuple]:
-    """The grid of one run, the default one if ``grid`` is None, and its
-    kernel arguments; raises GridTooCoarseError below the step floor."""
-    plist = _pulse_list(pulses)
-    if grid is None:
-        grid = default_grid(molecule, plist, levels)
-    omega_max = fastest_frequency(molecule, plist, levels)
-    dt_max = (2.0 * math.pi / omega_max) / MIN_STEPS_PER_PERIOD
-    if grid.dt > dt_max * (1.0 + 1e-12):
-        raise GridTooCoarseError(
-            f"dt = {grid.dt:g} ns exceeds {dt_max:g} ns "
-            f"({MIN_STEPS_PER_PERIOD} steps per period of the fastest "
-            f"oscillation, {omega_max:g} rad/ns)"
-        )
-    return grid, _kernel_args(molecule, plist, hand, levels, grid)
-
-
 def propagate(
     molecule: MoleculeSpec,
     pulses,
@@ -264,11 +254,13 @@ def propagate(
     plist = _pulse_list(pulses)
     queued = _QUEUED.pop(_run_key(molecule, plist, hand, levels, grid), None) if _QUEUED else None
     grid, args, build = queued or (*_run_args(molecule, plist, hand, levels, grid), None)
-    times, states, norm_err, status = _rk4_numpy.rk4_run(*args, build=build)
-    if status >= 0:
+    times, states, norm_err = _rk4_numpy.rk4_run(*args, build=build)
+    bad = np.flatnonzero(~np.isfinite(norm_err))
+    if bad.size:
+        first = int(bad[0])
         raise NumericalGuardError(
-            f"state went non-finite at t = {times[status]:g} ns "
-            f"(sample {status}); the grid or the pulse set is pathological"
+            f"state went non-finite at t = {times[first]:g} ns "
+            f"(sample {first}); the grid or the pulse set is pathological"
         )
     worst_at = int(np.argmax(norm_err))
     worst = float(norm_err[worst_at])

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from esst import experiments
+from esst import cli, experiments
 from esst.areas import designed_pulses
 from esst.cli import main
 from esst.config import load_config, parse_config, resolve_grid
@@ -353,6 +353,50 @@ def test_unusable_output_location_exits_2(
     assert len(err) == 1 and err[0].startswith(f"config error: {named}")
     assert sorted(os.listdir(tmp_path)) == ["run.ini", "taken"]
     assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("command,taken", [
+    pytest.param(["trace", "--hand", "left"], "trace_left.csv", id="trace"),
+    # the second file sweep-delay writes
+    pytest.param(["sweep-delay"], "sweep_delay_absolute.csv", id="sweep-delay"),
+])
+def test_result_path_that_is_not_a_file_exits_2(
+    tmp_path, monkeypatch, capsys, command, taken
+):
+    # A result CSV path held by a directory is a configuration error found
+    # before the first run, not an OSError once the work is done.
+    calls = []
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "propagate", lambda *a, **k: calls.append(a))
+    (tmp_path / "run.ini").write_text(MINIMAL + TINY_SWEEP, encoding="utf-8")
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    argv = [*command, "--config", str(tmp_path / "run.ini"), "--out", str(out), "--levels", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    path = str(out / taken)
+    assert err == [f"config error: [output] --out: cannot write {path!r}: not a regular file"]
+    assert calls == []
+    assert os.listdir(out) == [taken]
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param("t_start_ns = 10\nt_end_ns = 5", id="end-before-start"),
+    pytest.param("dt_ns = -1", id="negative-dt"),
+    pytest.param("dt_ns = 0", id="zero-dt"),
+    # past the automatic end, about 420 ns
+    pytest.param("t_start_ns = 1000", id="start-past-auto-end"),
+])
+def test_grid_that_makes_no_grid_exits_2(tmp_path, monkeypatch, capsys, grid):
+    calls = []
+    monkeypatch.setattr(cli, "propagate", lambda *a, **k: calls.append(a))
+    path = tmp_path / "run.ini"
+    path.write_text(f"{MINIMAL}\n[grid]\n{grid}\n", encoding="utf-8")
+    argv = ["propagate", "--config", str(path), "--out", str(tmp_path), "--levels", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: [grid]: ")
+    assert calls == []
 
 
 @pytest.mark.parametrize("command,key,value,design", [

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from esst.propagator import (
     GridConfig,
     GridTooCoarseError,
     NumericalGuardError,
-    _kernel_args,
+    _run_args,
     ahead,
     default_grid,
     fastest_frequency,
@@ -345,7 +346,7 @@ def test_numpy_kernel_matches_scalar_kernel(molecule, hand, stride):
     pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.3))
     grid = replace(default_grid(molecule, list(pulses.values()), 4), sample_stride=stride)
     traj = propagate(molecule, pulses, hand, levels=4, grid=grid)
-    t_ref, s_ref, e_ref = direct_rk4(*_kernel_args(molecule, pulses, hand, 4, grid))
+    t_ref, s_ref, e_ref = direct_rk4(*_run_args(molecule, pulses, hand, 4, grid)[1])
     np.testing.assert_array_equal(traj.times, t_ref)
     assert np.abs(traj.norm_errors - e_ref).max() <= 1e-12
     assert np.abs(traj.states - s_ref).max() <= 1e-13
@@ -357,28 +358,27 @@ def test_numpy_kernel_matches_scalar_kernel(molecule, hand, stride):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("chunk_steps,opens_chunk", [
-    pytest.param(4096, False, id="numpy"),  # one chunk holds the run
-    pytest.param(160, True, id="numpy-first-of-chunk"),  # 10 samples a chunk
-    pytest.param(64, False, id="numpy-mid-chunk"),  # 4 samples a chunk
+@pytest.mark.parametrize("chunk_steps", [
+    pytest.param(4096, id="numpy"),  # one chunk holds the run
+    pytest.param(160, id="numpy-first-of-chunk"),  # 10 samples a chunk
+    pytest.param(64, id="numpy-mid-chunk"),  # 4 samples a chunk
 ])
-def test_non_finite_guard_names_first_bad_sample(molecule, chunk_steps, opens_chunk):
-    # The kernel scans a whole chunk's samples at once; the first bad
-    # sample (11) lands on a chunk's first sample or inside a chunk.
+def test_non_finite_guard_names_first_bad_sample(molecule, monkeypatch, chunk_steps):
+    # propagate finds the first non-finite sample (11) of the whole run,
+    # whether it opens a chunk or lies inside one, on the path rk4_run
+    # picks (the pool, for several chunks) and then with one usable CPU.
+    monkeypatch.setattr(_rk4_numpy, "rk4_run", partial(_rk4_numpy.rk4_run, chunk_steps=chunk_steps))
     pulse, grid = overflow_case(molecule)
-    args = _kernel_args(molecule, [pulse], L, 3, grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        times, states, norm_err, status = _rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps)
-    assert ((status - 1) % (chunk_steps // grid.sample_stride) == 0) == opens_chunk
-    finite = np.isfinite(norm_err)
-    assert 0 < status < times.size - 1
-    assert finite[:status].all() and not finite[status]
-    assert np.isfinite(states[:status]).all()
-    assert times[status] == pytest.approx(grid.t_start + status * grid.sample_stride * grid.dt_eff)
-    # every later sample repeats the first bad one
-    np.testing.assert_array_equal(times[status:], times[status])
-    np.testing.assert_array_equal(states[status:], np.broadcast_to(states[status], states[status:].shape))
-    np.testing.assert_array_equal(norm_err[status:], norm_err[status])
+    for one_cpu in (False, True):
+        if one_cpu:
+            monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalGuardError) as raised:
+                propagate(molecule, [pulse], L, levels=3, grid=grid)
+        assert str(raised.value) == (
+            "state went non-finite at t = -1.824 ns (sample 11); "
+            "the grid or the pulse set is pathological"
+        )
 
 
 def run_both_paths(monkeypatch, args, chunk_steps):
@@ -418,16 +418,17 @@ def test_pool_path_gives_in_process_bits(molecule, monkeypatch, case, chunk_step
     # The chunk ranges built on the worker processes must give the bits of
     # one in-process build over the whole run.  The designed run's second
     # range is its partial last chunk alone; the overflow runs go
-    # non-finite at sample 11 and repeat it to the end.
+    # non-finite at sample 11, and their non-finite tails must match too.
     if case == "designed":
         args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, L)
     else:
         pulse, grid = overflow_case(molecule)
-        args = _kernel_args(molecule, [pulse], L, 3, grid)
+        args = _run_args(molecule, [pulse], L, 3, grid)[1]
     (pooled, alone), (pool_built, alone_built) = run_both_paths(monkeypatch, args, chunk_steps)
-    for got, want in zip(pooled[:3], alone[:3]):
+    for got, want in zip(pooled, alone):
         assert got.tobytes() == want.tobytes()
-    assert pooled[3] == alone[3] == (-1 if case == "designed" else 11)
+    finite = np.isfinite(alone[2])
+    assert finite.all() if case == "designed" else finite[:11].all() and not finite[11]
     n_steps = args[2]
     assert alone_built == [(0, n_steps)]
     if n_steps <= chunk_steps:
@@ -444,7 +445,7 @@ def test_caller_error_state_reaches_the_workers(molecule, monkeypatch, one_cpu):
     if one_cpu:
         monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 1)
     pulse, grid = overflow_case(molecule)
-    args = _kernel_args(molecule, [pulse], L, 3, grid)
+    args = _run_args(molecule, [pulse], L, 3, grid)[1]
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
         _rk4_numpy.rk4_run(*args, chunk_steps=160)
     with np.errstate(over="warn", invalid="ignore"):

@@ -22,7 +22,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from esst import _rk4_numpy
 from esst.areas import DesignSpec, designed_pulses
 from esst.model import Handedness
-from esst.propagator import _kernel_args, default_grid
+from esst.propagator import _run_args, default_grid
 from esst.pulses import SQRT_2_OVER_PI
 
 #: 2 pi to 60 digits, independent of the kernel's own constant.
@@ -105,8 +105,7 @@ def test_a_submitted_build_gives_the_bytes_of_a_fresh_one(molecule):
     assert (build is None) == (_rk4_numpy._worker_count() < 2)
     taken = _rk4_numpy.rk4_run(*args, build=build)
     alone = _rk4_numpy.rk4_run(*args)
-    assert taken[3] == alone[3] == -1
-    for got, want in zip(taken[:3], alone[:3]):
+    for got, want in zip(taken, alone):
         assert got.tobytes() == want.tobytes()
 
 
@@ -203,21 +202,21 @@ import hashlib, sys
 from esst import _rk4_numpy
 from esst.areas import DesignSpec, designed_pulses
 from esst.model import Handedness, get_preset
-from esst.propagator import _kernel_args, default_grid
+from esst.propagator import _run_args, default_grid
 molecule = get_preset("cyclohexylmethanol")
 tau0, levels = float(sys.argv[1]), int(sys.argv[2])
 pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=tau0))
-args = _kernel_args(molecule, pulses, Handedness.LEFT, levels, default_grid(molecule, pulses, levels))
+args = _run_args(molecule, pulses, Handedness.LEFT, levels, default_grid(molecule, pulses, levels))[1]
 for chunk_steps in (args[2], _rk4_numpy.CHUNK_STEPS):  # one chunk, then the kernel's
     run = _rk4_numpy.rk4_run(*args, chunk_steps)
-    print(hashlib.sha256(b"".join(a.tobytes() for a in run[:3])).hexdigest())
+    print(hashlib.sha256(b"".join(a.tobytes() for a in run)).hexdigest())
 """
 
 
 def run_digest(args, chunk_steps):
     """sha256 of a run's times, states and norms."""
     run = _rk4_numpy.rk4_run(*args, chunk_steps)
-    return hashlib.sha256(b"".join(a.tobytes() for a in run[:3])).hexdigest()
+    return hashlib.sha256(b"".join(a.tobytes() for a in run)).hexdigest()
 
 
 def test_kept_set_up_gives_the_bits_of_a_lone_run(molecule):
@@ -229,7 +228,7 @@ def test_kept_set_up_gives_the_bits_of_a_lone_run(molecule):
     for tau0, levels in ((0.2, 3), (1.5, 3), (1.5, 4), (2.25, 3)):
         pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=tau0))
         grid = default_grid(molecule, pulses, levels)
-        args = _kernel_args(molecule, pulses, Handedness.LEFT, levels, grid)
+        args = _run_args(molecule, pulses, Handedness.LEFT, levels, grid)[1]
         here = [run_digest(args, chunk_steps) for chunk_steps in (args[2], _rk4_numpy.CHUNK_STEPS)]
         proc = subprocess.run(
             [sys.executable, "-c", ALONE_RUN, str(tau0), str(levels)],
@@ -306,9 +305,8 @@ def direct_rk4(
 
 def assert_kernel_matches_direct(args, chunk_steps):
     """``rk4_run`` against ``direct_rk4``; returns the direct states."""
-    times, states, norm_err, status = _rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps)
+    times, states, norm_err = _rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps)
     want_times, want, want_norm_err = direct_rk4(*args)
-    assert status == -1
     np.testing.assert_array_equal(times, want_times)
     assert np.abs(norm_err - want_norm_err).max() <= 1e-12
     assert np.abs(states - want).max() <= 1e-13
@@ -319,7 +317,7 @@ def designed_args(molecule, spec, levels, hand, sample_stride=128):
     """``rk4_run``'s positional arguments for a designed sequence on its grid."""
     pulses = designed_pulses(molecule, spec)
     grid = replace(default_grid(molecule, pulses, levels), sample_stride=sample_stride)
-    return _kernel_args(molecule, pulses, hand, levels, grid)
+    return _run_args(molecule, pulses, hand, levels, grid)[1]
 
 
 @pytest.mark.parametrize("chunk_steps,stride", [
