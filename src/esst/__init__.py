@@ -6,6 +6,7 @@ everything against exact RK4 propagation of the full oscillating-field
 Hamiltonian (no rotating-wave approximation), including a four-level
 spectator guard model.
 """
+import types
 
 from .analytic import (
     ConditionReport,
@@ -81,62 +82,8 @@ from .pulses import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CYCLOHEXYLMETHANOL",
-    "ComplexArea",
-    "ConditionReport",
-    "ConfigError",
-    "CouplingEdge",
-    "DesignSpec",
-    "DetuningResult",
-    "GridConfig",
-    "GridTooCoarseError",
-    "Handedness",
-    "LevelBasis",
-    "MoleculeSpec",
-    "NumericalGuardError",
-    "PRESETS",
-    "PhaseConvention",
-    "Pulse",
-    "RunSpec",
-    "SpectatorSpec",
-    "SweepResult",
-    "Trajectory",
-    "analytic_final_populations",
-    "basis_for_levels",
-    "complex_area",
-    "condition_residuals",
-    "default_grid",
-    "design_amplitudes",
-    "design_phases",
-    "designed_pulses",
-    "detuning_compensation",
-    "envelope",
-    "field",
-    "get_preset",
-    "load_config",
-    "loop_closure_residual",
-    "loop_couplings",
-    "loop_phase_target",
-    "mhz_to_rad_per_ns",
-    "norm_drift",
-    "parse_config",
-    "populations",
-    "propagate",
-    "read_snapshot",
-    "realize_phase",
-    "resolve_backend",
-    "resolve_grid",
-    "serialize_config",
-    "spectral_amplitude",
-    "stage_areas",
-    "support_window",
-    "sweep_delays",
-    "sweep_detuning",
-    "sweep_phase_duration",
-    "trace_table",
-    "two_stage_state",
-    "write_detuning_csv",
-    "write_landscape_csv",
-    "write_trace_csv",
-]
+# The imports above list the public API once; ``__all__`` is read off them.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

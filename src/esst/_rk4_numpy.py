@@ -66,7 +66,7 @@ element is one contiguous vector over the steps of the chunk:
   interpreter exit.
 * :func:`submit` starts a run's build without waiting for it, and
   ``rk4_run(..., build=...)`` samples it, so a caller with several runs can
-  keep the workers busy with the next one (``propagator.ahead``).
+  hand the workers the next one early (``propagator.ahead``).
 
 None of this uses a batched ``np.matmul``, which hands each tiny matrix to
 BLAS separately and costs several times the arithmetic.  The numerical

@@ -7,9 +7,11 @@ stage puts its complex area theta_x, times the handedness sign on the a-type
 channel, at the lower-triangle entry of its coupling in
 :data:`esst.model.THREE_LEVEL_LOOP`, and the conjugate above.
 
-Every coupling of a stage touches one shared level, the hub: A in stage 1
-and the target level in stage 2.  With c_k = Theta[hub, leaf_k] and
-theta^2 = sum_k |c_k|^2 this gives Theta^3 = theta^2 Theta, so
+The stages are the rows of the one stage table,
+:attr:`esst.areas.DesignSpec.stages`.  Every coupling of a stage touches
+its hub: A in stage 1 and the target level in stage 2.  With
+c_k = Theta[hub, leaf_k] and theta^2 = sum_k |c_k|^2 this gives
+Theta^3 = theta^2 Theta, so
 
     exp(-i Theta) = 1 - i S(theta) Theta + G(theta) Theta^2,
     S(theta) = sin(theta) / theta,   G(theta) = (cos(theta) - 1) / theta^2,
@@ -19,8 +21,10 @@ and with x = sum_k c_k psi[leaf_k] one stage maps psi to
     hub:     cos(theta) psi[hub] - i S x,
     leaf k:  psi[leaf_k] + conj(c_k) (-i S psi[hub] + G x).
 
-S and G switch to Taylor series near zero.  State vectors are complex
-ndarrays in the fixed order (A, B, C).
+S and G switch to Taylor series near zero.  A hand only flips the sign
+of the a-type couplings, so theta, S, G and cos(theta) serve both hands,
+and one walk of the table gives both hands' states.  State vectors are
+complex ndarrays in the fixed order (A, B, C).
 """
 from __future__ import annotations
 
@@ -29,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .areas import TWO_PI, ComplexArea, DesignSpec, loop_phase_target, stage_areas
+from .areas import (
+    LOOP_PHASE_SIGNS, TWO_PI, ComplexArea, DesignSpec, loop_phase_target, stage_areas,
+)
 from .model import CHANNELS, THREE_LEVEL_LOOP, Handedness, MoleculeSpec
 from .pulses import Pulse
 
@@ -58,36 +64,42 @@ def two_stage_state(
 ) -> np.ndarray:
     """Closed-form final amplitudes (A, B, C) of the sequence started in |A>.
 
-    ``areas`` maps each channel to its complex area over its stage window,
-    the ``.value`` of the :func:`esst.areas.stage_areas` entries; the
-    stage-1 channel's area is taken at the stage boundary.  Zero stage-2
-    areas leave the stage-1 state.
+    The one-hand view of the stage walk that :func:`analytic_final_populations`
+    and :func:`condition_residuals` make for both hands at once.  ``areas``
+    maps each channel to its complex area over its stage window, the
+    ``.value`` of the :func:`esst.areas.stage_areas` entries; the stage-1
+    channel's area is taken at the stage boundary.  Zero stage-2 areas
+    leave the stage-1 state.
     """
-    psi = [1.0 + 0.0j, 0.0j, 0.0j]
-    target = "ABC".index(spec.target)
-    for hub, channels in ((0, (spec.stage1_channel,)), (target, spec.stage2_channels)):
-        couplings = []
+    return np.array(_stage_states(areas, spec, (hand,))[0], dtype=complex)
+
+
+def _stage_states(areas: dict[str, complex], spec: DesignSpec, hands) -> list:
+    """Closed-form final amplitudes [A, B, C], one list per hand of ``hands``.
+
+    One walk over ``spec.stages`` serves every hand: a hand only flips the
+    sign of the a-type couplings, so each stage's theta, S(theta), G(theta)
+    and cos(theta) are the same for all of them.
+    """
+    psis = [[1.0 + 0.0j, 0.0j, 0.0j] for _ in hands]
+    for stage in spec.stages:
+        hub = "ABC".index(stage.hub)
+        per_hand = [[] for _ in hands]  # (leaf_k, c_k = Theta[hub, leaf_k])
         for row, col, channel, signed in THREE_LEVEL_LOOP:
-            if channel in channels:
-                lower = hand.sign * areas[channel] if signed else areas[channel]
-                # Theta[col, row] = lower and Theta[row, col] = conj(lower)
-                if hub == row:
-                    couplings.append((col, lower.conjugate()))
-                else:
-                    couplings.append((row, lower))
-        _apply_stage(psi, hub, couplings)
-    return np.array(psi, dtype=complex)
-
-
-def _apply_stage(psi: list, hub: int, couplings: list) -> None:
-    """psi <- exp(-i Theta) psi in place, for (leaf_k, c_k) couplings."""
-    theta = math.hypot(*[abs(c) for _, c in couplings])
-    s = sinc_area(theta)
-    x = sum([c * psi[leaf] for leaf, c in couplings])
-    kick = -1j * s * psi[hub] + cosc_area(theta) * x
-    psi[hub] = math.cos(theta) * psi[hub] - 1j * s * x
-    for leaf, c in couplings:
-        psi[leaf] += c.conjugate() * kick
+            if channel in stage.channels:
+                for hand, couplings in zip(hands, per_hand):
+                    lower = hand.sign * areas[channel] if signed else areas[channel]
+                    # Theta[col, row] = lower and Theta[row, col] = conj(lower)
+                    couplings.append((col, lower.conjugate()) if hub == row else (row, lower))
+        theta = math.hypot(*[abs(c) for _, c in per_hand[0]])
+        cos, s, g = math.cos(theta), sinc_area(theta), cosc_area(theta)
+        for psi, couplings in zip(psis, per_hand):  # psi <- exp(-i Theta) psi
+            x = sum([c * psi[leaf] for leaf, c in couplings])
+            kick = -1j * s * psi[hub] + g * x
+            psi[hub] = cos * psi[hub] - 1j * s * x
+            for leaf, c in couplings:
+                psi[leaf] += c.conjugate() * kick
+    return psis
 
 
 def analytic_final_populations(
@@ -98,15 +110,17 @@ def analytic_final_populations(
     """Closed-form final populations (A, B, C) for both hands.
 
     Computes the stage areas of the given pulses in closed form (see
-    :func:`esst.areas.complex_area`), then applies :func:`two_stage_state`.
-    Valid when the stages are well separated; overlapping stages are
-    outside the area theorem's assumptions and are the exact propagator's
-    job.  A sequence whose stage-2 pulses are centered
-    before the stage-1 pulse violates the protocol ordering outright and is
-    rejected (the exact propagator will still happily integrate it).
+    :func:`esst.areas.complex_area`), then walks the stage table once for
+    both hands (:func:`two_stage_state` is the one-hand view).  Valid when
+    the stages are well separated; overlapping stages are outside the area
+    theorem's assumptions and are the exact propagator's job.  A sequence
+    whose stage-2 pulses are centered before the stage-1 pulse violates the
+    protocol ordering outright and is rejected (the exact propagator will
+    still happily integrate it).
     """
-    t1_center = pulses[spec.stage1_channel].center_time
-    for channel in spec.stage2_channels:
+    first, second = spec.stages
+    t1_center = pulses[first.channels[0]].center_time
+    for channel in second.channels:
         if pulses[channel].center_time < t1_center:
             raise ValueError(
                 f"stage-2 pulse {channel!r} is centered at "
@@ -118,8 +132,10 @@ def analytic_final_populations(
         channel: area.value
         for channel, area in stage_areas(molecule, pulses, spec).items()
     }
+    hands = tuple(Handedness)
     return {
-        hand: np.abs(two_stage_state(values, spec, hand)) ** 2 for hand in Handedness
+        hand: np.abs(np.array(psi, dtype=complex)) ** 2
+        for hand, psi in zip(hands, _stage_states(values, spec, hands))
     }
 
 
@@ -159,30 +175,24 @@ def condition_residuals(
     ``areas`` maps each channel to its :class:`esst.areas.ComplexArea` over
     its stage window, as :func:`esst.areas.stage_areas` returns them; the
     stage-1 channel's entry must be its area at the stage boundary.  |LHS|
-    is the modulus of the target amplitude of :func:`two_stage_state`.
+    is the modulus of the target amplitude of :func:`two_stage_state`,
+    taken for the designed hand and its mirror in one walk of the stages.
+    Each channel's amplitude lattice is its stage's.
     """
     values = {ch: areas[ch].value for ch in CHANNELS}
     target = "ABC".index(spec.target)
+    designed, mirror = _stage_states(values, spec, (spec.hand, spec.hand.mirror))
+    lhs_designed, lhs_mirror = abs(designed[target]), abs(mirror[target])
 
-    def lhs(hand: Handedness) -> float:
-        return abs(complex(two_stage_state(values, spec, hand)[target]))
-
-    lhs_designed = lhs(spec.hand)
-    lhs_mirror = lhs(spec.hand.mirror)
-
-    amp_resid: dict[str, float] = {}
+    amp_resid = {}
     for channel in CHANNELS:
-        modulus = abs(values[channel])
-        if channel == spec.stage1_channel:
-            amp_resid[channel] = _lattice_residual(modulus, math.pi, 0.25)
-        else:
-            amp_resid[channel] = _lattice_residual(
-                modulus, math.pi / math.sqrt(2.0), 0.5
-            )
+        stage = spec.stage_of(channel)
+        amp_resid[channel] = _lattice_residual(
+            abs(values[channel]), math.pi / stage.divisor, stage.offset
+        )
 
     phi = sum(
-        sign * areas[ch].effective_phase
-        for ch, sign in (("a", 1.0), ("c", 1.0), ("b", -1.0))
+        sign * areas[ch].effective_phase for ch, sign in LOOP_PHASE_SIGNS.items()
     )
     phase_dist = abs(_wrap_pi(phi - loop_phase_target(spec)))
 

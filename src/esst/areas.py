@@ -16,22 +16,25 @@ full-window area is theta = -mu A exp(-i phi): the modulus is mu*A and the
 phase bookkeeping follows the convention theta = -|theta| exp(-i phi_eff),
 i.e. phi_eff = -arg(-theta).
 
-A two-stage transfer sequence is designed on top of these areas:
+A two-stage transfer sequence is designed on top of these areas.  Its
+layout is defined once, as the stage table :attr:`DesignSpec.stages`, one
+:class:`Stage` per row:
 
-* stage 1 drives the A<->(partner) transition to a quarter-ish area
+* stage 1, hub A: the one channel that does not touch the target drives
   |theta| = (k' + 1/4) pi, splitting the ground state into an equal
   superposition;
-* stage 2 drives the remaining two channels simultaneously with equal moduli
-  |theta| = (k + 1/2) pi / sqrt(2) each, closing the interference loop.
+* stage 2, hub = target: the two channels that touch it drive equal moduli
+  |theta| = (k + 1/2) pi / sqrt(2) simultaneously, closing the loop.
 
 Whether the population lands in the target or returns is controlled by the
-loop phase Phi = phi_a + phi_c - phi_b, whose constructive values form a
-lattice with period 2 pi that depends on target level and handedness.  The
-helpers below produce lattice-exact design parameters, realize them as pulse
-parameters under either carrier-phase convention, and integrate each channel
-over its stage window (:func:`stage_areas`).  :mod:`esst.analytic` turns
-those stage areas into closed-form states and scores them against the
-design conditions.
+loop phase Phi = phi_a + phi_c - phi_b (:data:`LOOP_PHASE_SIGNS`), whose
+constructive values form a lattice with period 2 pi that depends on target
+level and handedness.  The helpers below read the table to produce
+lattice-exact design parameters, realize them as pulse parameters under
+either carrier-phase convention, and integrate each channel over its stage
+window (:func:`stage_areas`).  :mod:`esst.analytic` walks the same table
+once for both hands to turn those stage areas into closed-form states, and
+scores them against the design conditions.
 """
 from __future__ import annotations
 
@@ -45,6 +48,7 @@ import numpy as np
 
 from .model import (
     CHANNELS,
+    THREE_LEVEL_LOOP,
     Handedness,
     MoleculeSpec,
     mhz_to_rad_per_ns,
@@ -260,6 +264,25 @@ def _panel_quad(fn, t_lo: float, t_hi: float, panels: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
+#: Sign of each channel's phase in the loop phase Phi = phi_a + phi_c - phi_b,
+#: in the order the phases are summed.
+LOOP_PHASE_SIGNS = {"a": 1.0, "c": 1.0, "b": -1.0}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table: ``channels`` coupling ``hub`` to the
+    other levels, centered at ``center``, each with its area modulus on the
+    lattice (n + ``offset``) pi / ``divisor``, at n = ``index`` by design."""
+
+    hub: str
+    channels: tuple[str, ...]
+    index: int
+    offset: float
+    divisor: float
+    center: float
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Everything needed to lay out a two-stage transfer sequence.
@@ -268,7 +291,8 @@ class DesignSpec:
     reach with unit probability while its mirror twin returns to A.  ``k``
     and ``kprime`` pick the stage-2 / stage-1 area lattice points, ``l``
     picks the loop-phase lattice point.  Stage centers default to 0 and
-    8 tau0; the stage boundary sits halfway between the centers.
+    8 tau0; the stage boundary sits halfway between the centers.  The
+    stage table :attr:`stages` lays the design out.
     """
 
     target: str
@@ -308,18 +332,38 @@ class DesignSpec:
             return self.stage2_center
         return self.stage1_center + 8.0 * self.tau0
 
+    # Kept in the instance __dict__, which fields, == and hash ignore.
+    @functools.cached_property
+    def stages(self) -> tuple[Stage, Stage]:
+        """The stage table: stage 1 splits A through the channel that does
+        not touch the target, stage 2 closes the loop at the target through
+        the two that do."""
+        target = "ABC".index(self.target)
+        closing = tuple(ch for row, col, ch, _ in THREE_LEVEL_LOOP if target in (row, col))
+        return (
+            Stage("A", tuple(ch for ch in CHANNELS if ch not in closing),
+                  self.kprime, 0.25, 1.0, self.stage1_center),
+            Stage(self.target, closing, self.k, 0.5, _SQRT_2, self.stage2_center_eff),
+        )
+
+    def stage_of(self, channel: str) -> Stage:
+        """The stage that drives ``channel``."""
+        first, second = self.stages
+        return first if channel in first.channels else second
+
     @property
     def stage_boundary(self) -> float:
         """Handoff time t1 between the stages: midpoint of the two centers."""
-        return 0.5 * (self.stage1_center + self.stage2_center_eff)
+        first, second = self.stages
+        return 0.5 * (first.center + second.center)
 
     @property
     def stage1_channel(self) -> str:
-        return "a" if self.target == "C" else "b"
+        return self.stages[0].channels[0]
 
     @property
     def stage2_channels(self) -> tuple[str, str]:
-        return ("b", "c") if self.target == "C" else ("a", "c")
+        return self.stages[1].channels
 
 
 def loop_phase_target(spec: DesignSpec) -> float:
@@ -337,33 +381,28 @@ def loop_phase_target(spec: DesignSpec) -> float:
 def design_amplitudes(molecule: MoleculeSpec, spec: DesignSpec) -> dict[str, float]:
     """Area parameters A_x (rad/Debye) hitting the amplitude lattice.
 
-    The stage-1 channel gets |theta| = (kprime + 1/4) pi and each stage-2
-    channel |theta| = (k + 1/2) pi / sqrt(2); since a resonant pulse has
-    |theta| = mu * A, the amplitudes are those moduli divided by the dipole.
+    Each channel gets its stage's lattice point, (index + offset) pi /
+    divisor; since a resonant pulse has |theta| = mu * A, the amplitudes
+    are those moduli divided by the dipole.
     """
-    stage1_area = (spec.kprime + 0.25) * math.pi
-    stage2_area = (spec.k + 0.5) * math.pi / math.sqrt(2.0)
     out: dict[str, float] = {}
     for channel in CHANNELS:
-        dipole, _ = molecule.channel_transition(channel)
-        target_area = stage1_area if channel == spec.stage1_channel else stage2_area
-        out[channel] = target_area / dipole
+        stage = spec.stage_of(channel)
+        area = (stage.index + stage.offset) * math.pi / stage.divisor
+        out[channel] = area / molecule.channel_transition(channel)[0]
     return out
 
 
 def design_phases(spec: DesignSpec) -> dict[str, float]:
     """Canonical effective phases (rad, in [0, 2 pi)) realizing the design.
 
-    The whole loop phase is carried by one channel: phi_a for target C and
-    phi_b for target B (with the sign flip from Phi = phi_a + phi_c - phi_b);
-    the other two channels sit at zero.
+    The whole loop phase is carried by the stage-1 channel, with its sign
+    in Phi = phi_a + phi_c - phi_b (phi_a for target C, -phi_b for target
+    B); the other two channels sit at zero.
     """
-    phi0 = loop_phase_target(spec)
-    phases = {channel: 0.0 for channel in CHANNELS}
-    if spec.target == "C":
-        phases["a"] = phi0 % TWO_PI
-    else:
-        phases["b"] = (-phi0) % TWO_PI
+    channel = spec.stage1_channel
+    phases = dict.fromkeys(CHANNELS, 0.0)
+    phases[channel] = (LOOP_PHASE_SIGNS[channel] * loop_phase_target(spec)) % TWO_PI
     return phases
 
 
@@ -455,9 +494,7 @@ def _designed_pulse(
     """
     _, transition = molecule.channel_transition(channel)
     carrier_mhz = _carrier_mhz(molecule, channel, detuning)
-    center = (
-        spec.stage1_center if channel == spec.stage1_channel else spec.stage2_center_eff
-    )
+    center = spec.stage_of(channel).center
     return Pulse(
         channel=channel,
         area_param=amplitude * float(scale),
@@ -483,11 +520,12 @@ def stage_areas(
     from t1 to the end of its support.
     """
     t1 = spec.stage_boundary
+    first = spec.stages[0]
     out: dict[str, ComplexArea] = {}
     for channel, pulse in pulses.items():
         dipole, transition = molecule.channel_transition(channel)
         lo, hi = support_window(pulse)
-        if channel == spec.stage1_channel:
+        if channel in first.channels:
             window = (min(lo, t1 - pulse.duration), t1)
         else:
             window = (t1, max(hi, t1 + pulse.duration))

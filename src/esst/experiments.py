@@ -16,9 +16,10 @@ is parallel inside each trajectory instead: the kernel builds a run's chunks
 on one forked worker process per usable CPU (see ``esst._rk4_numpy``).  The
 exact engine walks its runs through ``propagator.ahead``, which builds the
 next run and queues its chunks on those workers while the caller samples
-the current one, so they do not wait between runs.  Each trajectory and its
-result still come from one ``propagate`` call in the caller, which takes
-the queued run without building it again.
+the current one; the workers still idle between runs for a small share of
+their time.  Each trajectory and its result still come from one
+``propagate`` call in the caller, which takes the queued run without
+building it again.
 """
 from __future__ import annotations
 

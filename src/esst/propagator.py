@@ -329,10 +329,11 @@ def ahead(
     """Yield each ``(pulses, hand)`` of ``runs`` once the run after it is queued.
 
     A queued run has its grid and kernel arguments built and its kernel
-    build submitted, so the workers build it while the caller propagates
-    the run before.  Only the ``propagate`` call with the same molecule,
-    pulses, hand, levels, grid and numpy error state takes it, and builds
-    nothing again.  ``runs`` is read one run ahead; an error it raises
+    build submitted, so the workers can start on it while the caller
+    samples the run before, though they can still idle between the runs.
+    Only the ``propagate`` call with the same molecule, pulses, hand,
+    levels, grid and numpy error state takes it, and builds nothing
+    again.  ``runs`` is read one run ahead; an error it raises
     surfaces after the run before it has been yielded.  Closing the
     generator drops every run it queued that was not taken.
     """
