@@ -184,7 +184,7 @@ def condition_residuals(
     designed, mirror = _stage_states(values, spec, (spec.hand, spec.hand.mirror))
     lhs_designed, lhs_mirror = abs(designed[target]), abs(mirror[target])
 
-    amp_resid = {}
+    amp_resid: dict[str, float] = {}
     for channel in CHANNELS:
         stage = spec.stage_of(channel)
         amp_resid[channel] = _lattice_residual(

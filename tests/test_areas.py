@@ -6,6 +6,7 @@ import math
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -561,6 +562,24 @@ def test_design_spec_stage_roles():
     spec_b = DesignSpec(target="B")
     assert spec_b.stage1_channel == "b"
     assert spec_b.stage2_channels == ("a", "c")
+
+
+@pytest.mark.parametrize(
+    "target, split, closing", [("C", "a", ("b", "c")), ("B", "b", ("a", "c"))]
+)
+def test_stage_table_lays_out_the_design(target, split, closing):
+    spec = DesignSpec(target=target, tau0=2.0, k=3, kprime=5, stage1_center=1.0)
+    first, second = spec.stages
+    assert (first.hub, first.channels, first.index, first.center) == ("A", (split,), 5, 1.0)
+    assert (second.hub, second.channels, second.index, second.center) == (target, closing, 3, 17.0)
+    # |theta| = (kprime + 1/4) pi and (k + 1/2) pi / sqrt(2)
+    assert (first.offset, first.divisor) == (0.25, 1.0)
+    assert (second.offset, second.divisor) == (0.5, math.sqrt(2.0))
+    assert all(spec.stage_of(ch) is first for ch in first.channels)
+    assert all(spec.stage_of(ch) is second for ch in second.channels)
+    assert spec.stage_boundary == 9.0
+    # the table is the design's, not a shared one: a new design builds its own
+    assert replace(spec, k=0).stages[1].index == 0
 
 
 def test_design_spec_default_geometry():
