@@ -15,7 +15,10 @@ element is one contiguous vector over the steps of the chunk:
 * The Hamiltonian is kept as its coupling values, one row per edge.  It is
   evaluated once per chunk at the 2N+1 half-step times (the N+1 step
   starts, then the N midpoints); the end of step i is the start of
-  step i+1, so no time is evaluated twice.
+  step i+1, so no time is evaluated twice.  The hands of one pulse set
+  differ only in the sign of the a-type couplings, so a chunk's envelopes,
+  drive phasors and channel fields are evaluated once for all of them;
+  each hand then multiplies them into its own edge values.
 * No cos or sin is taken at those times.  Each edge value is
   Omega(t) exp(i dE t), and each pulse field is envelope times
   cos(w t + phi).  The grid is uniform, so every such phasor is a base
@@ -48,25 +51,28 @@ element is one contiguous vector over the steps of the chunk:
   Sample times and |norm - 1| are taken once per run, over whole arrays.
   The kernel judges no run: ``propagator.propagate`` holds the guards.
 * Everything up to the per-sample propagators depends on the chunk's
-  first step, never on the state.  A run of several chunks is therefore
-  cut into one contiguous range of whole chunks per CPU in the process's
-  affinity mask, and a pool of forked worker processes builds the ranges'
-  propagators.  Each worker builds the phasor table rather than receive
-  it, and keeps it for its next range: the ranges and both hands of a run
-  share one grid.  Each thread also keeps its chunk buffers for the next
-  build of the same shape, about 3 MB at three levels and 5 MB at four, so
-  a warm range pays no set-up but the drive's exact arguments.  Chunk
-  boundaries and the table's size are those of a serial run, so every
-  chunk does the same arithmetic and the result is the same to the bit.
-  The sample loop stays in the calling process and runs in order.  On one
-  CPU, for a one-chunk run or without ``fork``, the caller builds every
-  chunk itself.  Each range carries the caller's numpy error state, and
-  its warnings come back to be raised in the caller.  The workers leave
-  Ctrl-C to the caller, exit when it dies and are shut down at
-  interpreter exit.
-* :func:`submit` starts a run's build without waiting for it, and
-  ``rk4_run(..., build=...)`` samples it, so a caller with several runs can
-  hand the workers the next one early (``propagator.ahead``).
+  first step, never on the state.  One build, the runs of the hands of a
+  pulse set, is therefore cut into contiguous ranges of whole chunks, and
+  a pool of forked worker processes builds each range for every hand in
+  one task.  There is one range per CPU in the process's affinity mask,
+  more only where a range's result would pass ``_RANGE_BYTES``, and never
+  more than there are chunks.  Each worker builds the phasor table rather
+  than receive it, and keeps it for its next range: the ranges and hands
+  of a build share one grid.  Each thread also keeps its chunk buffers
+  for the next build of the same shape, about 3.5 MB at three levels and
+  5.8 MB at four, so a warm range pays no set-up but the drive's exact
+  arguments.  Chunk boundaries and the table's size are those of a serial
+  run, so every chunk does the same arithmetic and the result is the same
+  to the bit.  The sample loop stays in the calling process and runs in
+  order.  On one CPU, for a one-chunk run or without ``fork``, the caller
+  builds every chunk itself.  Each range carries the caller's numpy error
+  state; each hand's warnings, and any error of its own arithmetic, come
+  back to be raised in that hand's run.  The workers leave Ctrl-C to the
+  caller, exit when it dies and are shut down at interpreter exit.
+* :func:`submit` starts a build without waiting for it and returns one
+  share per hand, which ``rk4_run(..., build=share)`` samples, so a
+  caller can hand the workers the next pulse set early
+  (``propagator.ahead``).
 
 None of this uses a batched ``np.matmul``, which hands each tiny matrix to
 BLAS separately and costs several times the arithmetic.  The numerical
@@ -177,12 +183,8 @@ def _phasor_table(freqs, dt, size):
     return table
 
 
-def _hamiltonian_batch(
-    ts, bases, table,
-    pchan, amp, tc, tau, echan, prefactor,
-    buffers,
-):
-    """Generator entries -i H[rows[e], cols[e]] at each time of ``ts``.
+def _hamiltonian_batch(ts, bases, table, pchan, amp, tc, tau, buffers):
+    """The channel fields and the edge gaps' drive phasors at each time of ``ts``.
 
     ``ts`` holds a chunk's nc + 1 step starts, then its nc midpoints.  Rows
     of ``bases`` and ``table`` are the pulse carriers, then the edge gaps;
@@ -190,22 +192,22 @@ def _hamiltonian_batch(
     bases[r, 1] * table[r, j] at midpoint j.  Carrier phases and the -i of
     the generator are folded into ``bases``.
 
-    ``buffers`` is the scratch (phasor, fields, work, values): one complex
-    drive row, the three channel fields, one real row and the result, each
-    at least len(ts) long.  Returns shape (n_edges, len(ts)), a view into
-    ``values``.  H is Hermitian with a zero diagonal, so these values
-    define it: the generator's transposed entry is the negated conjugate.
+    ``buffers`` is the scratch (phasor, fields, work, drives): one complex
+    drive row, the three channel fields, one real row and one complex row
+    per edge, each at least len(ts) long.  Returns the fields, shape
+    (3, len(ts)), and the gaps' phasors, shape (n_edges, len(ts)), views
+    into ``fields`` and ``drives``.  Nothing here depends on the hand:
+    :func:`_edge_values` makes each hand's generator entries from them.
     """
-    phasor, fields, work, values = buffers
+    phasor, fields, work, drives = buffers
     n_t = ts.shape[0]
     nc = n_t // 2
-    drive = phasor[:n_t]
 
-    def rotate(r):
-        """The drive phasor of row r at every time, in ``drive``."""
-        np.multiply(bases[r, 0], table[r, : nc + 1], out=drive[: nc + 1])
-        np.multiply(bases[r, 1], table[r, :nc], out=drive[nc + 1 :])
-        return drive
+    def rotate(r, out):
+        """The drive phasor of row r at every time, in ``out``."""
+        np.multiply(bases[r, 0], table[r, : nc + 1], out=out[: nc + 1])
+        np.multiply(bases[r, 1], table[r, :nc], out=out[nc + 1 :])
+        return out
 
     field = fields[:, :n_t]
     field[...] = 0.0
@@ -218,15 +220,30 @@ def _hamiltonian_batch(
         w *= -0.5
         np.exp(w, out=w)
         w *= SQRT_2_OVER_PI * (amp[p] / tau[p])
-        w *= rotate(p).real
+        w *= rotate(p, phasor[:n_t]).real
         field[pchan[p]] += w
 
+    gaps = drives[:, :n_t]
+    for e in range(gaps.shape[0]):
+        rotate(n_pulses + e, gaps[e])
+    return field, gaps
+
+
+def _edge_values(fields, drives, echan, prefactor, work, values):
+    """One hand's generator entries -i H[rows[e], cols[e]] at every time.
+
+    Edge e's value is its channel's field times ``prefactor[e]``, times its
+    gap's drive phasor, from :func:`_hamiltonian_batch`.  Returns a view
+    into ``values``.  H is Hermitian with a zero diagonal, so these values
+    define it: the generator's transposed entry is the negated conjugate.
+    """
+    n_t = drives.shape[1]
+    w = work[:n_t]
     out = values[:, :n_t]
     for e in range(echan.shape[0]):
-        np.multiply(field[echan[e]], prefactor[e], out=w)
-        rotate(n_pulses + e)
-        np.multiply(drive.real, w, out=out[e].real)
-        np.multiply(drive.imag, w, out=out[e].imag)
+        np.multiply(fields[echan[e]], prefactor[e], out=w)
+        np.multiply(drives[e].real, w, out=out[e].real)
+        np.multiply(drives[e].imag, w, out=out[e].imag)
     return out
 
 
@@ -361,10 +378,11 @@ def _scratch(n, n_edges, longest):
             np.empty(n_times, dtype=np.complex128),
             np.empty((3, n_times)),
             np.empty(n_times),
-            np.empty((n_edges, n_times), dtype=np.complex128),
+            np.empty((n_edges, n_times), dtype=np.complex128),  # gap phasors
         )
         kept = _KEPT.scratch = (key, (
             hamiltonian,
+            np.empty((n_edges, n_times), dtype=np.complex128),  # -i H of a hand
             np.empty((n_edges, n_times), dtype=np.complex128),  # -i conj(H)
             np.empty((n, n, longest), dtype=np.complex128),  # M
             # K2 (then K4) and K3; free again once M is summed, when they
@@ -392,20 +410,27 @@ def _table(freqs, dt, size):
     return kept[1]
 
 
-def _propagators(kernel_args, first_step, end_step, chunk):
-    """Per-sample propagators of the chunks in steps [first_step, end_step).
+def _shared_propagators(kernel_args, prefactors, first_step, end_step, chunk, log=()):
+    """Per-sample propagators of each hand over the chunks in [first_step, end_step).
 
-    ``kernel_args`` are :func:`rk4_run`'s positional arguments; ``chunk``
-    is its chunk length in steps, a multiple of the stride, and
-    ``first_step`` starts a chunk.  Returns shape (samples, n, n): entry s
-    takes the state at sample s to sample s + 1 of the range.  Nothing here
+    ``kernel_args`` are :func:`rk4_run`'s positional arguments; the hands
+    differ from them only in ``prefactors``, one per hand.  ``chunk`` is
+    the chunk length in steps, a multiple of the stride, and
+    ``first_step`` starts a chunk.  Each chunk's drive and fields are
+    evaluated once, then each hand does the operations of a one-hand build.
+
+    Returns two lists, one entry per hand: its propagators, shape
+    (samples, n, n), entry s taking sample s to sample s + 1 of the range,
+    or the exception that stopped its own arithmetic; and its warnings
+    from ``log``, the list they are recorded into, in its lone build's
+    order.  An exception of the shared part is raised.  Nothing here
     depends on the state, so ranges can be built in any order and process.
-    The phasor table has the size a run of that chunk length would give it,
-    whichever range asks, so every chunk does the same arithmetic.
+    The phasor table has the size a run of that chunk length would give
+    it, whichever range asks, so every chunk does the same arithmetic.
     """
     (
         t0, dt, n_steps, stride,
-        energies, rows, cols, echan, prefactor,
+        energies, rows, cols, echan, _,
         pchan, amp, tc, tau, wcar, ph, conv,
         psi0,
     ) = kernel_args
@@ -421,60 +446,87 @@ def _propagators(kernel_args, first_step, end_step, chunk):
         dt,
     )
     table = _table(freqs, dt, longest + 1)
-    buffers, flipped, m_buf, stages, tmp = _scratch(n, rows.shape[0], longest)
+    buffers, values, flipped, m_buf, stages, tmp = _scratch(n, rows.shape[0], longest)
     entries = _generator_rows(rows, cols, n)
     k24, k3 = stages[0], stages[1]
-    out = np.empty(((end_step - first_step) // stride, n, n), dtype=np.complex128)
+    samples = (end_step - first_step) // stride
+    hands = [np.empty((samples, n, n), dtype=np.complex128) for _ in prefactors]
+    caught = [[] for _ in prefactors]
 
     for step0 in range(first_step, end_step, chunk):
         nc = min(chunk, end_step - step0)
+        mark = len(log)
         starts = t0 + (step0 + np.arange(nc + 1)) * dt
         bases = _base_phasors(exact, step0)
         bases[n_pulses:] *= -1j  # the generator is -i H
-        upper = _hamiltonian_batch(
+        fields, drives = _hamiltonian_batch(
             np.concatenate([starts, starts[:-1] + 0.5 * dt]), bases, table,
-            pchan, amp, tc, tau, echan, prefactor, buffers,
+            pchan, amp, tc, tau, buffers,
         )
-        # -i conj(H), the transposed entries
-        mirrored = flipped[:, : upper.shape[1]]
-        np.negative(upper.real, out=mirrored.real)
-        np.copyto(mirrored.imag, upper.imag)
-        a1 = _sparse_rows(entries, upper, mirrored, slice(0, nc))  # starts
-        a2 = _sparse_rows(entries, upper, mirrored, slice(nc + 1, None))  # midpoints
-        a3 = _sparse_rows(entries, upper, mirrored, slice(1, nc + 1))  # ends
-        step_mats, c24, c3 = (k[..., :nc] for k in (m_buf, k24, k3))
-        t = tmp[:, :nc]
-        _sparse_stage(a2, a1, 0.5 * dt, c24, t[0])  # K2
-        _stage(a2, c24, 0.5 * dt, c3, t)  # K3
+        shared = log[mark:]
+        for hand, prefactor in enumerate(prefactors):
+            if isinstance(hands[hand], Exception):
+                continue
+            mark = len(log)
+            try:
+                upper = _edge_values(fields, drives, echan, prefactor, buffers[2], values)
+                # -i conj(H), the transposed entries
+                mirrored = flipped[:, : upper.shape[1]]
+                np.negative(upper.real, out=mirrored.real)
+                np.copyto(mirrored.imag, upper.imag)
+                a1 = _sparse_rows(entries, upper, mirrored, slice(0, nc))  # starts
+                a2 = _sparse_rows(entries, upper, mirrored, slice(nc + 1, None))  # midpoints
+                a3 = _sparse_rows(entries, upper, mirrored, slice(1, nc + 1))  # ends
+                step_mats, c24, c3 = (k[..., :nc] for k in (m_buf, k24, k3))
+                t = tmp[:, :nc]
+                _sparse_stage(a2, a1, 0.5 * dt, c24, t[0])  # K2
+                _stage(a2, c24, 0.5 * dt, c3, t)  # K3
 
-        # M = I + dt/6 (((2 K2 + K1) + 2 K3) + K4)
-        _add_sparse(np.multiply(c24, 2.0, out=step_mats), a1)
-        _stage(a3, c3, dt, c24, t)  # K4 over K2
-        step_mats += np.multiply(c3, 2.0, out=c3)
-        step_mats += c24
-        step_mats *= dt / 6.0
-        for i in range(n):
-            step_mats[i, i] += 1.0
+                # M = I + dt/6 (((2 K2 + K1) + 2 K3) + K4)
+                _add_sparse(np.multiply(c24, 2.0, out=step_mats), a1)
+                _stage(a3, c3, dt, c24, t)  # K4 over K2
+                step_mats += np.multiply(c3, 2.0, out=c3)
+                step_mats += c24
+                step_mats *= dt / 6.0
+                for i in range(n):
+                    step_mats[i, i] += 1.0
 
-        groups = nc // stride
-        first = (step0 - first_step) // stride
-        out[first : first + groups] = np.moveaxis(
-            _compose_ordered(step_mats.reshape(n, n, groups, stride), stages.reshape(-1)),
-            -1, 0,
-        )
-    return out
+                groups = nc // stride
+                first = (step0 - first_step) // stride
+                hands[hand][first : first + groups] = np.moveaxis(
+                    _compose_ordered(step_mats.reshape(n, n, groups, stride), stages.reshape(-1)),
+                    -1, 0,
+                )
+            except Exception as exc:
+                hands[hand] = exc
+            caught[hand] += shared + log[mark:]
+    return hands, caught
 
 
-def _range_propagators(kernel_args, chunk, err, bounds):
-    """One range's :func:`_propagators`, built under the caller's error state.
+def _propagators(kernel_args, first_step, end_step, chunk):
+    """One hand's :func:`_shared_propagators`, built in this thread, with
+    any error raised: its propagators, shape (samples, n, n)."""
+    (props,), _ = _shared_propagators(kernel_args, (kernel_args[8],), first_step, end_step, chunk)
+    if isinstance(props, Exception):
+        raise props
+    return props
 
-    Also returns the (category, message) of every warning the range raised,
-    for the caller to raise again under its own filters.
+
+def _range_propagators(kernel_args, prefactors, chunk, err, bounds):
+    """One range's :func:`_shared_propagators`, under the caller's error state.
+
+    Returns one entry per hand: its (propagators, warnings), the warnings
+    as (category, message) for the caller to raise again under its own
+    filters, or the exception that stopped the hand.
     """
-    with np.errstate(**err), warnings.catch_warnings(record=True) as caught:
+    with np.errstate(**err), warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
-        props = _propagators(kernel_args, *bounds, chunk)
-    return props, [(w.category, str(w.message)) for w in caught]
+        hands, caught = _shared_propagators(kernel_args, prefactors, *bounds, chunk, log)
+    return [
+        props if isinstance(props, Exception)
+        else (props, [(w.category, str(w.message)) for w in found])
+        for props, found in zip(hands, caught)
+    ]
 
 
 def _worker_count() -> int:
@@ -535,10 +587,11 @@ def _shutdown() -> None:
 
 
 def _forget_pool() -> None:
-    # A forked child shares the parent's pool handle but not its workers,
-    # and its copy of the lock may be held by a thread it does not have.
+    # A forked child shares the parent's pool handle and builds but not its
+    # workers, and its copy of the lock may be held by a thread it does not have.
     global _POOL, _POOL_LOCK
     _POOL, _POOL_LOCK = None, threading.Lock()
+    _OPEN.clear()
 
 
 # Shut the pool down before interpreter teardown, which otherwise reports
@@ -555,40 +608,74 @@ def _chunk_ranges(n_steps, chunk, parts):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _collect(futures):
-    """Each range's result, in order.
-
-    The ranges not yet taken are cancelled once the caller stops.
-    """
-    try:
-        for future in futures:
-            yield future.result()
-    finally:
-        for future in futures:
-            future.cancel()
-
-
 def _chunk_length(stride, chunk_steps):
     """Steps per chunk: ``chunk_steps`` cut down to a stride multiple."""
     return max(stride, (int(chunk_steps) // stride) * stride)
 
 
-def submit(kernel_args, chunk_steps: int = CHUNK_STEPS):
-    """Start the build of ``rk4_run(*kernel_args)`` on the pool.
+#: Largest propagator result, all hands together, that one range returns:
+#: a one-hand range of the 4-level default design on two CPUs, so a shared
+#: build adds no larger message than a lone run's for the caller to hold.
+_RANGE_BYTES = 1 << 19
 
-    Returns its range futures, in order, built under the caller's numpy
-    error state, for ``rk4_run``'s ``build``.  None where the caller builds
-    the run itself: one usable CPU, one chunk or no ``fork``.  A build that
-    is not passed on is dropped by cancelling its futures.
+#: Shares of pool builds not yet taken or dropped.
+_OPEN: set = set()
+
+
+class _Share:
+    """One hand's part of a pool build, ``rk4_run``'s ``build``.
+
+    The hands' shares hold the same range futures, which are cancelled
+    once every share has been taken or dropped.
     """
-    n_steps = kernel_args[2]
-    chunk = _chunk_length(kernel_args[3], chunk_steps)
-    parts = min(_worker_count(), -(-n_steps // chunk))
-    if parts < 2 or not hasattr(os, "fork"):
+
+    def __init__(self, futures, hand, waiting):
+        self.futures, self.hand, self.waiting = futures, hand, waiting
+        _OPEN.add(self)
+
+    def take(self):
+        """This hand's (propagators, warnings) of each range, in order,
+        each freed from the range's result as it is taken."""
+        for future in self.futures:
+            hands = future.result()
+            mine, hands[self.hand] = hands[self.hand], None
+            if isinstance(mine, Exception):
+                raise mine
+            yield mine
+
+    def drop(self):
+        """Leave the build; the last share to leave cancels its futures."""
+        _OPEN.discard(self)
+        self.waiting.discard(self.hand)
+        if not self.waiting:
+            for future in self.futures:
+                future.cancel()
+
+
+def submit(runs, chunk_steps: int = CHUNK_STEPS):
+    """Start one build of ``rk4_run(*args)`` for every ``args`` of ``runs``.
+
+    ``runs`` are the hands of one pulse set: their arguments differ only
+    in ``prefactor``.  Each range is built on the pool under the caller's
+    numpy error state.  Returns one :class:`_Share` per run, or None where
+    the caller builds each run itself: one usable CPU, one chunk or no
+    ``fork``.  A share that is not passed on must be dropped.
+    """
+    kernel_args = runs[0]
+    n_steps, stride, psi0 = kernel_args[2], kernel_args[3], kernel_args[16]
+    chunk = _chunk_length(stride, chunk_steps)
+    n_chunks = -(-n_steps // chunk)
+    workers = _worker_count()
+    if workers < 2 or n_chunks < 2 or not hasattr(os, "fork"):
         return None
-    job = partial(_range_propagators, kernel_args, chunk, np.geterr())
+    result = len(runs) * (n_steps // stride) * psi0.shape[0] ** 2 * 16  # complex128
+    parts = min(n_chunks, max(workers, -(-result // _RANGE_BYTES)))
+    prefactors = tuple(args[8] for args in runs)
+    job = partial(_range_propagators, kernel_args, prefactors, chunk, np.geterr())
     pool = _pool()
-    return [pool.submit(job, bounds) for bounds in _chunk_ranges(n_steps, chunk, parts)]
+    futures = [pool.submit(job, bounds) for bounds in _chunk_ranges(n_steps, chunk, parts)]
+    waiting = set(range(len(runs)))
+    return [_Share(futures, hand, waiting) for hand in range(len(runs))]
 
 
 def rk4_run(
@@ -616,13 +703,12 @@ def rk4_run(
     ``norm_err`` is |<psi|psi> - 1|.  Every step is taken, and a state
     that goes non-finite stays so for the caller to judge.
 
-    A run of several chunks is cut into one range of whole chunks per
-    usable CPU, and the ranges' propagators are built on the forked
-    process pool; the samples are then taken here, in order.  With one
-    CPU, one chunk or no ``fork``, this process builds them all.
-    ``build`` is what :func:`submit` returned for these same arguments,
-    under the same numpy error state and ``chunk_steps``; it is taken as
-    it is instead of submitting the run again.
+    A run of several chunks is cut into ranges of whole chunks, and the
+    ranges' propagators are built on the forked process pool; the samples
+    are then taken here, in order.  With one CPU, one chunk or no
+    ``fork``, this process builds them all.  ``build`` is this run's share
+    of what :func:`submit` returned, under the same numpy error state and
+    ``chunk_steps``; it is taken instead of submitting the run again.
     """
     kernel_args = (
         t0, dt, n_steps, stride,
@@ -643,20 +729,24 @@ def rk4_run(
     states[0] = psi
     norm_err[0] = np.vdot(psi, psi).real
 
-    chunk = _chunk_length(stride, chunk_steps)
-    futures = submit(kernel_args, chunk_steps) if build is None else build
-    if futures is None:
-        results = [(_propagators(kernel_args, 0, n_steps, chunk), [])]
-    else:
-        results = _collect(futures)
-
-    sample = 1  # the next sample to take
-    for props, caught in results:
-        for category, message in caught:
-            warnings.warn(message, category)
-        for p in props:
-            psi = np.matmul(p, psi, out=states[sample])
-            norm_err[sample] = np.vdot(psi, psi).real
-            sample += 1
+    if build is None:
+        build = (submit([kernel_args], chunk_steps) or [None])[0]
+    try:
+        if build is None:
+            chunk = _chunk_length(stride, chunk_steps)
+            results = [(_propagators(kernel_args, 0, n_steps, chunk), [])]
+        else:
+            results = build.take()
+        sample = 1  # the next sample to take
+        for props, caught in results:
+            for category, message in caught:
+                warnings.warn(message, category)
+            for p in props:
+                psi = np.matmul(p, psi, out=states[sample])
+                norm_err[sample] = np.vdot(psi, psi).real
+                sample += 1
+    finally:
+        if build is not None:
+            build.drop()
     np.abs(np.subtract(norm_err, 1.0, out=norm_err), out=norm_err)
     return times, states, norm_err

@@ -12,14 +12,15 @@ config snapshot is embedded in the header as comment lines so a result file
 can be traced back to the exact run that produced it.
 
 Every sweep point runs in the calling thread, in order.  Exact propagation
-is parallel inside each trajectory instead: the kernel builds a run's chunks
-on one forked worker process per usable CPU (see ``esst._rk4_numpy``).  The
-exact engine walks its runs through ``propagator.ahead``, which builds the
-next run and queues its chunks on those workers while the caller samples
-the current one; the workers still idle between runs for a small share of
-their time.  Each trajectory and its result still come from one
-``propagate`` call in the caller, which takes the queued run without
-building it again.
+is parallel inside each point instead: the kernel builds a point's chunks
+on forked worker processes, at least one per usable CPU (see
+``esst._rk4_numpy``).  The exact engine walks its runs through
+``propagator.ahead``, which queues both hands of a point as one kernel
+build: each chunk's envelopes, drive phasors and fields are evaluated once
+for both hands.  It queues the next point's build while the caller samples
+this one's runs.  Each trajectory and its result still come from one
+``propagate`` call in the caller, which takes its hand's share of the
+queued build without building it again.
 """
 from __future__ import annotations
 
@@ -70,8 +71,9 @@ def _sweep(
     ``pulses_at(v1, v2)`` returns one grid point's design and its pulse
     set.  Points run in order in the calling thread.  The exact engine
     propagates both hands of each point on that set's default grid; it
-    walks the runs through :func:`ahead`, so the next run is built while
-    the current one is sampled.  The analytic engine evaluates each point
+    walks the runs through :func:`ahead`, so both hands of a point share
+    one kernel build, and the next point's is built while this one is
+    sampled.  The analytic engine evaluates each point
     once: its closed form yields both hands at once.  The closed form takes
     its stage windows from the point's design, so a point that changes
     tau0 or another ``DesignSpec`` field must return the design it was

@@ -8,8 +8,10 @@ oscillating fields enter the Hamiltonian.
 One vectorized numpy kernel, ``_rk4_numpy.rk4_run``, does the stepping; its
 module docstring says how.  It takes no cos or sin of floating-point times:
 every drive phasor comes from an argument reduced mod 2 pi exactly.
-:func:`ahead` queues each next run of a sequence, built and submitted to
-the kernel, for the ``propagate`` call with exactly its inputs.
+:func:`ahead` queues the runs of a sequence one pulse set ahead: the hands
+of a pulse set are built and submitted to the kernel as one build, whose
+drive and fields the kernel evaluates once, and each run waits for the
+``propagate`` call with exactly its inputs.
 
 The kernel only integrates; :func:`propagate` judges every run, and this
 module holds all three guards.  Grid safety: carriers oscillate at up to
@@ -281,7 +283,7 @@ def propagate(
 
 
 #: Runs queued by :func:`ahead`, by :func:`_run_key`: each one's grid,
-#: kernel arguments and kernel build.
+#: kernel arguments and share of its pulse set's build.
 _QUEUED: dict = {}
 
 _END = object()
@@ -297,27 +299,66 @@ def _run_key(molecule, plist, hand, levels, grid):
     return molecule, plist, hand, levels, grid, tuple(sorted(np.geterr().items()))
 
 
-def _queue(molecule, run, levels, grid):
-    """Build and submit one ``(pulses, hand)`` run; its key, or None if it
-    is queued already or fails, an error left for :func:`propagate` to
-    raise in that run's turn."""
+def _queue(molecule, runs, levels, grid):
+    """Build the ``(pulses, hand)`` runs of one pulse set and submit them
+    as one kernel build; one key per run, or None where the run is queued
+    already or fails, an error left for :func:`propagate` to raise in that
+    run's turn."""
+    keys, built = [], {}
+    for run in runs:
+        try:
+            plist, hand = _pulse_list(run[0]), run[1]
+            key = _run_key(molecule, plist, hand, levels, grid)
+            if key not in _QUEUED:
+                built[key] = _run_args(molecule, plist, hand, levels, grid)
+        except Exception:
+            key = None
+        keys.append(key if key in built else None)
     try:
-        plist, hand = _pulse_list(run[0]), run[1]
-        key = _run_key(molecule, plist, hand, levels, grid)
-        if key in _QUEUED:
-            return None
-        grid, args = _run_args(molecule, plist, hand, levels, grid)
-        _QUEUED[key] = grid, args, _rk4_numpy.submit(args)
-        return key
+        shares = built and _rk4_numpy.submit([args for _, args in built.values()])
     except Exception:
-        return None
+        return [None] * len(keys)
+    for (key, (run_grid, args)), share in zip(built.items(), shares or [None] * len(built)):
+        _QUEUED[key] = run_grid, args, share
+    return keys
 
 
 def _drop(key) -> None:
-    """Forget a queued run that was not taken, cancelling its build."""
-    *_, build = _QUEUED.pop(key, (None,))
-    for future in build or ():
-        future.cancel()
+    """Forget a queued run that was not taken, dropping its share of the
+    build."""
+    *_, share = _QUEUED.pop(key, (None,))
+    if share is not None:
+        share.drop()
+
+
+def _pulse_sets(runs):
+    """``runs`` as lists of consecutive runs of one pulse set, one per hand.
+
+    A set with every hand is yielded without reading on.  An error raised
+    while reading ends the set being read, which is yielded first.
+    """
+    group = []
+    try:
+        for run in runs:
+            if group and not _joins(group, run):
+                yield group
+                group = []
+            group.append(run)
+            if len(group) == len(Handedness):
+                yield group
+                group = []
+    except Exception:
+        if group:
+            yield group
+        raise
+    if group:
+        yield group
+
+
+def _joins(group, run) -> bool:
+    """Whether ``run`` is another hand of the pulse set of ``group``."""
+    (pulses, hand), (first, _) = run, group[0]
+    return hand not in [h for _, h in group] and _pulse_list(pulses) == _pulse_list(first)
 
 
 def ahead(
@@ -326,34 +367,37 @@ def ahead(
     levels: int,
     grid: GridConfig | None = None,
 ):
-    """Yield each ``(pulses, hand)`` of ``runs`` once the run after it is queued.
+    """Yield each ``(pulses, hand)`` of ``runs`` once the next pulse set is queued.
 
-    A queued run has its grid and kernel arguments built and its kernel
-    build submitted, so the workers can start on it while the caller
-    samples the run before, though they can still idle between the runs.
-    Only the ``propagate`` call with the same molecule, pulses, hand,
-    levels, grid and numpy error state takes it, and builds nothing
-    again.  ``runs`` is read one run ahead; an error it raises
-    surfaces after the run before it has been yielded.  Closing the
-    generator drops every run it queued that was not taken.
+    Consecutive runs with the same pulses, the hands of one pulse set, are
+    queued together: each has its grid and kernel arguments built, and
+    they share one kernel build.  Only the ``propagate`` call with the
+    same molecule, pulses, hand, levels, grid and numpy error state takes
+    a queued run, and builds nothing again.  ``runs`` is read at most one
+    run past the next pulse set; an error it raises surfaces once every
+    run read before it has been yielded.  Closing the generator drops
+    every run it queued that was not taken.
     """
-    runs = iter(runs)
-    queued = []  # the keys of the run being yielded and the next one
+    sets = _pulse_sets(runs)
+    queued = []  # the keys of this set's runs not yet yielded, then the next set's
     try:
-        run = next(runs, _END)
-        if run is not _END:
-            queued.append(_queue(molecule, run, levels, grid))
-        while run is not _END:
+        current = next(sets, _END)
+        if current is not _END:
+            queued += _queue(molecule, current, levels, grid)
+        while current is not _END:
+            error = None
             try:
-                following = next(runs, _END)
-            except Exception:
-                yield run
-                raise
+                following = next(sets, _END)
+            except Exception as exc:
+                following, error = _END, exc
             if following is not _END:
-                queued.append(_queue(molecule, following, levels, grid))
-            yield run
-            _drop(queued.pop(0))  # taken, unless the caller skipped it
-            run = following
+                queued += _queue(molecule, following, levels, grid)
+            for run in current:
+                yield run
+                _drop(queued.pop(0))  # taken, unless the caller skipped it
+            if error is not None:
+                raise error
+            current = following
     finally:
         for key in queued:
             _drop(key)

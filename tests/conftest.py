@@ -7,20 +7,34 @@ from __future__ import annotations
 
 import pytest
 
-from esst import propagator
+from esst import _rk4_numpy, propagator
 from esst.areas import DesignSpec, designed_pulses
 from esst.model import Handedness, get_preset
 
 
+def drop_left_behind() -> str:
+    """Drop every queued run, then every share of a kernel build that no
+    run took or dropped, whose futures would stay pending; say what was
+    left, or return '' if nothing was."""
+    queued = list(propagator._QUEUED)
+    for key in queued:
+        propagator._drop(key)
+    shares = list(_rk4_numpy._OPEN)
+    for share in shares:
+        share.drop()
+    left = [f"{len(queued)} queued run(s)"] * bool(queued)
+    left += [f"{len(shares)} share(s) of a pending build"] * bool(shares)
+    return " and ".join(left)
+
+
 @pytest.fixture(autouse=True)
 def no_queued_run():
-    """Fail a test that leaves a queued run behind, and drop it."""
+    """Fail a test that leaves a queued run or a pending build behind, and
+    drop it."""
     yield
-    left = list(propagator._QUEUED)
-    for key in left:
-        propagator._drop(key)
+    left = drop_left_behind()
     if left:
-        pytest.fail(f"{len(left)} queued run(s) left behind")
+        pytest.fail(f"{left} left behind")
 
 
 @pytest.fixture(scope="session")

@@ -226,9 +226,10 @@ def test_analytic_sweep_uses_each_points_design(molecule, spec_c):
 
 
 def test_pipelined_sweep_gives_the_bits_of_single_runs(molecule, monkeypatch):
-    # Each exact run is queued while the caller samples the run before it.
-    # Every trajectory must have the bits of the same call made alone, and
-    # at most that run and the next may be queued.
+    # Both hands of each point are queued as one build while the caller
+    # samples the point before.  Every trajectory must have the bits of the
+    # same call made alone, and only this point's runs not yet taken and
+    # the next point's may be queued.
     real_propagate = experiments.propagate
     runs, depth = [], []
 
@@ -241,7 +242,7 @@ def test_pipelined_sweep_gives_the_bits_of_single_runs(molecule, monkeypatch):
     spec = DesignSpec(target="C", tau0=1.0)  # 4-5 chunks a run
     result = sweep_phase_duration(molecule, spec, [0.0, 2.0], [1.0, 1.25], levels=3)
     assert len(runs) == 8
-    assert depth == [2] * 7 + [1]
+    assert depth == [4, 3] * 3 + [2, 1]
     for pulses, hand, kwargs, traj in runs:
         alone = propagate(molecule, pulses, hand, **kwargs)
         for got, want in ((traj.times, alone.times), (traj.states, alone.states),

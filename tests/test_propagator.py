@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -217,26 +218,30 @@ def test_stage1_half_half_checkpoint(molecule):
 @given(
     tau0=st.floats(0.3, 1.0),
     hand=st.sampled_from(BOTH),
+    levels=st.sampled_from([3, 4]),
     k=st.integers(0, 2),
     kprime=st.integers(0, 2),
     l=st.integers(-1, 1),
     convention=st.sampled_from(list(PhaseConvention)),
 )
-def test_rk4_error_falls_sixteenfold_per_halving(molecule, tau0, hand, k, kprime, l, convention):
+def test_rk4_error_falls_sixteenfold_per_halving(
+    molecule, tau0, hand, levels, k, kprime, l, convention
+):
     # Classical RK4 is fourth order: from 40 to 80 to 160 steps per period
     # the final-state error against a 640-step run falls about 16x per
     # halving (dt_eff halves to within the stride rounding of n_steps).
     # Target-C designs are asymptotic from the 40-step floor on: 15.9-16.5
-    # over 80 random draws.  Some target-B designs read up to 19 at the
-    # first halving, so they are not drawn here.
+    # over 80 random draws at 3 levels; 16 more draws per level count read
+    # 15.92-16.23 at 3 levels and 15.95-16.88 at 4.  Some target-B designs
+    # read up to 19 at the first halving, so they are not drawn here.
     spec = DesignSpec(target="C", tau0=tau0, k=k, kprime=kprime, l=l, convention=convention)
     pulses = designed_pulses(molecule, spec)
-    span = default_grid(molecule, pulses, 3)
-    period = 2 * math.pi / fastest_frequency(molecule, pulses, 3)
+    span = default_grid(molecule, pulses, levels)
+    period = 2 * math.pi / fastest_frequency(molecule, pulses, levels)
     final = {}
     for steps in (40, 80, 160, 640):
         grid = GridConfig(span.t_start, span.t_end, dt=period / steps, sample_stride=8, drift_tol=1e-5)
-        final[steps] = propagate(molecule, pulses, hand, levels=3, grid=grid).final_state
+        final[steps] = propagate(molecule, pulses, hand, levels=levels, grid=grid).final_state
     err = [np.linalg.norm(final[steps] - final[640]) for steps in (40, 80, 160)]
     for coarse, fine in zip(err, err[1:]):
         assert 14 <= coarse / fine <= 18
@@ -583,15 +588,93 @@ def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, after):
 
 
 def test_closing_ahead_drops_its_queued_builds(molecule):
-    # Leaving the loop early closes the generator, which must drop the
-    # builds of the run it yielded and of the run after it.
+    # Leaving the loop after the first hand of a pulse set closes the
+    # generator, which must drop both hands of that set and the run of the
+    # next set, and cancel their builds.
     (pulses, _), *_ = pipe_runs(molecule)
     other = [replace(pulses[0], phase=1.0)]
     for _ in ahead(molecule, [(pulses, L), (pulses, R), (other, L)], 3, PIPE_GRID):
         queued = len(propagator._QUEUED)
         break
-    assert queued == 2
-    assert not propagator._QUEUED
+    assert queued == 3
+    assert not propagator._QUEUED and not _rk4_numpy._OPEN
+
+
+def test_a_first_hand_that_raises_leaves_nothing_queued(molecule):
+    # Both hands of the overflowing pulse set share one build.  The first
+    # hand's run goes non-finite, which closes the generator: the second
+    # hand's queued run and its share of the build must go too.
+    (pulses, _), *_ = pipe_runs(molecule)
+    blowup = [overflow_case(molecule)[0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            for run, hand in ahead(molecule, [(blowup, L), (blowup, R), (pulses, L)], 3, PIPE_GRID):
+                assert len(propagator._QUEUED) == 3
+                propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
+    assert not propagator._QUEUED and not _rk4_numpy._OPEN
+
+
+def test_ahead_reads_runs_no_further_than_the_next_pulse_set(molecule):
+    # A pulse set is complete once it has both hands, so while a set's runs
+    # are yielded, the runs are read to the end of the next set and no
+    # further; one more run is read only to end a one-hand set.
+    (pulses, _), *_ = pipe_runs(molecule)
+    sets = [[replace(pulses[0], phase=phase)] for phase in (0.0, 1.0, 2.0)]
+    read, seen = [], []
+
+    def runs():
+        for pulse_set in sets:
+            for hand in BOTH:
+                read.append(hand)
+                yield pulse_set, hand
+        read.append(L)
+        yield sets[0], L
+
+    for run, hand in ahead(molecule, runs(), 3, PIPE_GRID):
+        seen.append(len(read))
+        propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
+    assert seen == [4, 4, 6, 6, 7, 7, 7]
+
+
+def test_a_single_hand_call_submits_a_one_hand_build(molecule, monkeypatch):
+    # Alone or through ahead, one hand of a pulse set builds that hand only.
+    real, hands = _rk4_numpy.submit, []
+    monkeypatch.setattr(_rk4_numpy, "submit", lambda runs, *a: hands.append(len(runs)) or real(runs, *a))
+    (pulses, _), *_ = pipe_runs(molecule)
+    propagate(molecule, pulses, R, levels=3, grid=PIPE_GRID)
+    for run, hand in ahead(molecule, [(pulses, L)], 3, PIPE_GRID):
+        propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
+    assert hands == [1, 1]
+    for run, hand in ahead(molecule, [(pulses, L), (pulses, R)], 3, PIPE_GRID):
+        propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
+    assert hands == [1, 1, 2]
+
+
+def recorded_warnings(run):
+    """Every warning ``run()`` raises, as (category, message), in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    return [(w.category, str(w.message)) for w in caught]
+
+
+def test_each_hand_of_a_shared_build_raises_its_lone_warnings(molecule):
+    # The overflow run warns while its fields are evaluated (shared) and
+    # while each hand's stages are built.  Each hand must raise its lone
+    # run's warnings, neither fewer nor the other hand's as well.
+    pulse, grid = overflow_case(molecule)
+    runs = [_run_args(molecule, [pulse], hand, 3, grid)[1] for hand in BOTH]
+    with np.errstate(all="warn"):
+        alone = [recorded_warnings(partial(_rk4_numpy.rk4_run, *args, 160)) for args in runs]
+        shares = _rk4_numpy.submit(runs, 160) or [None] * 2
+        shared = [
+            recorded_warnings(partial(_rk4_numpy.rk4_run, *args, 160, build=share))
+            for args, share in zip(runs, shares)
+        ]
+    assert ("RuntimeWarning", "underflow encountered in exp") in [
+        (c.__name__, m) for c, m in alone[0]
+    ]  # a warning of the shared part
+    assert shared == alone
 
 
 def test_a_queued_build_is_taken_only_by_its_exact_call(molecule, monkeypatch):
@@ -599,9 +682,9 @@ def test_a_queued_build_is_taken_only_by_its_exact_call(molecule, monkeypatch):
     # levels, grid and numpy error state.  A call that differs in any of
     # them builds its own run and leaves the queued one in place.
     (pulses, _), *_ = pipe_runs(molecule)
-    key = propagator._queue(molecule, (pulses, L), 3, PIPE_GRID)
+    [key] = propagator._queue(molecule, [(pulses, L)], 3, PIPE_GRID)
     assert list(propagator._QUEUED) == [key]
-    assert propagator._queue(molecule, (pulses, L), 3, PIPE_GRID) is None  # queued already
+    assert propagator._queue(molecule, [(pulses, L)], 3, PIPE_GRID) == [None]  # queued already
     with np.errstate(divide="raise"):
         propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
     propagate(molecule, pulses, R, levels=3, grid=PIPE_GRID)

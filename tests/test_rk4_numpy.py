@@ -12,6 +12,7 @@ import math
 import subprocess
 import sys
 import threading
+from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from esst import _rk4_numpy
 from esst.areas import DesignSpec, designed_pulses
 from esst.model import Handedness
 from esst.propagator import _run_args, default_grid
-from esst.pulses import SQRT_2_OVER_PI
+from esst.pulses import SQRT_2_OVER_PI, PhaseConvention
+from conftest import drop_left_behind
 
 #: 2 pi to 60 digits, independent of the kernel's own constant.
 TWO_PI = Fraction("6.28318530717958647692528676655900576839433879875021164194989")
@@ -101,12 +103,102 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 def test_a_submitted_build_gives_the_bytes_of_a_fresh_one(molecule):
     # Two chunks: built on the pool with two or more CPUs, else in the caller.
     args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, Handedness.LEFT)
-    build = _rk4_numpy.submit(args)
-    assert (build is None) == (_rk4_numpy._worker_count() < 2)
-    taken = _rk4_numpy.rk4_run(*args, build=build)
+    shares = _rk4_numpy.submit([args])
+    assert (shares is None) == (_rk4_numpy._worker_count() < 2)
+    taken = _rk4_numpy.rk4_run(*args, build=shares and shares[0])
     alone = _rk4_numpy.rk4_run(*args)
     for got, want in zip(taken, alone):
         assert got.tobytes() == want.tobytes()
+
+
+def hand_args(molecule, levels, sample_stride=128, **design):
+    """``designed_args`` of both hands of one designed pulse set."""
+    spec = DesignSpec(target="C", **design)
+    return [designed_args(molecule, spec, levels, hand, sample_stride) for hand in Handedness]
+
+
+def run_bytes(run):
+    return [a.tobytes() for a in run]
+
+
+@pytest.mark.parametrize("convention", list(PhaseConvention))
+@pytest.mark.parametrize("levels", [3, 4])
+def test_each_hand_of_a_shared_build_has_its_lone_bytes(molecule, levels, convention):
+    # Both hands share one build's drive and fields; each hand's run must
+    # give the bytes of its lone run, which submits a one-hand build, and
+    # free its part of every range result once it has sampled it.
+    runs = hand_args(molecule, levels, tau0=0.5, convention=convention)
+    assert runs[0][2] > 4096  # more than one chunk
+    shares = _rk4_numpy.submit(runs)
+    assert (shares is None) == (_rk4_numpy._worker_count() < 2)
+    taken = [_rk4_numpy.rk4_run(*args, build=share) for args, share in zip(runs, shares or [None] * 2)]
+    for future in shares[0].futures if shares else ():
+        assert future.result() == [None, None]
+    for args, got in zip(runs, taken):
+        assert run_bytes(got) == run_bytes(_rk4_numpy.rk4_run(*args))
+    assert run_bytes(taken[0]) != run_bytes(taken[1])  # the hands differ
+
+
+def test_a_capped_shared_build_has_the_lone_bytes(molecule, monkeypatch):
+    # At stride 1 both hands' 4,338 propagators of 4 levels take 2.2 MB,
+    # so the size cap cuts the 9 chunks of 512 steps into 5 ranges, more
+    # than one per CPU; each hand still gives its lone run's bytes.
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    runs = hand_args(molecule, 4, sample_stride=1, tau0=0.3)
+    shares = _rk4_numpy.submit(runs, 512)
+    assert len(shares[0].futures) == 5
+    for args, share in zip(runs, shares):
+        taken = _rk4_numpy.rk4_run(*args, 512, build=share)
+        assert run_bytes(taken) == run_bytes(_rk4_numpy.rk4_run(*args, 512))
+
+
+def test_a_build_has_no_more_ranges_than_chunks(molecule, monkeypatch):
+    # The size cap asks for 5 ranges of this 2-chunk, 4-level, two-hand
+    # build at stride 1; the pool must get the 2 chunks, none empty.
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    pool, ranges = _rk4_numpy._pool(), []
+
+    class Recording:
+        def submit(self, job, bounds):
+            ranges.append(bounds)
+            return pool.submit(job, bounds)
+
+    monkeypatch.setattr(_rk4_numpy, "_pool", Recording)
+    runs = hand_args(molecule, 4, sample_stride=1, tau0=0.3)
+    n_steps = runs[0][2]
+    assert 4096 < n_steps < 8192
+    shares = _rk4_numpy.submit(runs)
+    assert ranges == [(0, 4096), (4096, n_steps)]
+    for args, share in zip(runs, shares):
+        assert run_bytes(_rk4_numpy.rk4_run(*args, build=share)) == run_bytes(_rk4_numpy.rk4_run(*args))
+
+
+def test_a_build_is_cancelled_once_no_run_uses_it():
+    # Futures no worker has started: dropping one hand's share must leave
+    # them for the other hand; dropping the last share cancels them.
+    futures = [Future(), Future()]
+    waiting = {0, 1}
+    left, right = (_rk4_numpy._Share(futures, hand, waiting) for hand in (0, 1))
+    assert {left, right} <= _rk4_numpy._OPEN
+    left.drop()
+    assert not any(future.cancelled() for future in futures)
+    assert right in _rk4_numpy._OPEN and left not in _rk4_numpy._OPEN
+    right.drop()
+    assert all(future.cancelled() for future in futures)
+    assert not {left, right} & _rk4_numpy._OPEN
+
+
+def test_a_share_left_untaken_fails_the_test_that_left_it(molecule):
+    # A run that takes its share while the other hand's share is never
+    # taken nor dropped leaves a pending build, which the autouse fixture
+    # reports and drops.
+    runs = hand_args(molecule, 3, tau0=1.0)
+    shares = _rk4_numpy.submit(runs)
+    if shares is None:
+        pytest.skip("no pool with one usable CPU")
+    _rk4_numpy.rk4_run(*runs[0], build=shares[0])
+    assert drop_left_behind() == "1 share(s) of a pending build"
+    assert not _rk4_numpy._OPEN and drop_left_behind() == ""
 
 
 ONE_CHUNK_RUN = """
