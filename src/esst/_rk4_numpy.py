@@ -47,9 +47,11 @@ element is one contiguous vector over the steps of the chunk:
   blocks.  Each level writes its products into the K2/K3 buffers (free
   once M is summed): one broadcast multiply for m = 0, then a multiply and
   an add for each further m, so every entry adds its terms in ascending m.
-* Per sample only the matrix-vector product and the norm are computed.
-  Sample times and |norm - 1| are taken once per run, over whole arrays.
-  The kernel judges no run: ``propagator.propagate`` holds the guards.
+* Per sample only the matrix-vector product is computed.  Sample times,
+  the norms and |norm - 1| are taken once per run, over whole arrays; the
+  norms by ``np.vecdot``, which calls the same BLAS ``zdotc`` as a
+  per-sample ``np.vdot`` and so gives its bits.  The kernel judges no run:
+  ``propagator.propagate`` holds the guards.
 * Everything up to the per-sample propagators depends on the chunk's
   first step, never on the state.  One build, the runs of the hands of a
   pulse set, is therefore cut into contiguous ranges of whole chunks, and
@@ -65,10 +67,11 @@ element is one contiguous vector over the steps of the chunk:
   run, so every chunk does the same arithmetic and the result is the same
   to the bit.  The sample loop stays in the calling process and runs in
   order.  On one CPU, for a one-chunk run or without ``fork``, the caller
-  builds every chunk itself.  Each range carries the caller's numpy error
-  state; each hand's warnings, and any error of its own arithmetic, come
-  back to be raised in that hand's run.  The workers leave Ctrl-C to the
-  caller, exit when it dies and are shut down at interpreter exit.
+  builds every chunk itself.  A build's arguments and the caller's numpy
+  error state are pickled once and sent, as bytes, with each range; each
+  hand's warnings, and any error of its own arithmetic, come back to be
+  raised in that hand's run.  The workers leave Ctrl-C to the caller,
+  exit when it dies and are shut down at interpreter exit.
 * :func:`submit` starts a build without waiting for it and returns one
   share per hand, which ``rk4_run(..., build=share)`` samples, so a
   caller can hand the workers the next pulse set early
@@ -85,6 +88,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import pickle
 import signal
 import threading
 import time
@@ -512,13 +516,16 @@ def _propagators(kernel_args, first_step, end_step, chunk):
     return props
 
 
-def _range_propagators(kernel_args, prefactors, chunk, err, bounds):
+def _range_propagators(blob, bounds):
     """One range's :func:`_shared_propagators`, under the caller's error state.
 
-    Returns one entry per hand: its (propagators, warnings), the warnings
-    as (category, message) for the caller to raise again under its own
+    ``blob`` is the build's (kernel_args, prefactors, chunk, error state),
+    pickled once by :func:`submit` for all of its ranges.  Returns one
+    entry per hand: its (propagators, warnings), the warnings as
+    (category, message) for the caller to raise again under its own
     filters, or the exception that stopped the hand.
     """
+    kernel_args, prefactors, chunk, err = pickle.loads(blob)
     with np.errstate(**err), warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
         hands, caught = _shared_propagators(kernel_args, prefactors, *bounds, chunk, log)
@@ -671,7 +678,9 @@ def submit(runs, chunk_steps: int = CHUNK_STEPS):
     result = len(runs) * (n_steps // stride) * psi0.shape[0] ** 2 * 16  # complex128
     parts = min(n_chunks, max(workers, -(-result // _RANGE_BYTES)))
     prefactors = tuple(args[8] for args in runs)
-    job = partial(_range_propagators, kernel_args, prefactors, chunk, np.geterr())
+    # Pickled here once, so the pool sends each range the same bytes.
+    blob = pickle.dumps((kernel_args, prefactors, chunk, np.geterr()), pickle.HIGHEST_PROTOCOL)
+    job = partial(_range_propagators, blob)
     pool = _pool()
     futures = [pool.submit(job, bounds) for bounds in _chunk_ranges(n_steps, chunk, parts)]
     waiting = set(range(len(runs)))
@@ -727,7 +736,6 @@ def rk4_run(
     times[0] = t0
     times[1:] = t0 + (np.arange(1, n_samples) * stride) * dt
     states[0] = psi
-    norm_err[0] = np.vdot(psi, psi).real
 
     if build is None:
         build = (submit([kernel_args], chunk_steps) or [None])[0]
@@ -741,12 +749,15 @@ def rk4_run(
         for props, caught in results:
             for category, message in caught:
                 warnings.warn(message, category)
-            for p in props:
-                psi = np.matmul(p, psi, out=states[sample])
-                norm_err[sample] = np.vdot(psi, psi).real
-                sample += 1
+            for p, row in zip(props, states[sample:]):
+                psi = np.matmul(p, psi, out=row)
+            sample += len(props)
     finally:
         if build is not None:
             build.drop()
+    # The norms raise and warn nothing of their own: vecdot, a gufunc,
+    # would flag a finite state whose |psi|^2 overflows.
+    with np.errstate(all="ignore"):
+        norm_err[:] = np.vecdot(states, states).real
     np.abs(np.subtract(norm_err, 1.0, out=norm_err), out=norm_err)
     return times, states, norm_err

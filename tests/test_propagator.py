@@ -703,6 +703,21 @@ def test_a_queued_build_is_taken_only_by_its_exact_call(molecule, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("levels", [3, 4])
+def test_norm_errors_carry_the_bits_of_each_samples_vdot(molecule, monkeypatch, levels):
+    # Both hands of a multi-chunk pulse set, built as one on the pool: each
+    # sample's |norm - 1| must be abs(vdot(s, s).real - 1) to the bit, though
+    # the kernel takes the norms of all samples in one pass.
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.5))
+    for run, hand in ahead(molecule, [(pulses, L), (pulses, R)], levels):
+        traj = propagate(molecule, run, hand, levels=levels)
+        assert traj.grid.n_steps > _rk4_numpy.CHUNK_STEPS
+        want = np.array([abs(np.vdot(s, s).real - 1.0) for s in traj.states])
+        assert traj.norm_errors.tobytes() == want.tobytes()
+        assert want.max() > 0.0  # the comparison is not vacuous
+
+
 def test_propagate_raises_on_non_finite_state(molecule):
     pulse, grid = overflow_case(molecule)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -201,6 +201,21 @@ def test_a_share_left_untaken_fails_the_test_that_left_it(molecule):
     assert not _rk4_numpy._OPEN and drop_left_behind() == ""
 
 
+def test_the_norm_pass_raises_nothing_of_its_own(molecule):
+    # Zero-amplitude pulses leave psi0 = 1e200 |A> finite and unchanged,
+    # but |psi|^2 overflows.  The per-sample vdot never flagged that; the
+    # one norm pass must not either, even where every error raises.
+    args = list(designed_args(molecule, DesignSpec(target="C", tau0=3.0), 3, Handedness.LEFT))
+    assert args[2] >= 2 * _rk4_numpy.CHUNK_STEPS
+    args[10] = np.zeros_like(args[10])  # amp
+    args[16] = 1e200 * args[16]  # psi0
+    with np.errstate(all="raise"):
+        _, states, norm_err = _rk4_numpy.rk4_run(*args)
+    assert np.isfinite(states).all()
+    want = np.array([abs(np.vdot(s, s).real - 1.0) for s in states])
+    assert norm_err.tobytes() == want.tobytes()
+
+
 ONE_CHUNK_RUN = """
 import sys
 from esst.areas import DesignSpec, designed_pulses
