@@ -235,9 +235,7 @@ def cmd_propagate(args) -> int:
     grid = resolve_grid(spec, levels)
     snapshot = serialize_config(spec)
     print(",".join(("hand", *POPULATION_COLUMNS.values(), "norm_drift")))
-    for pulses, hand in ahead(
-        spec.molecule, [(spec.pulses, hand) for hand in names], levels, grid
-    ):
+    for pulses, hand in ahead(spec.molecule, [(spec.pulses, tuple(names))], levels, grid):
         traj = propagate(spec.molecule, pulses, hand, levels=levels, grid=grid)
         path = os.path.join(outdir, names[hand])
         last = write_trace_csv(path, traj, snapshot)[-1].tolist()

@@ -14,8 +14,9 @@ can be traced back to the exact run that produced it.
 Every sweep point runs in the calling thread, in order.  Exact propagation
 is parallel inside each point instead: the kernel builds a point's chunks
 on forked worker processes, at least one per usable CPU (see
-``esst._rk4_numpy``).  The exact engine walks its runs through
-``propagator.ahead``, which queues both hands of a point as one kernel
+``esst._rk4_numpy``).  The exact engine passes each point to
+``propagator.ahead`` as one pulse set, its pulses with both hands, which
+builds the set's kernel arguments once and queues its hands as one kernel
 build: each chunk's envelopes, drive phasors and fields are evaluated once
 for both hands.  It queues the next point's build while the caller samples
 this one's runs.  Each trajectory and its result still come from one
@@ -71,9 +72,10 @@ def _sweep(
     ``pulses_at(v1, v2)`` returns one grid point's design and its pulse
     set.  Points run in order in the calling thread.  The exact engine
     propagates both hands of each point on that set's default grid; it
-    walks the runs through :func:`ahead`, so both hands of a point share
-    one kernel build, and the next point's is built while this one is
-    sampled.  The analytic engine evaluates each point
+    passes each point to :func:`ahead` as the pulse set
+    ``(pulses, BOTH_HANDS)``, so both hands of a point share their kernel
+    arguments and one kernel build, and the next point's is built while
+    this one is sampled.  The analytic engine evaluates each point
     once: its closed form yields both hands at once.  The closed form takes
     its stage windows from the point's design, so a point that changes
     tau0 or another ``DesignSpec`` field must return the design it was
@@ -89,8 +91,8 @@ def _sweep(
             pops = analytic_final_populations(molecule, pulses, design)
             rows.append([float(pops[hand][idx]) for hand in BOTH_HANDS])
     else:
-        runs = ((pulses, hand) for _, pulses in points for hand in BOTH_HANDS)
-        for pulses, hand in ahead(molecule, runs, levels):
+        sets = ((pulses, BOTH_HANDS) for _, pulses in points)
+        for pulses, hand in ahead(molecule, sets, levels):
             traj = propagate(molecule, pulses, hand, levels=levels)
             rows.append(float(np.abs(traj.final_state[traj.basis.index(spec.target)]) ** 2))
     table = np.array(rows, dtype=float).reshape(

@@ -8,10 +8,12 @@ oscillating fields enter the Hamiltonian.
 One vectorized numpy kernel, ``_rk4_numpy.rk4_run``, does the stepping; its
 module docstring says how.  It takes no cos or sin of floating-point times:
 every drive phasor comes from an argument reduced mod 2 pi exactly.
-:func:`ahead` queues the runs of a sequence one pulse set ahead: the hands
-of a pulse set are built and submitted to the kernel as one build, whose
-drive and fields the kernel evaluates once, and each run waits for the
-``propagate`` call with exactly its inputs.
+Callers of :func:`ahead` pass pulse sets ``(pulses, hands)``, the unit of
+exact work: the hands of a set share their pulses and differ only in the
+sign of the a-type couplings.  :func:`ahead` queues the sets one ahead:
+each set's kernel arguments are built once and submitted to the kernel
+as one build, whose drive and fields the kernel evaluates once, and each
+run waits for the ``propagate`` call with exactly its inputs.
 
 The kernel only integrates; :func:`propagate` judges every run, and this
 module holds all three guards.  Grid safety: carriers oscillate at up to
@@ -184,15 +186,17 @@ def _pulse_list(pulses) -> tuple[Pulse, ...]:
 def _run_args(
     molecule: MoleculeSpec,
     pulses,
-    hand: Handedness,
+    hands,
     levels: int,
     grid: GridConfig | None,
-) -> tuple[GridConfig, tuple]:
-    """The grid of one run, the default one if ``grid`` is None, and
-    ``_rk4_numpy.rk4_run``'s positional arguments for it.
+) -> tuple[GridConfig, list[tuple]]:
+    """The grid of a pulse set's runs, the default one if ``grid`` is None,
+    and ``_rk4_numpy.rk4_run``'s positional arguments for each of ``hands``.
 
     Raises GridTooCoarseError below the step floor.  The pulses are taken
     in :func:`_pulse_list` order; the initial state is the ground state |A>.
+    The hands' arguments differ only in the edges' prefactors and share
+    every other array, which the kernel only reads.
     """
     plist = _pulse_list(pulses)
     if grid is None:
@@ -209,18 +213,16 @@ def _run_args(
     psi0 = np.zeros(basis.dim, dtype=np.complex128)
     psi0[0] = 1.0
     edges = loop_couplings(molecule, levels)
-    return grid, (
+    head = (
         float(grid.t_start), float(grid.dt_eff), int(grid.n_steps),
         int(grid.sample_stride),
         np.asarray(basis.energies, dtype=np.float64),
-        # coupling edges: row, col, channel, -dipole with the hand's sign
+        # coupling edges: row, col, channel, then -dipole with each hand's sign
         np.array([e.row for e in edges], dtype=np.int64),
         np.array([e.col for e in edges], dtype=np.int64),
         np.array([CHANNELS.index(e.channel) for e in edges], dtype=np.int64),
-        np.array(
-            [-e.dipole * (hand.sign if e.hand_signed else 1) for e in edges],
-            dtype=np.float64,
-        ),
+    )
+    tail = (
         # pulses: channel, area, center, width, carrier, phase, convention
         np.array([CHANNELS.index(p.channel) for p in plist], dtype=np.int64),
         np.array([p.area_param for p in plist], dtype=np.float64),
@@ -234,6 +236,13 @@ def _run_args(
         ),
         psi0,
     )
+    return grid, [
+        (*head, np.array(
+            [-e.dipole * (hand.sign if e.hand_signed else 1) for e in edges],
+            dtype=np.float64,
+        ), *tail)
+        for hand in hands
+    ]
 
 
 def propagate(
@@ -255,7 +264,11 @@ def propagate(
     basis = basis_for_levels(molecule, levels)
     plist = _pulse_list(pulses)
     queued = _QUEUED.pop(_run_key(molecule, plist, hand, levels, grid), None) if _QUEUED else None
-    grid, args, build = queued or (*_run_args(molecule, plist, hand, levels, grid), None)
+    if queued is None:
+        grid, [args] = _run_args(molecule, plist, (hand,), levels, grid)
+        build = None
+    else:
+        grid, args, build = queued
     times, states, norm_err = _rk4_numpy.rk4_run(*args, build=build)
     bad = np.flatnonzero(~np.isfinite(norm_err))
     if bad.size:
@@ -299,28 +312,23 @@ def _run_key(molecule, plist, hand, levels, grid):
     return molecule, plist, hand, levels, grid, tuple(sorted(np.geterr().items()))
 
 
-def _queue(molecule, runs, levels, grid):
-    """Build the ``(pulses, hand)`` runs of one pulse set and submit them
-    as one kernel build; one key per run, or None where the run is queued
-    already or fails, an error left for :func:`propagate` to raise in that
-    run's turn."""
-    keys, built = [], {}
-    for run in runs:
-        try:
-            plist, hand = _pulse_list(run[0]), run[1]
-            key = _run_key(molecule, plist, hand, levels, grid)
-            if key not in _QUEUED:
-                built[key] = _run_args(molecule, plist, hand, levels, grid)
-        except Exception:
-            key = None
-        keys.append(key if key in built else None)
+def _queue(molecule, pulses, hands, levels, grid):
+    """Build the runs of pulse set ``pulses`` for ``hands`` and submit them
+    as one kernel build; one key per hand, or None where its run is queued
+    already or the set fails, an error left for :func:`propagate` to raise
+    in that run's turn."""
     try:
-        shares = built and _rk4_numpy.submit([args for _, args in built.values()])
+        plist = _pulse_list(pulses)
+        keys = [_run_key(molecule, plist, hand, levels, grid) for hand in hands]
+        fresh = {key: hand for key, hand in zip(keys, hands) if key not in _QUEUED}
+        if fresh:
+            run_grid, runs = _run_args(molecule, plist, fresh.values(), levels, grid)
+            shares = _rk4_numpy.submit(runs) or [None] * len(runs)
+            for key, args, share in zip(fresh, runs, shares):
+                _QUEUED[key] = run_grid, args, share
     except Exception:
-        return [None] * len(keys)
-    for (key, (run_grid, args)), share in zip(built.items(), shares or [None] * len(built)):
-        _QUEUED[key] = run_grid, args, share
-    return keys
+        return [None] * len(hands)
+    return [key if key in fresh else None for key in keys]
 
 
 def _drop(key) -> None:
@@ -331,59 +339,29 @@ def _drop(key) -> None:
         share.drop()
 
 
-def _pulse_sets(runs):
-    """``runs`` as lists of consecutive runs of one pulse set, one per hand.
-
-    A set with every hand is yielded without reading on.  An error raised
-    while reading ends the set being read, which is yielded first.
-    """
-    group = []
-    try:
-        for run in runs:
-            if group and not _joins(group, run):
-                yield group
-                group = []
-            group.append(run)
-            if len(group) == len(Handedness):
-                yield group
-                group = []
-    except Exception:
-        if group:
-            yield group
-        raise
-    if group:
-        yield group
-
-
-def _joins(group, run) -> bool:
-    """Whether ``run`` is another hand of the pulse set of ``group``."""
-    (pulses, hand), (first, _) = run, group[0]
-    return hand not in [h for _, h in group] and _pulse_list(pulses) == _pulse_list(first)
-
-
 def ahead(
     molecule: MoleculeSpec,
-    runs,
+    sets,
     levels: int,
     grid: GridConfig | None = None,
 ):
-    """Yield each ``(pulses, hand)`` of ``runs`` once the next pulse set is queued.
+    """Yield the run ``(pulses, hand)`` of each hand of each pulse set
+    ``(pulses, hands)`` of ``sets`` once the next set is queued.
 
-    Consecutive runs with the same pulses, the hands of one pulse set, are
-    queued together: each has its grid and kernel arguments built, and
-    they share one kernel build.  Only the ``propagate`` call with the
-    same molecule, pulses, hand, levels, grid and numpy error state takes
-    a queued run, and builds nothing again.  ``runs`` is read at most one
-    run past the next pulse set; an error it raises surfaces once every
-    run read before it has been yielded.  Closing the generator drops
-    every run it queued that was not taken.
+    The hands of a set are queued together: their grid and kernel
+    arguments are built once, and they share one kernel build.  Only the
+    ``propagate`` call with the same molecule, pulses, hand, levels, grid
+    and numpy error state takes a queued run, and builds nothing again.
+    ``sets`` is read one set ahead of the runs yielded; an error it raises
+    surfaces once every run of the sets read before it has been yielded.
+    Closing the generator drops every run it queued that was not taken.
     """
-    sets = _pulse_sets(runs)
+    sets = iter(sets)
     queued = []  # the keys of this set's runs not yet yielded, then the next set's
     try:
         current = next(sets, _END)
         if current is not _END:
-            queued += _queue(molecule, current, levels, grid)
+            queued += _queue(molecule, *current, levels, grid)
         while current is not _END:
             error = None
             try:
@@ -391,9 +369,10 @@ def ahead(
             except Exception as exc:
                 following, error = _END, exc
             if following is not _END:
-                queued += _queue(molecule, following, levels, grid)
-            for run in current:
-                yield run
+                queued += _queue(molecule, *following, levels, grid)
+            pulses, hands = current
+            for hand in hands:
+                yield pulses, hand
                 _drop(queued.pop(0))  # taken, unless the caller skipped it
             if error is not None:
                 raise error

@@ -38,7 +38,7 @@ from esst.propagator import (
     GridTooCoarseError, NumericalGuardError, norm_drift, populations, propagate,
 )
 from esst.pulses import PhaseConvention
-from test_propagator import PIPE_GRID, pipe_runs
+from test_propagator import PIPE_GRID, pipe_sets
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 BOTH = (L, R)
@@ -259,13 +259,13 @@ def test_sweep_raises_the_error_of_its_failing_point(molecule, monkeypatch):
     # hand a point, point 1's run is the last one before point 2, so
     # point 2 is designed and queued.  The sweep must raise point 1's
     # error, not point 2's, and leave no build queued.
-    runs = pipe_runs(molecule)
+    sets = pipe_sets(molecule)
     real = propagator._run_args
     designed, raised = [], []
 
     def pulses_at(point, _):
         designed.append(int(point))
-        return None, runs[int(point)][0]
+        return None, sets[int(point)][0]
 
     def spy(*args):
         try:
@@ -289,13 +289,43 @@ def test_sweep_raises_the_error_of_its_failing_point(molecule, monkeypatch):
 
 
 def test_a_pipelined_run_builds_its_arguments_once(molecule, monkeypatch):
-    # Queuing a run builds its grid and kernel arguments; its propagate
-    # call takes them instead of building them again.
+    # Queuing a point builds its grid and both hands' kernel arguments in
+    # one call; each hand's propagate call takes them instead of building
+    # them again.
     real, built = propagator._run_args, []
     monkeypatch.setattr(propagator, "_run_args", lambda *args: built.append(args) or real(*args))
     spec = DesignSpec(target="C", tau0=1.0)
     sweep_phase_duration(molecule, spec, [0.0, 2.0], [1.0, 1.25], levels=3)
-    assert len(built) == 8
+    assert [tuple(hands) for _, _, hands, *_ in built] == [BOTH] * 4
+
+
+def test_a_repeated_point_gives_the_bits_of_single_runs(molecule, monkeypatch):
+    # Points 0 and 1 are one pulse set.  Point 1 is queued while point 0's
+    # runs are, so its runs are queued already: each of its hands builds
+    # alone in its own propagate call.  Every trajectory must have the bits
+    # of the same call made alone, and nothing may stay queued.
+    real_submit, real_propagate = _rk4_numpy.submit, experiments.propagate
+    submitted, runs = [], []
+
+    def recording(molecule, pulses, hand, **kwargs):
+        runs.append((pulses, hand, kwargs, real_propagate(molecule, pulses, hand, **kwargs)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(
+        _rk4_numpy, "submit", lambda r, *a: submitted.append(len(r)) or real_submit(r, *a)
+    )
+    monkeypatch.setattr(experiments, "propagate", recording)
+    spec = DesignSpec(target="C", tau0=1.0)
+    result = sweep_phase_duration(molecule, spec, [0.5, 0.5, 2.0], [1.0], levels=3)
+    assert submitted == [2, 2, 1, 1]
+    assert not propagator._QUEUED and not _rk4_numpy._OPEN
+    for hand in BOTH:
+        assert result.populations[hand][0, 0] == result.populations[hand][1, 0]
+    for pulses, hand, kwargs, traj in runs:
+        alone = propagate(molecule, pulses, hand, **kwargs)
+        for got, want in ((traj.times, alone.times), (traj.states, alone.states),
+                          (traj.norm_errors, alone.norm_errors)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_a_pipelined_sweep_builds_a_points_table_once_per_process(molecule, monkeypatch, tmp_path):

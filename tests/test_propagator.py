@@ -390,7 +390,8 @@ def test_numpy_kernel_matches_scalar_kernel(molecule, hand, stride):
     pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.3))
     grid = replace(default_grid(molecule, list(pulses.values()), 4), sample_stride=stride)
     traj = propagate(molecule, pulses, hand, levels=4, grid=grid)
-    t_ref, s_ref, e_ref = direct_rk4(*_run_args(molecule, pulses, hand, 4, grid)[1])
+    _, [args] = _run_args(molecule, pulses, (hand,), 4, grid)
+    t_ref, s_ref, e_ref = direct_rk4(*args)
     np.testing.assert_array_equal(traj.times, t_ref)
     assert np.abs(traj.norm_errors - e_ref).max() <= 1e-12
     assert np.abs(traj.states - s_ref).max() <= 1e-13
@@ -452,28 +453,37 @@ def run_both_paths(monkeypatch, args, chunk_steps):
     return results, ranges
 
 
-@pytest.mark.parametrize("case,chunk_steps", [
-    pytest.param("designed", 4096, id="partial-last-chunk"),  # 4,096 + 256 steps
-    pytest.param("designed", 8192, id="one-chunk"),
-    pytest.param("overflow", 160, id="overflow-160"),  # 13 chunks
-    pytest.param("overflow", 64, id="overflow-64"),  # 32 chunks
+@pytest.mark.parametrize("case,chunk_steps,levels", [
+    pytest.param("designed", 4096, 4, id="partial-last-chunk"),  # 4,096 + 256 steps
+    pytest.param("designed", 8192, 4, id="one-chunk"),
+    pytest.param("designed", 1024, 3, id="three-levels"),
+    pytest.param("overflow", 160, 3, id="overflow-160"),  # 13 chunks
+    pytest.param("overflow", 64, 3, id="overflow-64"),  # 32 chunks
 ])
-def test_pool_path_gives_in_process_bits(molecule, monkeypatch, case, chunk_steps):
+def test_pool_path_gives_in_process_bits(molecule, monkeypatch, case, chunk_steps, levels):
     # The chunk ranges built on the worker processes must give the bits of
     # one in-process build over the whole run.  The designed run's second
     # range is its partial last chunk alone; the overflow runs go
     # non-finite at sample 11, and their non-finite tails must match too.
+    # Both paths' states must be those of a per-sample np.matmul chain
+    # over the run's propagators, to the byte.
     if case == "designed":
-        args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, L)
+        args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), levels, L)
     else:
         pulse, grid = overflow_case(molecule)
-        args = _run_args(molecule, [pulse], L, 3, grid)[1]
+        _, [args] = _run_args(molecule, [pulse], (L,), 3, grid)
     (pooled, alone), (pool_built, alone_built) = run_both_paths(monkeypatch, args, chunk_steps)
     for got, want in zip(pooled, alone):
         assert got.tobytes() == want.tobytes()
     finite = np.isfinite(alone[2])
     assert finite.all() if case == "designed" else finite[:11].all() and not finite[11]
     n_steps = args[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = [args[16]]
+        chunk = _rk4_numpy._chunk_length(args[3], chunk_steps)
+        for p in _rk4_numpy._propagators(args, 0, n_steps, chunk):
+            chain.append(np.matmul(p, chain[-1]))
+    assert np.array(chain).tobytes() == alone[1].tobytes()
     assert alone_built == [(0, n_steps)]
     if n_steps <= chunk_steps:
         assert pool_built == [(0, n_steps)]
@@ -489,7 +499,7 @@ def test_caller_error_state_reaches_the_workers(molecule, monkeypatch, one_cpu):
     if one_cpu:
         monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 1)
     pulse, grid = overflow_case(molecule)
-    args = _run_args(molecule, [pulse], L, 3, grid)[1]
+    _, [args] = _run_args(molecule, [pulse], (L,), 3, grid)
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
         _rk4_numpy.rk4_run(*args, chunk_steps=160)
     with np.errstate(over="warn", invalid="ignore"):
@@ -542,22 +552,22 @@ def test_workers_exit_when_their_caller_is_killed():
 PIPE_GRID = GridConfig(t_start=-10.0, t_end=0.0, dt=1e-3, sample_stride=16)
 
 
-def pipe_runs(molecule):
-    """A clean run, one that goes non-finite near t = 0, and one whose
-    carrier is too fast for PIPE_GRID's step."""
+def pipe_sets(molecule):
+    """One-hand pulse sets: a clean one, one that goes non-finite near
+    t = 0, and one whose carrier is too fast for PIPE_GRID's step."""
     clean = Pulse("a", area_param=0.5, center_time=-5.0, duration=1.0,
                   carrier_mhz=molecule.omega_ab_mhz, phase=0.0)
     fast = replace(clean, carrier_mhz=5 * molecule.omega_ab_mhz)
-    return ([clean], L), ([overflow_case(molecule)[0]], L), ([fast], L)
+    return ([clean], (L,)), ([overflow_case(molecule)[0]], (L,)), ([fast], (L,))
 
 
 @pytest.mark.parametrize("after", ["coarse-grid", "failing-design"])
 def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, after):
-    # The second run goes non-finite.  The third fails while the second is
-    # built: queueing it raises GridTooCoarseError, or the run iterable
-    # itself raises.  The second run's error must surface first, and no
-    # build may stay queued.
-    clean, blowup, fast = pipe_runs(molecule)
+    # The second set's run goes non-finite.  The third set fails while the
+    # second is built: queueing it raises GridTooCoarseError, or the set
+    # iterable itself raises.  The second run's error must surface first,
+    # and no build may stay queued.
+    clean, blowup, fast = pipe_sets(molecule)
     real = propagator._run_args
     raised = []
 
@@ -568,7 +578,7 @@ def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, after):
             raised.append(type(exc))
             raise
 
-    def runs():
+    def sets():
         yield clean
         yield blowup
         if after == "failing-design":
@@ -579,7 +589,7 @@ def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, after):
     done = []
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalGuardError, match="non-finite"):
-            for pulses, hand in ahead(molecule, runs(), 3, PIPE_GRID):
+            for pulses, hand in ahead(molecule, sets(), 3, PIPE_GRID):
                 propagate(molecule, pulses, hand, levels=3, grid=PIPE_GRID)
                 done.append(pulses)
     assert done == [clean[0]]
@@ -591,9 +601,9 @@ def test_closing_ahead_drops_its_queued_builds(molecule):
     # Leaving the loop after the first hand of a pulse set closes the
     # generator, which must drop both hands of that set and the run of the
     # next set, and cancel their builds.
-    (pulses, _), *_ = pipe_runs(molecule)
+    (pulses, _), *_ = pipe_sets(molecule)
     other = [replace(pulses[0], phase=1.0)]
-    for _ in ahead(molecule, [(pulses, L), (pulses, R), (other, L)], 3, PIPE_GRID):
+    for _ in ahead(molecule, [(pulses, BOTH), (other, (L,))], 3, PIPE_GRID):
         queued = len(propagator._QUEUED)
         break
     assert queued == 3
@@ -604,48 +614,45 @@ def test_a_first_hand_that_raises_leaves_nothing_queued(molecule):
     # Both hands of the overflowing pulse set share one build.  The first
     # hand's run goes non-finite, which closes the generator: the second
     # hand's queued run and its share of the build must go too.
-    (pulses, _), *_ = pipe_runs(molecule)
+    (pulses, _), *_ = pipe_sets(molecule)
     blowup = [overflow_case(molecule)[0]]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalGuardError, match="non-finite"):
-            for run, hand in ahead(molecule, [(blowup, L), (blowup, R), (pulses, L)], 3, PIPE_GRID):
+            for run, hand in ahead(molecule, [(blowup, BOTH), (pulses, (L,))], 3, PIPE_GRID):
                 assert len(propagator._QUEUED) == 3
                 propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
     assert not propagator._QUEUED and not _rk4_numpy._OPEN
 
 
-def test_ahead_reads_runs_no_further_than_the_next_pulse_set(molecule):
-    # A pulse set is complete once it has both hands, so while a set's runs
-    # are yielded, the runs are read to the end of the next set and no
-    # further; one more run is read only to end a one-hand set.
-    (pulses, _), *_ = pipe_runs(molecule)
-    sets = [[replace(pulses[0], phase=phase)] for phase in (0.0, 1.0, 2.0)]
+def test_ahead_reads_sets_no_further_than_the_next_one(molecule):
+    # Set k + 1 is read, and queued, before set k's first run is yielded,
+    # and no set past it; after the last set, the end of the sets is read.
+    (pulses, _), *_ = pipe_sets(molecule)
+    sets = [([replace(pulses[0], phase=phase)], BOTH) for phase in (0.0, 1.0, 2.0)]
+    sets.append((sets[0][0], (L,)))
     read, seen = [], []
 
-    def runs():
+    def reading():
         for pulse_set in sets:
-            for hand in BOTH:
-                read.append(hand)
-                yield pulse_set, hand
-        read.append(L)
-        yield sets[0], L
+            read.append(pulse_set)
+            yield pulse_set
 
-    for run, hand in ahead(molecule, runs(), 3, PIPE_GRID):
+    for run, hand in ahead(molecule, reading(), 3, PIPE_GRID):
         seen.append(len(read))
         propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
-    assert seen == [4, 4, 6, 6, 7, 7, 7]
+    assert seen == [2, 2, 3, 3, 4, 4, 4]
 
 
 def test_a_single_hand_call_submits_a_one_hand_build(molecule, monkeypatch):
     # Alone or through ahead, one hand of a pulse set builds that hand only.
     real, hands = _rk4_numpy.submit, []
     monkeypatch.setattr(_rk4_numpy, "submit", lambda runs, *a: hands.append(len(runs)) or real(runs, *a))
-    (pulses, _), *_ = pipe_runs(molecule)
+    (pulses, _), *_ = pipe_sets(molecule)
     propagate(molecule, pulses, R, levels=3, grid=PIPE_GRID)
-    for run, hand in ahead(molecule, [(pulses, L)], 3, PIPE_GRID):
+    for run, hand in ahead(molecule, [(pulses, (L,))], 3, PIPE_GRID):
         propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
     assert hands == [1, 1]
-    for run, hand in ahead(molecule, [(pulses, L), (pulses, R)], 3, PIPE_GRID):
+    for run, hand in ahead(molecule, [(pulses, BOTH)], 3, PIPE_GRID):
         propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
     assert hands == [1, 1, 2]
 
@@ -663,7 +670,7 @@ def test_each_hand_of_a_shared_build_raises_its_lone_warnings(molecule):
     # while each hand's stages are built.  Each hand must raise its lone
     # run's warnings, neither fewer nor the other hand's as well.
     pulse, grid = overflow_case(molecule)
-    runs = [_run_args(molecule, [pulse], hand, 3, grid)[1] for hand in BOTH]
+    _, runs = _run_args(molecule, [pulse], BOTH, 3, grid)
     with np.errstate(all="warn"):
         alone = [recorded_warnings(partial(_rk4_numpy.rk4_run, *args, 160)) for args in runs]
         shares = _rk4_numpy.submit(runs, 160) or [None] * 2
@@ -681,10 +688,10 @@ def test_a_queued_build_is_taken_only_by_its_exact_call(molecule, monkeypatch):
     # A queued run is keyed by its propagate call: molecule, pulses, hand,
     # levels, grid and numpy error state.  A call that differs in any of
     # them builds its own run and leaves the queued one in place.
-    (pulses, _), *_ = pipe_runs(molecule)
-    [key] = propagator._queue(molecule, [(pulses, L)], 3, PIPE_GRID)
+    (pulses, _), *_ = pipe_sets(molecule)
+    [key] = propagator._queue(molecule, pulses, (L,), 3, PIPE_GRID)
     assert list(propagator._QUEUED) == [key]
-    assert propagator._queue(molecule, [(pulses, L)], 3, PIPE_GRID) == [None]  # queued already
+    assert propagator._queue(molecule, pulses, (L,), 3, PIPE_GRID) == [None]  # queued already
     with np.errstate(divide="raise"):
         propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
     propagate(molecule, pulses, R, levels=3, grid=PIPE_GRID)
@@ -710,7 +717,7 @@ def test_norm_errors_carry_the_bits_of_each_samples_vdot(molecule, monkeypatch, 
     # the kernel takes the norms of all samples in one pass.
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
     pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.5))
-    for run, hand in ahead(molecule, [(pulses, L), (pulses, R)], levels):
+    for run, hand in ahead(molecule, [(pulses, BOTH)], levels):
         traj = propagate(molecule, run, hand, levels=levels)
         assert traj.grid.n_steps > _rk4_numpy.CHUNK_STEPS
         want = np.array([abs(np.vdot(s, s).real - 1.0) for s in traj.states])

@@ -313,7 +313,8 @@ from esst.propagator import _run_args, default_grid
 molecule = get_preset("cyclohexylmethanol")
 tau0, levels = float(sys.argv[1]), int(sys.argv[2])
 pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=tau0))
-args = _run_args(molecule, pulses, Handedness.LEFT, levels, default_grid(molecule, pulses, levels))[1]
+grid = default_grid(molecule, pulses, levels)
+_, [args] = _run_args(molecule, pulses, (Handedness.LEFT,), levels, grid)
 for chunk_steps in (args[2], _rk4_numpy.CHUNK_STEPS):  # one chunk, then the kernel's
     run = _rk4_numpy.rk4_run(*args, chunk_steps)
     print(hashlib.sha256(b"".join(a.tobytes() for a in run)).hexdigest())
@@ -335,7 +336,7 @@ def test_kept_set_up_gives_the_bits_of_a_lone_run(molecule):
     for tau0, levels in ((0.2, 3), (1.5, 3), (1.5, 4), (2.25, 3)):
         pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=tau0))
         grid = default_grid(molecule, pulses, levels)
-        args = _run_args(molecule, pulses, Handedness.LEFT, levels, grid)[1]
+        _, [args] = _run_args(molecule, pulses, (Handedness.LEFT,), levels, grid)
         here = [run_digest(args, chunk_steps) for chunk_steps in (args[2], _rk4_numpy.CHUNK_STEPS)]
         proc = subprocess.run(
             [sys.executable, "-c", ALONE_RUN, str(tau0), str(levels)],
@@ -424,7 +425,8 @@ def designed_args(molecule, spec, levels, hand, sample_stride=128):
     """``rk4_run``'s positional arguments for a designed sequence on its grid."""
     pulses = designed_pulses(molecule, spec)
     grid = replace(default_grid(molecule, pulses, levels), sample_stride=sample_stride)
-    return _run_args(molecule, pulses, hand, levels, grid)[1]
+    _, [args] = _run_args(molecule, pulses, (hand,), levels, grid)
+    return args
 
 
 @pytest.mark.parametrize("chunk_steps,stride", [
