@@ -63,6 +63,7 @@ from .propagator import (
     GridConfig,
     GridTooCoarseError,
     NumericalGuardError,
+    PoolError,
     Trajectory,
     default_grid,
     norm_drift,

@@ -72,8 +72,18 @@ element is one contiguous vector over the steps of the chunk:
   builds every chunk itself.  A build's arguments and the caller's numpy
   error state are pickled once and sent, as bytes, with each range; each
   hand's warnings, and any error of its own arithmetic, come back to be
-  raised in that hand's run.  The workers leave Ctrl-C to the caller,
-  exit when it dies and are shut down at interpreter exit.
+  raised in that hand's run.
+* The pool is driven by the calling thread alone; it starts no thread.
+  Each worker has its own task pipe and result pipe.  The caller writes
+  a range's task to the least loaded worker, with at most ``_DEPTH`` in
+  flight per worker, and holds the other ranges itself, so a dropped
+  build's unsent ranges never run.  Whenever it submits or waits, it
+  reads every result that is ready and sends the next ranges.  On Linux
+  a result pipe holds two capped results, so a worker seldom waits on an
+  unread one.  A worker ignores Ctrl-C, which is the caller's, and exits when
+  its task pipe ends: when the caller closes it at exit, or dies.  A
+  worker that dies fails the runs waiting on the pool with a
+  :class:`PoolError` that names it, and the next build forks a new pool.
 * :func:`submit` starts a build without waiting for it and returns one
   share per hand, which ``rk4_run(..., build=share)`` samples, so a
   caller can hand the workers the next pulse set early
@@ -91,11 +101,11 @@ import atexit
 import math
 import os
 import pickle
+import select
 import signal
 import threading
-import time
 import warnings
-from functools import partial
+from collections import deque
 
 import numpy as np
 
@@ -546,68 +556,240 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+#: Ranges sent to a worker and not yet read back: one to build and one
+#: waiting in its task pipe.  The caller holds the rest.
+_DEPTH = 2
+
+
+class PoolError(RuntimeError):
+    """A worker process of the kernel's pool died, so the run that waits
+    on it cannot be finished."""
+
+
+class _Task:
+    """One range of a build: its job until sent, then its result, the
+    hands' entries of :func:`_range_propagators` or the exception that
+    stopped the range, once read."""
+
+    __slots__ = ("blob", "bounds", "done", "dropped", "result")
+
+    def __init__(self, blob, bounds):
+        self.blob, self.bounds = blob, bounds
+        self.done = self.dropped = False
+        self.result = None
+
+
+def _read(fd, size):
+    """``size`` bytes from ``fd``, or None if it ends first."""
+    data = bytearray(size)
+    view = memoryview(data)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            return None
+        view = view[got:]
+    return data
+
+
+def _write(fd, data) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(tasks, results) -> None:
+    """A worker's loop: build each range read from ``tasks`` and write its
+    result to ``results``, until ``tasks`` ends.
+
+    A task is its blob's length and the range's bounds, 8 bytes each, then
+    the blob; a result is its length, 8 bytes, then its pickle.
+    """
+    while (head := _read(tasks, 24)) is not None:
+        size, first, end = (int.from_bytes(head[i : i + 8], "little") for i in (0, 8, 16))
+        blob = _read(tasks, size)
+        if blob is None:
+            return
+        try:
+            result = _range_propagators(blob, (first, end))
+        except Exception as exc:
+            result = exc
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        _write(results, len(data).to_bytes(8, "little"))
+        _write(results, data)
+
+
+class _Worker:
+    """A forked worker process: its pid, this process's ends of its task
+    and result pipes, and the tasks sent to it and not yet read back, in
+    the order it builds them."""
+
+    def __init__(self):
+        import fcntl
+
+        task_r, self.tasks = os.pipe()
+        self.results, result_w = os.pipe()
+        try:  # room for a whole result, so the worker goes on to its next range
+            fcntl.fcntl(result_w, fcntl.F_SETPIPE_SZ, 2 * _RANGE_BYTES)
+        except (AttributeError, OSError):  # not Linux, or over the user's pipe quota
+            pass
+        self.sent = deque()
+        self.pid = os.fork()
+        if self.pid == 0:  # the at-fork hook has closed the other workers' pipes
+            code = 1
+            try:
+                os.close(self.tasks)
+                os.close(self.results)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's
+                _serve(task_r, result_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(task_r)
+        os.close(result_w)
+
+    def send(self, task) -> None:
+        self.sent.append(task)  # first, so that a failed write fails the task too
+        head = b"".join(x.to_bytes(8, "little") for x in (len(task.blob), *task.bounds))
+        _write(self.tasks, head + task.blob)
+
+    def receive(self):
+        """The next result, unpickled unless its task was dropped."""
+        head = _read(self.results, 8)
+        data = head and _read(self.results, int.from_bytes(head, "little"))
+        if data is None:
+            raise self.died()
+        task = self.sent.popleft()
+        task.done = True
+        if not task.dropped:
+            task.result = pickle.loads(data)
+
+    def died(self) -> PoolError:
+        """The error for this worker, whose pipe has closed; reaps it."""
+        try:
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        except ChildProcessError:  # reaped elsewhere
+            how = "ended"
+        else:
+            how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+        return PoolError(f"kernel worker process {self.pid} {how} before its range was built")
+
+
+class _Pool:
+    """The forked workers that build chunk ranges, driven by the calling
+    thread: it writes each task to a worker's pipe and reads each result
+    itself, and no thread serves the pool.  Every method runs under
+    ``_LOCK``."""
+
+    def __init__(self):
+        self.workers = []
+        self.unsent = deque()  # tasks held back until a worker has room
+
+    def serve(self, task=None) -> None:
+        """Read every result that is ready, then send unsent tasks to the
+        least loaded workers; with ``task``, go on, waiting for results,
+        until it is done.
+
+        A worker found dead shuts the pool down, and every task not done
+        fails with the PoolError that names it, raised in its run's turn;
+        an interrupt shuts the pool down too.
+        """
+        try:
+            timeout = 0
+            while True:
+                busy = {worker.results: worker for worker in self.workers if worker.sent}
+                for fd in select.select(busy, (), (), timeout)[0] if busy else ():
+                    busy[fd].receive()
+                self._send()
+                if task is None or task.done:
+                    return
+                timeout = None
+        except PoolError as exc:
+            _shutdown(exc)
+        except BaseException:
+            _shutdown()
+            raise
+
+    def _send(self) -> None:
+        while self.unsent:
+            worker = min(self.workers, key=lambda w: len(w.sent))
+            if len(worker.sent) >= _DEPTH:
+                return
+            task = self.unsent.popleft()
+            if task.dropped:
+                task.done = True  # never sent
+                continue
+            try:
+                worker.send(task)
+            except BrokenPipeError:
+                raise worker.died() from None
+
+    def close(self, error) -> None:
+        """Close every pipe, so that each worker exits once its range is
+        built, and reap the workers; each task not done fails with ``error``."""
+        for worker in self.workers:
+            os.close(worker.tasks)
+            os.close(worker.results)
+        for worker in self.workers:
+            try:
+                os.waitpid(worker.pid, 0)
+            except ChildProcessError:  # reaped already
+                pass
+            for task in worker.sent:
+                task.done, task.result = True, error
+        for task in self.unsent:
+            task.done, task.result = True, error
+
+
 _POOL = None
-_POOL_LOCK = threading.Lock()
+_LOCK = threading.RLock()
 
 
-def _pool():
-    """The process pool that builds chunk ranges, created on first use.
+def _pool() -> _Pool:
+    """The pool, forked on first use with one worker per usable CPU.
 
-    Its workers are forked, so they start with this module loaded and cost
-    no import.  esst starts no thread of its own, so the fork copies no
-    lock held by another esst thread.
+    Its workers start with this module loaded and cost no import.  esst
+    starts no thread of its own, so the fork copies no lock held by
+    another esst thread.
     """
     global _POOL
-    with _POOL_LOCK:
+    with _LOCK:
         if _POOL is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            _POOL = ProcessPoolExecutor(
-                _worker_count(), mp_context=multiprocessing.get_context("fork"),
-                initializer=_worker_start, initargs=(os.getpid(),),
-            )
+            _POOL = _Pool()
+            try:
+                for _ in range(_worker_count()):
+                    _POOL.workers.append(_Worker())
+            except BaseException:  # no fork: keep no part of a pool
+                _shutdown()
+                raise
         return _POOL
 
 
-def _worker_start(parent: int) -> None:
-    """Leave Ctrl-C to the caller, and exit once the caller is gone.
-
-    A caller killed outright never shuts the pool down, and its workers
-    would wait for work forever.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
-
-
-def _exit_with(parent: int) -> None:
-    while os.getppid() == parent:
-        time.sleep(1.0)
-    os._exit(1)
-
-
-def _shutdown() -> None:
-    """Stop the pool's workers and wait for them; a later run starts anew."""
+def _shutdown(error=None) -> None:
+    """Stop the pool's workers and wait for them; a later run forks anew.
+    A task not yet done fails with ``error``, by default a PoolError."""
     global _POOL
-    with _POOL_LOCK:
+    with _LOCK:
         pool, _POOL = _POOL, None
-    if pool is not None:
-        pool.shutdown()
+        if pool is not None:
+            pool.close(error or PoolError("the kernel's worker pool was shut down"))
 
 
-def _forget_pool() -> None:
-    # A forked child shares the parent's pool handle and builds but not its
-    # workers, and its copy of the lock may be held by a thread it does not have.
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+def _leave_pool() -> None:
+    # A forked child, a worker or any other, must not hold the parent's
+    # pipe ends: a worker sees its caller go only when its task pipe ends.
+    # The child's copy of the lock may be held by a thread it does not have.
+    global _POOL, _LOCK
+    for worker in _POOL.workers if _POOL is not None else ():
+        os.close(worker.tasks)
+        os.close(worker.results)
+    _POOL, _LOCK = None, threading.RLock()
     _OPEN.clear()
 
 
-# Shut the pool down before interpreter teardown, which otherwise reports
-# errors from the pool's own clean-up.
+# Reap the workers at exit, so that no process outlives the caller.
 atexit.register(_shutdown)
 if hasattr(os, "fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_leave_pool)
 
 
 def _chunk_ranges(n_steps, chunk, parts):
@@ -634,31 +816,37 @@ _OPEN: set = set()
 class _Share:
     """One hand's part of a pool build, ``rk4_run``'s ``build``.
 
-    The hands' shares hold the same range futures, which are cancelled
-    once every share has been taken or dropped.
+    The hands' shares hold the same range tasks, which are dropped once
+    every share has been taken or dropped: a dropped task is never sent,
+    and a dropped result is read but not unpickled.
     """
 
-    def __init__(self, futures, hand, waiting):
-        self.futures, self.hand, self.waiting = futures, hand, waiting
+    def __init__(self, tasks, hand, waiting):
+        self.tasks, self.hand, self.waiting = tasks, hand, waiting
         _OPEN.add(self)
 
     def take(self):
         """This hand's (propagators, warnings) of each range, in order,
         each freed from the range's result as it is taken."""
-        for future in self.futures:
-            hands = future.result()
+        for task in self.tasks:
+            with _LOCK:
+                if _POOL is not None:  # a task not done is the pool's
+                    _POOL.serve(task)
+            hands = task.result
+            if isinstance(hands, Exception):
+                raise hands
             mine, hands[self.hand] = hands[self.hand], None
             if isinstance(mine, Exception):
                 raise mine
             yield mine
 
     def drop(self):
-        """Leave the build; the last share to leave cancels its futures."""
+        """Leave the build; the last share to leave drops its tasks."""
         _OPEN.discard(self)
         self.waiting.discard(self.hand)
         if not self.waiting:
-            for future in self.futures:
-                future.cancel()
+            for task in self.tasks:
+                task.dropped = True
 
 
 def submit(runs, chunk_steps: int = CHUNK_STEPS):
@@ -680,13 +868,15 @@ def submit(runs, chunk_steps: int = CHUNK_STEPS):
     result = len(runs) * (n_steps // stride) * psi0.shape[0] ** 2 * 16  # complex128
     parts = min(n_chunks, max(workers, -(-result // _RANGE_BYTES)))
     prefactors = tuple(args[8] for args in runs)
-    # Pickled here once, so the pool sends each range the same bytes.
+    # Pickled here once, so that each range is sent the same bytes.
     blob = pickle.dumps((kernel_args, prefactors, chunk, np.geterr()), pickle.HIGHEST_PROTOCOL)
-    job = partial(_range_propagators, blob)
-    pool = _pool()
-    futures = [pool.submit(job, bounds) for bounds in _chunk_ranges(n_steps, chunk, parts)]
+    tasks = [_Task(blob, bounds) for bounds in _chunk_ranges(n_steps, chunk, parts)]
+    with _LOCK:
+        pool = _pool()
+        pool.unsent.extend(tasks)
+        pool.serve()
     waiting = set(range(len(runs)))
-    return [_Share(futures, hand, waiting) for hand in range(len(runs))]
+    return [_Share(tasks, hand, waiting) for hand in range(len(runs))]
 
 
 def rk4_run(

@@ -14,8 +14,9 @@ Subcommands:
 
 Exit codes: 0 success; 2 configuration or grid-resolution errors (also used
 by argparse for unknown flags); 3 numerical-guard failures during
-integration.  Result CSVs embed the resolved config as comment lines so any
-output file can be reproduced exactly.
+integration; 4 a kernel worker process that died during a run.  Result
+CSVs embed the resolved config as comment lines so any output file can be
+reproduced exactly.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ from .propagator import (
     TRACE_COLUMNS,
     GridTooCoarseError,
     NumericalGuardError,
+    PoolError,
     ahead,
     norm_drift,
     propagate,
@@ -314,6 +316,9 @@ def main(argv=None) -> int:
     except NumericalGuardError as exc:
         print(f"numerical guard tripped: {exc}", file=sys.stderr)
         return 3
+    except PoolError as exc:
+        print(f"worker pool failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

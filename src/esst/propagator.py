@@ -21,7 +21,8 @@ omega_max (fastest of carrier and transition frequencies), and the step
 must resolve that: dt <= (2 pi / omega_max) / 40 is enforced
 (GridTooCoarseError otherwise); the default grid uses 64 steps per period.
 Runs that go non-finite or whose norm drifts beyond
-``GridConfig.drift_tol`` raise NumericalGuardError.
+``GridConfig.drift_tol`` raise NumericalGuardError.  A run whose kernel
+worker process dies raises PoolError, and the next run forks new workers.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk4_numpy
+from ._rk4_numpy import PoolError
 from .model import (
     CHANNELS,
     Handedness,

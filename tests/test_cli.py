@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from esst import cli, experiments
+from esst import _rk4_numpy, cli, experiments
 from esst.areas import designed_pulses
 from esst.cli import main
 from esst.config import load_config, parse_config, resolve_grid
@@ -593,6 +593,22 @@ def test_sweep_phase_leaves_no_process_behind(tmp_path):
     ) == (0, "")
     with open(tmp_path / "out" / "sweep_phase.csv", encoding="utf-8") as fh:
         assert sum(1 for line in fh if not line.startswith("#")) == 1 + 2 * 2
+
+
+def test_a_dead_worker_exits_4_on_one_line(tmp_path, capsys, monkeypatch):
+    # A kernel worker killed before a run: the CLI names it on one line of
+    # stderr, with no traceback, and exits 4.
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL + "[design]\ntau0_ns = 0.5\n", encoding="utf-8")
+    assert resolve_grid(load_config(str(path)), 4).n_steps > 4096
+    pid = _rk4_numpy._pool().workers[0].pid
+    os.kill(pid, signal.SIGKILL)
+    assert main(["propagate", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == (
+        f"worker pool failed: kernel worker process {pid} was killed by SIGKILL "
+        "before its range was built\n"
+    )
 
 
 def test_propagate_both_hands_match_single_hand_runs(tmp_path, capsys):

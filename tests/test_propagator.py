@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -608,6 +609,42 @@ def test_closing_ahead_drops_its_queued_builds(molecule):
         break
     assert queued == 3
     assert not propagator._QUEUED and not _rk4_numpy._OPEN
+
+
+def test_a_dropped_build_sends_none_of_its_unsent_ranges(molecule, monkeypatch):
+    # With one range in flight per worker, the first set's two ranges fill
+    # the two workers and the next set's wait in the caller.  Closing the
+    # generator drops both builds: the waiting ranges must never reach a
+    # worker, and the ranges in flight are read back but not unpickled.
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    monkeypatch.setattr(_rk4_numpy, "_DEPTH", 1)
+    _rk4_numpy._shutdown()  # fork the pool anew, with two workers
+    sent, real = [], _rk4_numpy._Worker.send
+    monkeypatch.setattr(_rk4_numpy._Worker, "send", lambda self, task: sent.append(task) or real(self, task))
+    (pulses, _), *_ = pipe_sets(molecule)
+    other = [replace(pulses[0], phase=1.0)]
+    for _ in ahead(molecule, [(pulses, BOTH), (other, BOTH)], 3, PIPE_GRID):
+        first, _, following, _ = (share.tasks for *_, share in propagator._QUEUED.values())
+        break
+    assert len(first) == len(following) == 2
+    assert sent == first
+    propagate(molecule, other, L, levels=3, grid=PIPE_GRID)  # frees the workers
+    assert len(sent) == 4 and not any(task in sent for task in following)
+    # a worker is free for the later run only once its range was read
+    assert any(task.done for task in first) and all(task.result is None for task in first)
+
+
+def test_a_pooled_run_starts_no_thread(molecule, monkeypatch):
+    # The caller forks the pool, sends the ranges and reads the results
+    # itself: no thread is started, while the runs go on or after them.
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    _rk4_numpy._shutdown()  # the runs below fork the pool anew
+    before = threading.active_count()
+    pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.5))
+    for run, hand in ahead(molecule, [(pulses, BOTH)], 3):
+        assert propagate(molecule, run, hand, levels=3).grid.n_steps > _rk4_numpy.CHUNK_STEPS
+        assert threading.active_count() == before
+    assert _rk4_numpy._POOL is not None and threading.active_count() == before
 
 
 def test_a_first_hand_that_raises_leaves_nothing_queued(molecule):

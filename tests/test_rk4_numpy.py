@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import signal
 import subprocess
 import sys
 import threading
-from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from esst import _rk4_numpy
+from esst import PoolError, _rk4_numpy
 from esst.areas import DesignSpec, designed_pulses
 from esst.model import Handedness
 from esst.propagator import _run_args, default_grid
@@ -132,8 +134,8 @@ def test_each_hand_of_a_shared_build_has_its_lone_bytes(molecule, levels, conven
     shares = _rk4_numpy.submit(runs)
     assert (shares is None) == (_rk4_numpy._worker_count() < 2)
     taken = [_rk4_numpy.rk4_run(*args, build=share) for args, share in zip(runs, shares or [None] * 2)]
-    for future in shares[0].futures if shares else ():
-        assert future.result() == [None, None]
+    for task in shares[0].tasks if shares else ():
+        assert task.result == [None, None]
     for args, got in zip(runs, taken):
         assert run_bytes(got) == run_bytes(_rk4_numpy.rk4_run(*args))
     assert run_bytes(taken[0]) != run_bytes(taken[1])  # the hands differ
@@ -146,7 +148,7 @@ def test_a_capped_shared_build_has_the_lone_bytes(molecule, monkeypatch):
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
     runs = hand_args(molecule, 4, sample_stride=1, tau0=0.3)
     shares = _rk4_numpy.submit(runs, 512)
-    assert len(shares[0].futures) == 5
+    assert len(shares[0].tasks) == 5
     for args, share in zip(runs, shares):
         taken = _rk4_numpy.rk4_run(*args, 512, build=share)
         assert run_bytes(taken) == run_bytes(_rk4_numpy.rk4_run(*args, 512))
@@ -156,36 +158,34 @@ def test_a_build_has_no_more_ranges_than_chunks(molecule, monkeypatch):
     # The size cap asks for 5 ranges of this 2-chunk, 4-level, two-hand
     # build at stride 1; the pool must get the 2 chunks, none empty.
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
-    pool, ranges = _rk4_numpy._pool(), []
-
-    class Recording:
-        def submit(self, job, bounds):
-            ranges.append(bounds)
-            return pool.submit(job, bounds)
-
-    monkeypatch.setattr(_rk4_numpy, "_pool", Recording)
     runs = hand_args(molecule, 4, sample_stride=1, tau0=0.3)
     n_steps = runs[0][2]
     assert 4096 < n_steps < 8192
     shares = _rk4_numpy.submit(runs)
-    assert ranges == [(0, 4096), (4096, n_steps)]
+    assert [task.bounds for task in shares[0].tasks] == [(0, 4096), (4096, n_steps)]
     for args, share in zip(runs, shares):
         assert run_bytes(_rk4_numpy.rk4_run(*args, build=share)) == run_bytes(_rk4_numpy.rk4_run(*args))
 
 
 def test_a_build_is_cancelled_once_no_run_uses_it():
-    # Futures no worker has started: dropping one hand's share must leave
-    # them for the other hand; dropping the last share cancels them.
-    futures = [Future(), Future()]
+    # Tasks not yet sent: dropping one hand's share must leave them for
+    # the other hand; dropping the last share drops them, and a pool with
+    # room for them then sends neither.
+    tasks = [_rk4_numpy._Task(b"", (0, 1)), _rk4_numpy._Task(b"", (1, 2))]
     waiting = {0, 1}
-    left, right = (_rk4_numpy._Share(futures, hand, waiting) for hand in (0, 1))
+    left, right = (_rk4_numpy._Share(tasks, hand, waiting) for hand in (0, 1))
     assert {left, right} <= _rk4_numpy._OPEN
     left.drop()
-    assert not any(future.cancelled() for future in futures)
+    assert not any(task.dropped for task in tasks)
     assert right in _rk4_numpy._OPEN and left not in _rk4_numpy._OPEN
     right.drop()
-    assert all(future.cancelled() for future in futures)
+    assert all(task.dropped for task in tasks)
     assert not {left, right} & _rk4_numpy._OPEN
+    pool, sent = _rk4_numpy._Pool(), []
+    pool.workers.append(SimpleNamespace(sent=sent, send=sent.append))
+    pool.unsent.extend(tasks)
+    pool.serve()
+    assert sent == [] and not pool.unsent
 
 
 def test_a_share_left_untaken_fails_the_test_that_left_it(molecule):
@@ -199,6 +199,34 @@ def test_a_share_left_untaken_fails_the_test_that_left_it(molecule):
     _rk4_numpy.rk4_run(*runs[0], build=shares[0])
     assert drop_left_behind() == "1 share(s) of a pending build"
     assert not _rk4_numpy._OPEN and drop_left_behind() == ""
+
+
+@pytest.mark.parametrize("mid_run", [False, True], ids=["between-runs", "mid-run"])
+def test_a_killed_worker_fails_one_run_and_the_next_forks_anew(molecule, monkeypatch, mid_run):
+    # A worker killed, as by the out-of-memory killer, between two runs
+    # (the next run finds its task pipe broken) or while it builds a range
+    # (the run finds its result pipe closed): that run raises one error
+    # that names the worker, and the next run forks a new pool, reaps the
+    # old one and gives the first run's bytes.
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    args = designed_args(molecule, DesignSpec(target="C", tau0=0.5), 4, Handedness.LEFT)
+    first = _rk4_numpy.rk4_run(*args)
+    old = [worker.pid for worker in _rk4_numpy._pool().workers]
+    shares = None
+    if mid_run:  # stopped, the worker cannot finish its range before it dies
+        os.kill(old[0], signal.SIGSTOP)
+        os.waitid(os.P_PID, old[0], os.WSTOPPED | os.WNOWAIT)
+        shares = _rk4_numpy.submit([args])
+    os.kill(old[0], signal.SIGKILL)
+    os.waitid(os.P_PID, old[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    with pytest.raises(PoolError, match=f"^kernel worker process {old[0]} was killed by SIGKILL "):
+        _rk4_numpy.rk4_run(*args, build=shares and shares[0])
+    again = _rk4_numpy.rk4_run(*args)
+    assert not {worker.pid for worker in _rk4_numpy._POOL.workers} & set(old)
+    for pid in old:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # reaped
+    assert run_bytes(again) == run_bytes(first)
 
 
 def test_the_norm_pass_raises_nothing_of_its_own(molecule):
@@ -372,6 +400,37 @@ def test_threads_building_at_once_keep_their_own_scratch(molecule, monkeypatch):
     assert got == alone
 
 
+def test_threads_sharing_the_pool_each_get_their_own_bits(molecule, monkeypatch):
+    # Four threads on two workers submit and take multi-chunk builds at
+    # once, switching often: every run must come back whole, with the
+    # bits of its lone run, and the pool must be left with nothing in
+    # flight.  A lost update to the pool's queues would hang or mix runs.
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    _rk4_numpy._shutdown()  # a new pool, with no earlier range in flight
+    runs = [designed_args(molecule, DesignSpec(target="C", tau0=tau0), 3, Handedness.LEFT)
+            for tau0 in (0.5, 0.75, 1.0, 1.25)]
+    alone = [run_digest(args, _rk4_numpy.CHUNK_STEPS) for args in runs]
+    got = [[] for _ in runs]
+
+    def build(k):
+        for _ in range(5):
+            got[k].append(run_digest(runs[k], _rk4_numpy.CHUNK_STEPS))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(runs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[digest] * 5 for digest in alone]
+    assert not any(worker.sent for worker in _rk4_numpy._POOL.workers)
+
+
 def direct_rk4(
     t0, dt, n_steps, stride,
     energies, rows, cols, echan, prefactor,
@@ -508,3 +567,31 @@ def test_kernel_matches_direct_rk4_on_random_designs(molecule, **draw):
     chunk_steps = kernel_chunk_steps(args, draw)
     assert args[2] % (chunk_steps // draw["stride"] * draw["stride"])  # a partial last chunk
     assert_kernel_matches_direct(args, chunk_steps)
+
+
+POOLED_RUN = """
+import sys, threading
+from esst import _rk4_numpy
+from esst.areas import DesignSpec, designed_pulses
+from esst.model import Handedness, get_preset
+from esst.propagator import default_grid, propagate
+_rk4_numpy._worker_count = lambda: 2  # a pool even on one CPU
+molecule = get_preset("cyclohexylmethanol")
+pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.5))
+assert default_grid(molecule, pulses, 3).n_steps > 4096
+propagate(molecule, pulses, Handedness.LEFT, levels=3)
+assert len(_rk4_numpy._POOL.workers) == 2
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+print(threading.active_count())
+"""
+
+
+def test_a_pooled_run_loads_no_executor():
+    # The caller forks its workers and drives their pipes itself: a run
+    # built on the pool imports neither concurrent.futures nor
+    # multiprocessing and leaves the caller with its main thread alone.
+    proc = subprocess.run(
+        [sys.executable, "-c", POOLED_RUN], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "1"]
