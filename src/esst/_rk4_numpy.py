@@ -84,10 +84,10 @@ element is one contiguous vector over the steps of the chunk:
   its task pipe ends: when the caller closes it at exit, or dies.  A
   worker that dies fails the runs waiting on the pool with a
   :class:`PoolError` that names it, and the next build forks a new pool.
-* :func:`submit` starts a build without waiting for it and returns one
-  share per hand, which ``rk4_run(..., build=share)`` samples, so a
-  caller can hand the workers the next pulse set early
-  (``propagator.ahead``).
+* :func:`submit` starts a pulse set's build without waiting for it; the
+  caller owns the :class:`_Build` and drops it once no run will read it.
+  ``rk4_run(..., build=b.take(k))`` samples hand k, so a caller can hand
+  the workers the next pulse set early (``propagator.ahead``).
 
 None of this uses a batched ``np.matmul``, which hands each tiny matrix to
 BLAS separately and costs several times the arithmetic.  The numerical
@@ -633,7 +633,12 @@ class _Worker:
         except (AttributeError, OSError):  # not Linux, or over the user's pipe quota
             pass
         self.sent = deque()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except BaseException:  # EAGAIN or ENOMEM: no worker, so no pipes
+            for fd in (task_r, self.tasks, self.results, result_w):
+                os.close(fd)
+            raise
         if self.pid == 0:  # the at-fork hook has closed the other workers' pipes
             code = 1
             try:
@@ -669,8 +674,9 @@ class _Worker:
             code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         except ChildProcessError:  # reaped elsewhere
             how = "ended"
-        else:
-            how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+        else:  # a real-time signal has no name of its own
+            name = next((s.name for s in signal.Signals if s == -code), f"signal {-code}")
+            how = f"was killed by {name}" if code < 0 else f"exited with status {code}"
         return PoolError(f"kernel worker process {self.pid} {how} before its range was built")
 
 
@@ -697,7 +703,10 @@ class _Pool:
             timeout = 0
             while True:
                 busy = {worker.results: worker for worker in self.workers if worker.sent}
-                for fd in select.select(busy, (), (), timeout)[0] if busy else ():
+                ready = select.poll()  # select() fails on an fd of 1024 or more
+                for fd in busy:  # POLLHUP or POLLERR, a dead worker, is ready too
+                    ready.register(fd, select.POLLIN)
+                for fd, _ in ready.poll(timeout) if busy else ():
                     busy[fd].receive()
                 self._send()
                 if task is None or task.done:
@@ -783,7 +792,6 @@ def _leave_pool() -> None:
         os.close(worker.tasks)
         os.close(worker.results)
     _POOL, _LOCK = None, threading.RLock()
-    _OPEN.clear()
 
 
 # Reap the workers at exit, so that no process outlives the caller.
@@ -809,24 +817,15 @@ def _chunk_length(stride, chunk_steps):
 #: build adds no larger message than a lone run's for the caller to hold.
 _RANGE_BYTES = 1 << 19
 
-#: Shares of pool builds not yet taken or dropped.
-_OPEN: set = set()
 
+class _Build:
+    """The range tasks, in order, of one pool build of a pulse set's hands."""
 
-class _Share:
-    """One hand's part of a pool build, ``rk4_run``'s ``build``.
+    def __init__(self, tasks):
+        self.tasks = tasks
 
-    The hands' shares hold the same range tasks, which are dropped once
-    every share has been taken or dropped: a dropped task is never sent,
-    and a dropped result is read but not unpickled.
-    """
-
-    def __init__(self, tasks, hand, waiting):
-        self.tasks, self.hand, self.waiting = tasks, hand, waiting
-        _OPEN.add(self)
-
-    def take(self):
-        """This hand's (propagators, warnings) of each range, in order,
+    def take(self, hand):
+        """Hand ``hand``'s (propagators, warnings) of each range, in order,
         each freed from the range's result as it is taken."""
         for task in self.tasks:
             with _LOCK:
@@ -835,18 +834,15 @@ class _Share:
             hands = task.result
             if isinstance(hands, Exception):
                 raise hands
-            mine, hands[self.hand] = hands[self.hand], None
+            mine, hands[hand] = hands[hand], None
             if isinstance(mine, Exception):
                 raise mine
             yield mine
 
     def drop(self):
-        """Leave the build; the last share to leave drops its tasks."""
-        _OPEN.discard(self)
-        self.waiting.discard(self.hand)
-        if not self.waiting:
-            for task in self.tasks:
-                task.dropped = True
+        """Drop every task: never sent, or read but not unpickled."""
+        for task in self.tasks:
+            task.dropped = True
 
 
 def submit(runs, chunk_steps: int = CHUNK_STEPS):
@@ -854,9 +850,9 @@ def submit(runs, chunk_steps: int = CHUNK_STEPS):
 
     ``runs`` are the hands of one pulse set: their arguments differ only
     in ``prefactor``.  Each range is built on the pool under the caller's
-    numpy error state.  Returns one :class:`_Share` per run, or None where
-    the caller builds each run itself: one usable CPU, one chunk or no
-    ``fork``.  A share that is not passed on must be dropped.
+    numpy error state.  Returns the :class:`_Build`, which the caller
+    drops once no run will read it, or None where the caller builds each
+    run itself: one usable CPU, one chunk or no ``fork``.
     """
     kernel_args = runs[0]
     n_steps, stride, psi0 = kernel_args[2], kernel_args[3], kernel_args[16]
@@ -875,8 +871,7 @@ def submit(runs, chunk_steps: int = CHUNK_STEPS):
         pool = _pool()
         pool.unsent.extend(tasks)
         pool.serve()
-    waiting = set(range(len(runs)))
-    return [_Share(tasks, hand, waiting) for hand in range(len(runs))]
+    return _Build(tasks)
 
 
 def rk4_run(
@@ -907,9 +902,9 @@ def rk4_run(
     A run of several chunks is cut into ranges of whole chunks, and the
     ranges' propagators are built on the forked process pool; the samples
     are then taken here, in order.  With one CPU, one chunk or no
-    ``fork``, this process builds them all.  ``build`` is this run's share
-    of what :func:`submit` returned, under the same numpy error state and
-    ``chunk_steps``; it is taken instead of submitting the run again.
+    ``fork``, this process builds them all.  ``build``, this run's
+    ``take(k)`` of a build submitted under the same numpy error state and
+    ``chunk_steps``, is read instead of submitting the run again.
     """
     kernel_args = (
         t0, dt, n_steps, stride,
@@ -929,24 +924,22 @@ def rk4_run(
     times[1:] = t0 + (np.arange(1, n_samples) * stride) * dt
     states[0] = psi
 
-    if build is None:
-        build = (submit([kernel_args], chunk_steps) or [None])[0]
+    own = None if build is not None else submit([kernel_args], chunk_steps)
+    if own is not None:
+        build = own.take(0)
+    elif build is None:
+        build = [(_propagators(kernel_args, 0, n_steps, _chunk_length(stride, chunk_steps)), [])]
     try:
-        if build is None:
-            chunk = _chunk_length(stride, chunk_steps)
-            results = [(_propagators(kernel_args, 0, n_steps, chunk), [])]
-        else:
-            results = build.take()
         sample = 1  # the next sample to take
-        for props, caught in results:
+        for props, caught in build:
             for category, message in caught:
                 warnings.warn(message, category)
             for p, row in zip(props, states[sample:]):
                 psi = p.dot(psi, out=row)
             sample += len(props)
     finally:
-        if build is not None:
-            build.drop()
+        if own is not None:
+            own.drop()
     # The norms raise and warn nothing of their own: vecdot, a gufunc,
     # would flag a finite state whose |psi|^2 overflows.
     with np.errstate(all="ignore"):

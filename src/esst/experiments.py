@@ -20,7 +20,7 @@ builds the set's kernel arguments once and queues its hands as one kernel
 build: each chunk's envelopes, drive phasors and fields are evaluated once
 for both hands.  It queues the next point's build while the caller samples
 this one's runs.  Each trajectory and its result still come from one
-``propagate`` call in the caller, which takes its hand's share of the
+``propagate`` call in the caller, which reads its hand's part of the
 queued build without building it again.
 """
 from __future__ import annotations

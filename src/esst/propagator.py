@@ -12,8 +12,11 @@ Callers of :func:`ahead` pass pulse sets ``(pulses, hands)``, the unit of
 exact work: the hands of a set share their pulses and differ only in the
 sign of the a-type couplings.  :func:`ahead` queues the sets one ahead:
 each set's kernel arguments are built once and submitted to the kernel
-as one build, whose drive and fields the kernel evaluates once, and each
-run waits for the ``propagate`` call with exactly its inputs.
+as one build, whose drive and fields the kernel evaluates once.  The
+generator owns each build and drops it once the set's last run is
+yielded.  While it yields a run, the run waits in a thread-local slot
+for the ``propagate`` call with exactly its inputs; any other call
+builds its own run.
 
 The kernel only integrates; :func:`propagate` judges every run, and this
 module holds all three guards.  Grid safety: carriers oscillate at up to
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,12 +269,13 @@ def propagate(
     """
     basis = basis_for_levels(molecule, levels)
     plist = _pulse_list(pulses)
-    queued = _QUEUED.pop(_run_key(molecule, plist, hand, levels, grid), None) if _QUEUED else None
-    if queued is None:
+    run = _SLOT.run
+    if run is not None and run[0] == _run_key(molecule, plist, hand, levels, grid):
+        _SLOT.run = None
+        _, grid, args, build = run
+    else:
         grid, [args] = _run_args(molecule, plist, (hand,), levels, grid)
         build = None
-    else:
-        grid, args, build = queued
     times, states, norm_err = _rk4_numpy.rk4_run(*args, build=build)
     bad = np.flatnonzero(~np.isfinite(norm_err))
     if bad.size:
@@ -297,15 +302,19 @@ def propagate(
     )
 
 
-#: Runs queued by :func:`ahead`, by :func:`_run_key`: each one's grid,
-#: kernel arguments and share of its pulse set's build.
-_QUEUED: dict = {}
+class _Slot(threading.local):
+    """The run :func:`ahead` is yielding in this thread: its :func:`_run_key`,
+    grid, kernel arguments and build.  Thread-local: the kernel serves threads."""
 
+    run = None
+
+
+_SLOT = _Slot()
 _END = object()
 
 if hasattr(os, "fork"):
     # A forked child does not share the parent's kernel workers.
-    os.register_at_fork(after_in_child=_QUEUED.clear)
+    os.register_at_fork(after_in_child=lambda: setattr(_SLOT, "run", None))
 
 
 def _run_key(molecule, plist, hand, levels, grid):
@@ -315,30 +324,19 @@ def _run_key(molecule, plist, hand, levels, grid):
 
 
 def _queue(molecule, pulses, hands, levels, grid):
-    """Build the runs of pulse set ``pulses`` for ``hands`` and submit them
-    as one kernel build; one key per hand, or None where its run is queued
-    already or the set fails, an error left for :func:`propagate` to raise
-    in that run's turn."""
+    """Build pulse set ``pulses``'s runs for ``hands`` and submit them as
+    one kernel build: each hand's :class:`_Slot` run, or None if the set
+    fails (:func:`propagate` then raises it), and the build or None."""
     try:
         plist = _pulse_list(pulses)
-        keys = [_run_key(molecule, plist, hand, levels, grid) for hand in hands]
-        fresh = {key: hand for key, hand in zip(keys, hands) if key not in _QUEUED}
-        if fresh:
-            run_grid, runs = _run_args(molecule, plist, fresh.values(), levels, grid)
-            shares = _rk4_numpy.submit(runs) or [None] * len(runs)
-            for key, args, share in zip(fresh, runs, shares):
-                _QUEUED[key] = run_grid, args, share
+        run_grid, runs = _run_args(molecule, plist, hands, levels, grid)
+        build = _rk4_numpy.submit(runs)
     except Exception:
-        return [None] * len(hands)
-    return [key if key in fresh else None for key in keys]
-
-
-def _drop(key) -> None:
-    """Forget a queued run that was not taken, dropping its share of the
-    build."""
-    *_, share = _QUEUED.pop(key, (None,))
-    if share is not None:
-        share.drop()
+        return [None] * len(hands), None
+    return [
+        (_run_key(molecule, plist, hand, levels, grid), run_grid, args, build and build.take(k))
+        for k, (hand, args) in enumerate(zip(hands, runs))
+    ], build
 
 
 def ahead(
@@ -351,19 +349,20 @@ def ahead(
     ``(pulses, hands)`` of ``sets`` once the next set is queued.
 
     The hands of a set are queued together: their grid and kernel
-    arguments are built once, and they share one kernel build.  Only the
-    ``propagate`` call with the same molecule, pulses, hand, levels, grid
-    and numpy error state takes a queued run, and builds nothing again.
+    arguments are built once, and they share one kernel build, which this
+    generator drops once the set's last run has been yielded, or when it
+    is closed.  A run waits in this thread's slot while it is yielded:
+    only the ``propagate`` call with the same molecule, pulses, hand,
+    levels, grid and numpy error state takes it, and builds nothing again.
     ``sets`` is read one set ahead of the runs yielded; an error it raises
     surfaces once every run of the sets read before it has been yielded.
-    Closing the generator drops every run it queued that was not taken.
     """
     sets = iter(sets)
-    queued = []  # the keys of this set's runs not yet yielded, then the next set's
+    held = []  # this set's queued runs, then the next set's
     try:
         current = next(sets, _END)
         if current is not _END:
-            queued += _queue(molecule, *current, levels, grid)
+            held.append(_queue(molecule, *current, levels, grid))
         while current is not _END:
             error = None
             try:
@@ -371,17 +370,23 @@ def ahead(
             except Exception as exc:
                 following, error = _END, exc
             if following is not _END:
-                queued += _queue(molecule, *following, levels, grid)
+                held.append(_queue(molecule, *following, levels, grid))
             pulses, hands = current
-            for hand in hands:
+            for hand, run in zip(hands, held[0][0]):
+                _SLOT.run = run
                 yield pulses, hand
-                _drop(queued.pop(0))  # taken, unless the caller skipped it
+                _SLOT.run = None  # taken, unless the caller skipped it
+            _, build = held.pop(0)
+            if build is not None:
+                build.drop()
             if error is not None:
                 raise error
             current = following
     finally:
-        for key in queued:
-            _drop(key)
+        _SLOT.run = None
+        for _, build in held:
+            if build is not None:
+                build.drop()
 
 
 def trace_table(trajectory: Trajectory) -> np.ndarray:

@@ -13,17 +13,18 @@ from esst.model import Handedness, get_preset
 
 
 def drop_left_behind() -> str:
-    """Drop every queued run, then every share of a kernel build that no
-    run took or dropped, whose futures would stay pending; say what was
-    left, or return '' if nothing was."""
-    queued = list(propagator._QUEUED)
-    for key in queued:
-        propagator._drop(key)
-    shares = list(_rk4_numpy._OPEN)
-    for share in shares:
-        share.drop()
-    left = [f"{len(queued)} queued run(s)"] * bool(queued)
-    left += [f"{len(shares)} share(s) of a pending build"] * bool(shares)
+    """Drop every range task the kernel's pool still holds undropped, whose
+    build no run took or dropped, and clear this thread's queued run; say
+    what was left, or return '' if nothing was."""
+    pool = _rk4_numpy._POOL
+    held = [*pool.unsent, *(task for worker in pool.workers for task in worker.sent)] if pool else []
+    pending = [task for task in held if not task.dropped]
+    for task in pending:
+        task.dropped = True
+    slot = propagator._SLOT.run is not None
+    propagator._SLOT.run = None
+    left = [f"{len(pending)} pending range task(s) of a build"] * bool(pending)
+    left += ["a queued run"] * slot
     return " and ".join(left)
 
 
@@ -35,6 +36,21 @@ def no_queued_run():
     left = drop_left_behind()
     if left:
         pytest.fail(f"{left} left behind")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every build ``_rk4_numpy.submit`` returns, in order, on a pool of
+    two workers."""
+    made, real = [], _rk4_numpy.submit
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    monkeypatch.setattr(_rk4_numpy, "submit", lambda runs, *a: made.append(real(runs, *a)) or made[-1])
+    return made
+
+
+def live(builds) -> int:
+    """How many of ``builds`` are not dropped."""
+    return sum(not all(task.dropped for task in build.tasks) for build in builds)
 
 
 @pytest.fixture(scope="session")

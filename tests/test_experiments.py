@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import live
+
 from esst import _rk4_numpy, experiments, propagator
 from esst.areas import DesignSpec, design_amplitudes, designed_pulses
 from esst.experiments import (
@@ -225,16 +227,17 @@ def test_analytic_sweep_uses_each_points_design(molecule, spec_c):
     assert got["exact"][L].min() > 0.99  # the comparison is not vacuous
 
 
-def test_pipelined_sweep_gives_the_bits_of_single_runs(molecule, monkeypatch):
+def test_pipelined_sweep_gives_the_bits_of_single_runs(molecule, monkeypatch, builds):
     # Both hands of each point are queued as one build while the caller
     # samples the point before.  Every trajectory must have the bits of the
-    # same call made alone, and only this point's runs not yet taken and
-    # the next point's may be queued.
+    # same call made alone; each call must find its own run waiting, and
+    # only this point's build and the next point's may be held.
     real_propagate = experiments.propagate
     runs, depth = [], []
 
     def recording(molecule, pulses, hand, **kwargs):
-        depth.append(len(propagator._QUEUED))  # propagate takes its own entry
+        assert propagator._SLOT.run[0][2] is hand
+        depth.append(live(builds))
         runs.append((pulses, hand, kwargs, real_propagate(molecule, pulses, hand, **kwargs)))
         return runs[-1][-1]
 
@@ -242,7 +245,7 @@ def test_pipelined_sweep_gives_the_bits_of_single_runs(molecule, monkeypatch):
     spec = DesignSpec(target="C", tau0=1.0)  # 4-5 chunks a run
     result = sweep_phase_duration(molecule, spec, [0.0, 2.0], [1.0, 1.25], levels=3)
     assert len(runs) == 8
-    assert depth == [4, 3] * 3 + [2, 1]
+    assert depth == [2] * 6 + [1] * 2 and len(builds) == 4 and not live(builds)
     for pulses, hand, kwargs, traj in runs:
         alone = propagate(molecule, pulses, hand, **kwargs)
         for got, want in ((traj.times, alone.times), (traj.states, alone.states),
@@ -253,12 +256,12 @@ def test_pipelined_sweep_gives_the_bits_of_single_runs(molecule, monkeypatch):
             for hand in BOTH] == finals
 
 
-def test_sweep_raises_the_error_of_its_failing_point(molecule, monkeypatch):
+def test_sweep_raises_the_error_of_its_failing_point(molecule, monkeypatch, builds):
     # Point 1 goes non-finite; point 2 is too fast for the grid, which
     # shows already when it is queued while point 1 is sampled.  With one
     # hand a point, point 1's run is the last one before point 2, so
     # point 2 is designed and queued.  The sweep must raise point 1's
-    # error, not point 2's, and leave no build queued.
+    # error, not point 2's, and drop every build.
     sets = pipe_sets(molecule)
     real = propagator._run_args
     designed, raised = [], []
@@ -285,7 +288,7 @@ def test_sweep_raises_the_error_of_its_failing_point(molecule, monkeypatch):
             )
     assert designed == [0, 1, 2]
     assert raised == [GridTooCoarseError]
-    assert not propagator._QUEUED
+    assert len(builds) == 2 and not live(builds)
 
 
 def test_a_pipelined_run_builds_its_arguments_once(molecule, monkeypatch):
@@ -299,11 +302,11 @@ def test_a_pipelined_run_builds_its_arguments_once(molecule, monkeypatch):
     assert [tuple(hands) for _, _, hands, *_ in built] == [BOTH] * 4
 
 
-def test_a_repeated_point_gives_the_bits_of_single_runs(molecule, monkeypatch):
-    # Points 0 and 1 are one pulse set.  Point 1 is queued while point 0's
-    # runs are, so its runs are queued already: each of its hands builds
-    # alone in its own propagate call.  Every trajectory must have the bits
-    # of the same call made alone, and nothing may stay queued.
+def test_a_repeated_point_gives_the_bits_of_single_runs(molecule, monkeypatch, builds):
+    # Points 0 and 1 are one pulse set, queued while point 0's runs are:
+    # each point still has its own build of both hands.  Every trajectory
+    # must have the bits of the same call made alone, and every build must
+    # be dropped.
     real_submit, real_propagate = _rk4_numpy.submit, experiments.propagate
     submitted, runs = [], []
 
@@ -317,8 +320,10 @@ def test_a_repeated_point_gives_the_bits_of_single_runs(molecule, monkeypatch):
     monkeypatch.setattr(experiments, "propagate", recording)
     spec = DesignSpec(target="C", tau0=1.0)
     result = sweep_phase_duration(molecule, spec, [0.5, 0.5, 2.0], [1.0], levels=3)
-    assert submitted == [2, 2, 1, 1]
-    assert not propagator._QUEUED and not _rk4_numpy._OPEN
+    assert submitted == [2, 2, 2]
+    # both hands took every range of every build, and each build was dropped
+    assert all(task.result == [None, None] for build in builds for task in build.tasks)
+    assert not live(builds)
     for hand in BOTH:
         assert result.populations[hand][0, 0] == result.populations[hand][1, 0]
     for pulses, hand, kwargs, traj in runs:

@@ -40,6 +40,7 @@ from esst.propagator import (
     trace_table,
 )
 from esst.pulses import PhaseConvention, Pulse, field
+from conftest import live
 from hamiltonian_oracle import coupling_matrix_3, coupling_matrix_4, interaction_picture_matrix
 from test_rk4_numpy import designed_args, direct_rk4
 
@@ -563,11 +564,11 @@ def pipe_sets(molecule):
 
 
 @pytest.mark.parametrize("after", ["coarse-grid", "failing-design"])
-def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, after):
+def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, builds, after):
     # The second set's run goes non-finite.  The third set fails while the
     # second is built: queueing it raises GridTooCoarseError, or the set
     # iterable itself raises.  The second run's error must surface first,
-    # and no build may stay queued.
+    # and every build must be dropped.
     clean, blowup, fast = pipe_sets(molecule)
     real = propagator._run_args
     raised = []
@@ -594,29 +595,28 @@ def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, after):
                 propagate(molecule, pulses, hand, levels=3, grid=PIPE_GRID)
                 done.append(pulses)
     assert done == [clean[0]]
-    assert not propagator._QUEUED
+    assert len(builds) == 2 and not live(builds) and propagator._SLOT.run is None
     assert raised == ([GridTooCoarseError] if after == "coarse-grid" else [])
 
 
-def test_closing_ahead_drops_its_queued_builds(molecule):
-    # Leaving the loop after the first hand of a pulse set closes the
-    # generator, which must drop both hands of that set and the run of the
-    # next set, and cancel their builds.
+def test_closing_ahead_drops_its_queued_builds(molecule, builds):
+    # Leaving the loop after the first hand of a pulse set, not taken,
+    # closes the generator, which must drop that set's build and the next
+    # set's, and clear the run it was yielding.
     (pulses, _), *_ = pipe_sets(molecule)
     other = [replace(pulses[0], phase=1.0)]
     for _ in ahead(molecule, [(pulses, BOTH), (other, (L,))], 3, PIPE_GRID):
-        queued = len(propagator._QUEUED)
+        waiting, held = propagator._SLOT.run, live(builds)
         break
-    assert queued == 3
-    assert not propagator._QUEUED and not _rk4_numpy._OPEN
+    assert waiting[0][2] is L and held == len(builds) == 2
+    assert not live(builds) and propagator._SLOT.run is None
 
 
-def test_a_dropped_build_sends_none_of_its_unsent_ranges(molecule, monkeypatch):
+def test_a_dropped_build_sends_none_of_its_unsent_ranges(molecule, monkeypatch, builds):
     # With one range in flight per worker, the first set's two ranges fill
     # the two workers and the next set's wait in the caller.  Closing the
     # generator drops both builds: the waiting ranges must never reach a
     # worker, and the ranges in flight are read back but not unpickled.
-    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
     monkeypatch.setattr(_rk4_numpy, "_DEPTH", 1)
     _rk4_numpy._shutdown()  # fork the pool anew, with two workers
     sent, real = [], _rk4_numpy._Worker.send
@@ -624,7 +624,7 @@ def test_a_dropped_build_sends_none_of_its_unsent_ranges(molecule, monkeypatch):
     (pulses, _), *_ = pipe_sets(molecule)
     other = [replace(pulses[0], phase=1.0)]
     for _ in ahead(molecule, [(pulses, BOTH), (other, BOTH)], 3, PIPE_GRID):
-        first, _, following, _ = (share.tasks for *_, share in propagator._QUEUED.values())
+        first, following = (build.tasks for build in builds)
         break
     assert len(first) == len(following) == 2
     assert sent == first
@@ -647,18 +647,18 @@ def test_a_pooled_run_starts_no_thread(molecule, monkeypatch):
     assert _rk4_numpy._POOL is not None and threading.active_count() == before
 
 
-def test_a_first_hand_that_raises_leaves_nothing_queued(molecule):
+def test_a_first_hand_that_raises_leaves_nothing_queued(molecule, builds):
     # Both hands of the overflowing pulse set share one build.  The first
-    # hand's run goes non-finite, which closes the generator: the second
-    # hand's queued run and its share of the build must go too.
+    # hand's run goes non-finite, which closes the generator: the build the
+    # second hand would have taken, and the next set's, must be dropped.
     (pulses, _), *_ = pipe_sets(molecule)
     blowup = [overflow_case(molecule)[0]]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalGuardError, match="non-finite"):
             for run, hand in ahead(molecule, [(blowup, BOTH), (pulses, (L,))], 3, PIPE_GRID):
-                assert len(propagator._QUEUED) == 3
+                assert live(builds) == 2
                 propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
-    assert not propagator._QUEUED and not _rk4_numpy._OPEN
+    assert len(builds) == 2 and not live(builds) and propagator._SLOT.run is None
 
 
 def test_ahead_reads_sets_no_further_than_the_next_one(molecule):
@@ -710,10 +710,10 @@ def test_each_hand_of_a_shared_build_raises_its_lone_warnings(molecule):
     _, runs = _run_args(molecule, [pulse], BOTH, 3, grid)
     with np.errstate(all="warn"):
         alone = [recorded_warnings(partial(_rk4_numpy.rk4_run, *args, 160)) for args in runs]
-        shares = _rk4_numpy.submit(runs, 160) or [None] * 2
+        build = _rk4_numpy.submit(runs, 160)
         shared = [
-            recorded_warnings(partial(_rk4_numpy.rk4_run, *args, 160, build=share))
-            for args, share in zip(runs, shares)
+            recorded_warnings(partial(_rk4_numpy.rk4_run, *args, 160, build=build and build.take(k)))
+            for k, args in enumerate(runs)
         ]
     assert ("RuntimeWarning", "underflow encountered in exp") in [
         (c.__name__, m) for c, m in alone[0]
@@ -724,24 +724,23 @@ def test_each_hand_of_a_shared_build_raises_its_lone_warnings(molecule):
 def test_a_queued_build_is_taken_only_by_its_exact_call(molecule, monkeypatch):
     # A queued run is keyed by its propagate call: molecule, pulses, hand,
     # levels, grid and numpy error state.  A call that differs in any of
-    # them builds its own run and leaves the queued one in place.
+    # them builds its own run and leaves the queued one in the slot.
     (pulses, _), *_ = pipe_sets(molecule)
-    [key] = propagator._queue(molecule, pulses, (L,), 3, PIPE_GRID)
-    assert list(propagator._QUEUED) == [key]
-    assert propagator._queue(molecule, pulses, (L,), 3, PIPE_GRID) == [None]  # queued already
-    with np.errstate(divide="raise"):
-        propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
-    propagate(molecule, pulses, R, levels=3, grid=PIPE_GRID)
-    propagate(molecule, pulses, L, levels=4, grid=PIPE_GRID)
-    propagate(molecule, pulses, L, levels=3, grid=replace(PIPE_GRID, sample_stride=8))
-    assert list(propagator._QUEUED) == [key]
-
     real, built = propagator._run_args, []
-    monkeypatch.setattr(propagator, "_run_args", lambda *args: built.append(args) or real(*args))
-    taken = propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
-    assert not propagator._QUEUED and not built  # the queued run, as it was built
-    alone = propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
-    assert len(built) == 1
+    for run, hand in ahead(molecule, [(pulses, (L,))], 3, PIPE_GRID):
+        queued = propagator._SLOT.run
+        with np.errstate(divide="raise"):
+            propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
+        propagate(molecule, pulses, R, levels=3, grid=PIPE_GRID)
+        propagate(molecule, pulses, L, levels=4, grid=PIPE_GRID)
+        propagate(molecule, pulses, L, levels=3, grid=replace(PIPE_GRID, sample_stride=8))
+        assert propagator._SLOT.run is queued
+
+        monkeypatch.setattr(propagator, "_run_args", lambda *args: built.append(args) or real(*args))
+        taken = propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
+        assert propagator._SLOT.run is None and not built  # the queued run, as it was built
+        alone = propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
+        assert len(built) == 1
     for got, want in ((taken.times, alone.times), (taken.states, alone.states),
                       (taken.norm_errors, alone.norm_errors)):
         assert got.tobytes() == want.tobytes()

@@ -7,9 +7,11 @@ exactly here, and the whole kernel against a direct cos/sin RK4.
 """
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from esst import PoolError, _rk4_numpy
+from esst import PoolError, _rk4_numpy, propagator
 from esst.areas import DesignSpec, designed_pulses
 from esst.model import Handedness
 from esst.propagator import _run_args, default_grid
@@ -105,9 +107,9 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 def test_a_submitted_build_gives_the_bytes_of_a_fresh_one(molecule):
     # Two chunks: built on the pool with two or more CPUs, else in the caller.
     args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, Handedness.LEFT)
-    shares = _rk4_numpy.submit([args])
-    assert (shares is None) == (_rk4_numpy._worker_count() < 2)
-    taken = _rk4_numpy.rk4_run(*args, build=shares and shares[0])
+    build = _rk4_numpy.submit([args])
+    assert (build is None) == (_rk4_numpy._worker_count() < 2)
+    taken = _rk4_numpy.rk4_run(*args, build=build and build.take(0))
     alone = _rk4_numpy.rk4_run(*args)
     for got, want in zip(taken, alone):
         assert got.tobytes() == want.tobytes()
@@ -131,10 +133,10 @@ def test_each_hand_of_a_shared_build_has_its_lone_bytes(molecule, levels, conven
     # free its part of every range result once it has sampled it.
     runs = hand_args(molecule, levels, tau0=0.5, convention=convention)
     assert runs[0][2] > 4096  # more than one chunk
-    shares = _rk4_numpy.submit(runs)
-    assert (shares is None) == (_rk4_numpy._worker_count() < 2)
-    taken = [_rk4_numpy.rk4_run(*args, build=share) for args, share in zip(runs, shares or [None] * 2)]
-    for task in shares[0].tasks if shares else ():
+    build = _rk4_numpy.submit(runs)
+    assert (build is None) == (_rk4_numpy._worker_count() < 2)
+    taken = [_rk4_numpy.rk4_run(*args, build=build and build.take(k)) for k, args in enumerate(runs)]
+    for task in build.tasks if build else ():
         assert task.result == [None, None]
     for args, got in zip(runs, taken):
         assert run_bytes(got) == run_bytes(_rk4_numpy.rk4_run(*args))
@@ -147,10 +149,10 @@ def test_a_capped_shared_build_has_the_lone_bytes(molecule, monkeypatch):
     # than one per CPU; each hand still gives its lone run's bytes.
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
     runs = hand_args(molecule, 4, sample_stride=1, tau0=0.3)
-    shares = _rk4_numpy.submit(runs, 512)
-    assert len(shares[0].tasks) == 5
-    for args, share in zip(runs, shares):
-        taken = _rk4_numpy.rk4_run(*args, 512, build=share)
+    build = _rk4_numpy.submit(runs, 512)
+    assert len(build.tasks) == 5
+    for k, args in enumerate(runs):
+        taken = _rk4_numpy.rk4_run(*args, 512, build=build.take(k))
         assert run_bytes(taken) == run_bytes(_rk4_numpy.rk4_run(*args, 512))
 
 
@@ -161,26 +163,22 @@ def test_a_build_has_no_more_ranges_than_chunks(molecule, monkeypatch):
     runs = hand_args(molecule, 4, sample_stride=1, tau0=0.3)
     n_steps = runs[0][2]
     assert 4096 < n_steps < 8192
-    shares = _rk4_numpy.submit(runs)
-    assert [task.bounds for task in shares[0].tasks] == [(0, 4096), (4096, n_steps)]
-    for args, share in zip(runs, shares):
-        assert run_bytes(_rk4_numpy.rk4_run(*args, build=share)) == run_bytes(_rk4_numpy.rk4_run(*args))
+    build = _rk4_numpy.submit(runs)
+    assert [task.bounds for task in build.tasks] == [(0, 4096), (4096, n_steps)]
+    for k, args in enumerate(runs):
+        assert run_bytes(_rk4_numpy.rk4_run(*args, build=build.take(k))) == run_bytes(_rk4_numpy.rk4_run(*args))
 
 
 def test_a_build_is_cancelled_once_no_run_uses_it():
-    # Tasks not yet sent: dropping one hand's share must leave them for
-    # the other hand; dropping the last share drops them, and a pool with
-    # room for them then sends neither.
+    # Tasks not yet sent: taking one hand's ranges must leave them to the
+    # build, and dropping the build drops them; a pool with room for them
+    # then sends neither.
     tasks = [_rk4_numpy._Task(b"", (0, 1)), _rk4_numpy._Task(b"", (1, 2))]
-    waiting = {0, 1}
-    left, right = (_rk4_numpy._Share(tasks, hand, waiting) for hand in (0, 1))
-    assert {left, right} <= _rk4_numpy._OPEN
-    left.drop()
+    build = _rk4_numpy._Build(tasks)
+    build.take(0)
     assert not any(task.dropped for task in tasks)
-    assert right in _rk4_numpy._OPEN and left not in _rk4_numpy._OPEN
-    right.drop()
+    build.drop()
     assert all(task.dropped for task in tasks)
-    assert not {left, right} & _rk4_numpy._OPEN
     pool, sent = _rk4_numpy._Pool(), []
     pool.workers.append(SimpleNamespace(sent=sent, send=sent.append))
     pool.unsent.extend(tasks)
@@ -188,45 +186,109 @@ def test_a_build_is_cancelled_once_no_run_uses_it():
     assert sent == [] and not pool.unsent
 
 
-def test_a_share_left_untaken_fails_the_test_that_left_it(molecule):
-    # A run that takes its share while the other hand's share is never
-    # taken nor dropped leaves a pending build, which the autouse fixture
-    # reports and drops.
+def test_a_build_left_undropped_fails_the_test_that_left_it(molecule):
+    # A build submitted while a run of it waits in the slot, neither taken
+    # nor dropped: its ranges stay pending on the pool, which the autouse
+    # fixture reports and drops, with the queued run.
     runs = hand_args(molecule, 3, tau0=1.0)
-    shares = _rk4_numpy.submit(runs)
-    if shares is None:
+    build = _rk4_numpy.submit(runs)
+    if build is None:
         pytest.skip("no pool with one usable CPU")
-    _rk4_numpy.rk4_run(*runs[0], build=shares[0])
-    assert drop_left_behind() == "1 share(s) of a pending build"
-    assert not _rk4_numpy._OPEN and drop_left_behind() == ""
+    propagator._SLOT.run = object()
+    left = f"{len(build.tasks)} pending range task(s) of a build and a queued run"
+    assert drop_left_behind() == left
+    assert all(task.dropped for task in build.tasks) and propagator._SLOT.run is None
+    assert drop_left_behind() == ""
 
 
-@pytest.mark.parametrize("mid_run", [False, True], ids=["between-runs", "mid-run"])
-def test_a_killed_worker_fails_one_run_and_the_next_forks_anew(molecule, monkeypatch, mid_run):
+#: A real-time signal, which has no name of its own, kills as SIGKILL does.
+REALTIME = int(signal.SIGRTMIN) + 6 if hasattr(signal, "SIGRTMIN") else None
+NEEDS_REALTIME = pytest.mark.skipif(REALTIME is None, reason="no real-time signals")
+
+
+@pytest.mark.parametrize("mid_run, signum, name", [
+    pytest.param(False, signal.SIGKILL, "SIGKILL", id="between-runs"),
+    pytest.param(True, signal.SIGKILL, "SIGKILL", id="mid-run"),
+    pytest.param(False, REALTIME, f"signal {REALTIME}", id="between-runs-SIGRTMIN+6",
+                 marks=NEEDS_REALTIME),
+    pytest.param(True, REALTIME, f"signal {REALTIME}", id="mid-run-SIGRTMIN+6",
+                 marks=NEEDS_REALTIME),
+])
+def test_a_killed_worker_fails_one_run_and_the_next_forks_anew(molecule, monkeypatch, mid_run, signum, name):
     # A worker killed, as by the out-of-memory killer, between two runs
     # (the next run finds its task pipe broken) or while it builds a range
     # (the run finds its result pipe closed): that run raises one error
-    # that names the worker, and the next run forks a new pool, reaps the
-    # old one and gives the first run's bytes.
+    # that names the worker and the signal, and the next run forks a new
+    # pool, reaps the old one and gives the first run's bytes.
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
     args = designed_args(molecule, DesignSpec(target="C", tau0=0.5), 4, Handedness.LEFT)
     first = _rk4_numpy.rk4_run(*args)
     old = [worker.pid for worker in _rk4_numpy._pool().workers]
-    shares = None
+    build = None
     if mid_run:  # stopped, the worker cannot finish its range before it dies
         os.kill(old[0], signal.SIGSTOP)
         os.waitid(os.P_PID, old[0], os.WSTOPPED | os.WNOWAIT)
-        shares = _rk4_numpy.submit([args])
-    os.kill(old[0], signal.SIGKILL)
+        build = _rk4_numpy.submit([args])
+    os.kill(old[0], signum)
+    os.kill(old[0], signal.SIGCONT)  # a stopped worker takes the signal once it goes on
     os.waitid(os.P_PID, old[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
-    with pytest.raises(PoolError, match=f"^kernel worker process {old[0]} was killed by SIGKILL "):
-        _rk4_numpy.rk4_run(*args, build=shares and shares[0])
+    with pytest.raises(PoolError, match=f"^kernel worker process {old[0]} was killed by {name} "):
+        _rk4_numpy.rk4_run(*args, build=build and build.take(0))
     again = _rk4_numpy.rk4_run(*args)
     assert not {worker.pid for worker in _rk4_numpy._POOL.workers} & set(old)
     for pid in old:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)  # reaped
     assert run_bytes(again) == run_bytes(first)
+
+
+def test_a_pool_with_pipes_above_fd_1024_gives_the_lone_bytes(molecule, monkeypatch):
+    # select() cannot wait on an fd of 1024 or more.  A process that holds
+    # that many files must still get a pooled run, with its lone bytes.
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+        pytest.skip("the soft open-file limit is too low to reach fd 1024")
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    args = designed_args(molecule, DesignSpec(target="C", tau0=0.5), 4, Handedness.LEFT)
+    _rk4_numpy._shutdown()  # the run below forks the pool anew, past the files held
+    held = []
+    try:
+        while not held or held[-1] < 1024:
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        pooled = _rk4_numpy.rk4_run(*args)
+        assert min(worker.results for worker in _rk4_numpy._POOL.workers) > 1024
+    finally:
+        for fd in held:
+            os.close(fd)
+        _rk4_numpy._shutdown()
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 1)  # built in this process
+    assert run_bytes(pooled) == run_bytes(_rk4_numpy.rk4_run(*args))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+def test_a_failed_fork_leaves_no_pool_and_no_open_pipe(monkeypatch):
+    # The second worker's fork fails, as it does with EAGAIN at the
+    # process limit: the error reaches the caller, the first worker is
+    # reaped, and neither worker's pipes stay open.
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    _rk4_numpy._shutdown()
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    before = open_fds()
+    monkeypatch.setattr(_rk4_numpy.os, "fork", fork)
+    with pytest.raises(OSError) as raised:
+        _rk4_numpy._pool()
+    assert raised.value.errno == errno.EAGAIN and len(forks) == 2
+    assert _rk4_numpy._POOL is None
+    assert open_fds() == before
 
 
 def test_the_norm_pass_raises_nothing_of_its_own(molecule):
