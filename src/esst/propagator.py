@@ -358,7 +358,7 @@ def ahead(
     surfaces once every run of the sets read before it has been yielded.
     """
     sets = iter(sets)
-    held = []  # this set's queued runs, then the next set's
+    held = []  # (runs, build) of this set, then of the next set
     try:
         current = next(sets, _END)
         if current is not _END:
