@@ -23,8 +23,10 @@ and with x = sum_k c_k psi[leaf_k] one stage maps psi to
 
 S and G switch to Taylor series near zero.  A hand only flips the sign
 of the a-type couplings, so theta, S, G and cos(theta) serve both hands,
-and one walk of the table gives both hands' states.  State vectors are
-complex ndarrays in the fixed order (A, B, C).
+and one walk of the table gives both hands' states.  The walk's layout,
+each stage's hub and couplings, depends on the target alone and is built
+once per target at import.  State vectors are complex ndarrays in the
+fixed order (A, B, C).
 """
 from __future__ import annotations
 
@@ -74,23 +76,42 @@ def two_stage_state(
     return np.array(_stage_states(areas, spec, (hand,))[0], dtype=complex)
 
 
+def _walk(target: str) -> tuple:
+    """Per row of ``target``'s stage table: the hub index and the couplings
+    (leaf, channel, signed, conjugated), with Theta[hub, leaf] the (signed)
+    area, conjugated where the hub is the coupling's row."""
+    walk = []
+    for stage in DesignSpec(target=target).stages:
+        hub = "ABC".index(stage.hub)
+        walk.append((hub, tuple(
+            (col, ch, signed, True) if hub == row else (row, ch, signed, False)
+            for row, col, ch, signed in THREE_LEVEL_LOOP if ch in stage.channels
+        )))
+    return tuple(walk)
+
+
+#: The stage walk of each target, which depends on nothing else.
+_WALKS = {target: _walk(target) for target in ("B", "C")}
+_HANDS = tuple(Handedness)
+
+
 def _stage_states(areas: dict[str, complex], spec: DesignSpec, hands) -> list:
     """Closed-form final amplitudes [A, B, C], one list per hand of ``hands``.
 
-    One walk over ``spec.stages`` serves every hand: a hand only flips the
+    One walk of the target's stages serves every hand: a hand only flips the
     sign of the a-type couplings, so each stage's theta, S(theta), G(theta)
     and cos(theta) are the same for all of them.
     """
+    signs = [hand.sign for hand in hands]
     psis = [[1.0 + 0.0j, 0.0j, 0.0j] for _ in hands]
-    for stage in spec.stages:
-        hub = "ABC".index(stage.hub)
-        per_hand = [[] for _ in hands]  # (leaf_k, c_k = Theta[hub, leaf_k])
-        for row, col, channel, signed in THREE_LEVEL_LOOP:
-            if channel in stage.channels:
-                for hand, couplings in zip(hands, per_hand):
-                    lower = hand.sign * areas[channel] if signed else areas[channel]
-                    # Theta[col, row] = lower and Theta[row, col] = conj(lower)
-                    couplings.append((col, lower.conjugate()) if hub == row else (row, lower))
+    for hub, layout in _WALKS[spec.target]:
+        per_hand = []  # per hand, (leaf_k, c_k = Theta[hub, leaf_k])
+        for sign in signs:
+            couplings = []
+            for leaf, channel, signed, conjugated in layout:
+                lower = sign * areas[channel] if signed else areas[channel]
+                couplings.append((leaf, lower.conjugate() if conjugated else lower))
+            per_hand.append(couplings)
         theta = math.hypot(*[abs(c) for _, c in per_hand[0]])
         cos, s, g = math.cos(theta), sinc_area(theta), cosc_area(theta)
         for psi, couplings in zip(psis, per_hand):  # psi <- exp(-i Theta) psi
@@ -116,8 +137,13 @@ def analytic_final_populations(
     theorem's assumptions and are the exact propagator's job.  A sequence
     whose stage-2 pulses are centered before the stage-1 pulse violates the
     protocol ordering outright and is rejected (the exact propagator will
-    still happily integrate it).
+    still happily integrate it), as is a set that lacks a channel or keys a
+    pulse under another channel.  The arrays are rows of one (2, 3) array.
     """
+    missing = [channel for channel in CHANNELS if channel not in pulses]
+    if missing:
+        raise ValueError(f"the closed form needs a pulse on every channel; missing {missing}")
+    areas = stage_areas(molecule, pulses, spec)
     first, second = spec.stages
     t1_center = pulses[first.channels[0]].center_time
     for channel in second.channels:
@@ -128,15 +154,9 @@ def analytic_final_populations(
                 f"pulse at {t1_center} ns; the closed form assumes the "
                 "two-stage ordering"
             )
-    values = {
-        channel: area.value
-        for channel, area in stage_areas(molecule, pulses, spec).items()
-    }
-    hands = tuple(Handedness)
-    return {
-        hand: np.abs(np.array(psi, dtype=complex)) ** 2
-        for hand, psi in zip(hands, _stage_states(values, spec, hands))
-    }
+    values = {channel: area.value for channel, area in areas.items()}
+    states = np.array(_stage_states(values, spec, _HANDS), dtype=complex)
+    return dict(zip(_HANDS, np.abs(states) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,8 @@ class ComplexArea:
         """phi_eff in (-pi, pi] from the convention theta = -|theta| e^{-i phi}."""
         if self.value == 0:
             return 0.0
-        return -cmath.phase(-self.value)
+        # cmath.phase raises OverflowError where the angle underflows.
+        return -math.atan2(-self.value.imag, -self.value.real)
 
 
 def complex_area(
@@ -115,9 +116,10 @@ def complex_area(
     whether its lobe sum was cached or not.  A non-finite ``dipole`` or
     ``transition_freq`` raises ``ValueError``.
     """
-    for name, value in (("dipole", dipole), ("transition_freq", transition_freq)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    if not math.isfinite(dipole):
+        raise ValueError(f"dipole must be finite, got {dipole}")
+    if not math.isfinite(transition_freq):
+        raise ValueError(f"transition_freq must be finite, got {transition_freq}")
     if window is None:
         window = support_window(pulse)
     t_lo, t_hi = window
@@ -130,10 +132,8 @@ def complex_area(
     # sqrt(2/pi) (A / tau) from the envelope, 1/2 from the cosine and
     # tau sqrt(pi/2) from the lobe integral leave A / 2.
     return ComplexArea(
-        value=complex(-0.5 * dipole * pulse.area_param * value),
-        channel=pulse.channel,
-        transition_freq=float(transition_freq),
-        window=(float(t_lo), float(t_hi)),
+        complex(-0.5 * dipole * pulse.area_param * value), pulse.channel,
+        float(transition_freq), (float(t_lo), float(t_hi)),
     )
 
 
@@ -517,18 +517,24 @@ def stage_areas(
 
     The stage-1 channel is integrated from the start of its support up to the
     stage boundary t1 (its area "at t1"); each stage-2 channel is integrated
-    from t1 to the end of its support.
+    from t1 to the end of its support.  A pulse whose channel is not its key
+    raises ``ValueError``.
     """
     t1 = spec.stage_boundary
-    first = spec.stages[0]
+    first = spec.stages[0].channels
     out: dict[str, ComplexArea] = {}
     for channel, pulse in pulses.items():
+        if pulse.channel != channel:
+            raise ValueError(
+                f"the pulse under key {channel!r} drives channel {pulse.channel!r}"
+            )
         dipole, transition = molecule.channel_transition(channel)
-        lo, hi = support_window(pulse)
-        if channel in first.channels:
-            window = (min(lo, t1 - pulse.duration), t1)
+        # tc -+ 8 tau is the support window, as support_window computes it.
+        tc, tau = pulse.center_time, pulse.duration
+        if channel in first:
+            window = (min(tc - 8.0 * tau, t1 - tau), t1)
         else:
-            window = (t1, max(hi, t1 + pulse.duration))
+            window = (t1, max(tc + 8.0 * tau, t1 + tau))
         out[channel] = complex_area(pulse, dipole, transition, window)
     return out
 

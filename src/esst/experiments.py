@@ -89,7 +89,7 @@ def _sweep(
     if engine == "analytic":
         for design, pulses in points:
             pops = analytic_final_populations(molecule, pulses, design)
-            rows.append([float(pops[hand][idx]) for hand in BOTH_HANDS])
+            rows.append([pops[hand][idx] for hand in BOTH_HANDS])
     else:
         sets = ((pulses, BOTH_HANDS) for _, pulses in points)
         for pulses, hand in ahead(molecule, sets, levels):

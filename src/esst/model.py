@@ -17,6 +17,7 @@ Omega = -mu*E are in rad/ns; hbar = 1 throughout.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -144,13 +145,25 @@ class MoleculeSpec:
     def omega_ac(self) -> float:
         return mhz_to_rad_per_ns(self.omega_ac_mhz)
 
+    # Kept in the instance __dict__, which fields, == and hash ignore.
+    @functools.cached_property
+    def _channel_table(self) -> dict[str, tuple[float, float]]:
+        return {
+            channel: (getattr(self, dipole), mhz_to_rad_per_ns(getattr(self, transition)))
+            for channel, (dipole, transition) in _CHANNEL_FIELDS.items()
+        }
+
     def channel_transition(self, channel: str) -> tuple[float, float]:
         """Return (dipole Debye, transition frequency rad/ns) for a channel.
 
-        Channel 'a' drives A<->B, 'b' drives A<->C, 'c' drives B<->C.
+        Channel 'a' drives A<->B, 'b' drives A<->C, 'c' drives B<->C.  Read
+        from the molecule's channel table, built on first use.
         """
-        dipole, transition = _channel_fields(channel)
-        return getattr(self, dipole), mhz_to_rad_per_ns(getattr(self, transition))
+        try:
+            return self._channel_table[channel]
+        except KeyError:
+            _channel_fields(channel)  # raises ValueError naming the channel
+            raise
 
     def channel_transition_mhz(self, channel: str) -> float:
         """Transition frequency of a channel in cyclic MHz."""

@@ -10,23 +10,29 @@ from __future__ import annotations
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 from scipy.linalg import expm
 
+from esst import analytic
 from esst.analytic import (
     SMALL_AREA,
     analytic_final_populations,
+    condition_residuals,
     cosc_area,
     sinc_area,
     two_stage_state,
 )
-from esst.areas import DesignSpec, designed_pulses, detuning_compensation, stage_areas
+from esst.areas import (
+    ComplexArea, DesignSpec, designed_pulses, detuning_compensation, stage_areas,
+)
 from esst.model import Handedness
 from esst.propagator import GridConfig, default_grid, populations, propagate
 from esst.pulses import PhaseConvention, support_window
+from stage_walk_oracle import reference_stage_states
 
 L = Handedness.LEFT
 R = Handedness.RIGHT
@@ -197,6 +203,52 @@ def test_mirror_equals_sign_flip_of_theta_a(target, tha, thb, thc):
     )
 
 
+# Parts of +-0.0, parts small enough that a stage's |theta| falls below
+# SMALL_AREA, and parts that put the modulus near 1e3.
+walk_part = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-3e-5, 3e-5),
+    st.floats(-4.0, 4.0),
+    st.floats(-1e3, 1e3),
+)
+walk_area = st.builds(complex, walk_part, walk_part)
+
+
+def walk_bytes(psis) -> bytes:
+    return np.array(psis, dtype=complex).tobytes()
+
+
+def residual_report(areas, spec):
+    return repr(condition_residuals(
+        {ch: ComplexArea(v, ch, 1.0, (0.0, 1.0)) for ch, v in areas.items()}, spec
+    ))
+
+
+@pytest.mark.parametrize("target", ["B", "C"])
+@settings(max_examples=300, deadline=None)
+@given(tha=walk_area, thb=walk_area, thc=walk_area)
+# Where x = sum([...]) starting from 0 rather than from its first term
+# flips the sign of a zero in the final state: target B, then target C.
+@example(tha=complex(-1.0, -0.0), thb=0j, thc=complex(-1.0, 1.0))
+@example(tha=0j, thb=complex(-1.0, -0.0), thc=complex(-1.0, -1.0))
+def test_stage_walk_matches_the_reference_walk_bit_for_bit(target, tha, thb, thc):
+    # The walk over the per-target layout does what the loop-rescanning walk
+    # did, expression for expression, so the bits agree, signed zeros too.
+    areas = {"a": tha, "b": thb, "c": thc}
+    for hand in BOTH:
+        spec = DesignSpec(target=target, hand=hand)
+        for hands in ((hand,), (hand, hand.mirror)):
+            assert walk_bytes(analytic._stage_states(areas, spec, hands)) == walk_bytes(
+                reference_stage_states(areas, spec, hands)
+            )
+        assert two_stage_state(areas, spec, hand).tobytes() == walk_bytes(
+            reference_stage_states(areas, spec, (hand,))[0]
+        )
+        report = residual_report(areas, spec)
+        with mock.patch.object(analytic, "_stage_states", reference_stage_states):
+            assert report == residual_report(areas, spec)
+
+
 # ---------------------------------------------------------------------------
 # Stage 2, target C
 # ---------------------------------------------------------------------------
@@ -330,6 +382,22 @@ def test_final_populations_rejects_reversed_stages(molecule, spec_c):
     pulses["b"] = replace(pulses["b"], center_time=-200.0)
     with pytest.raises(ValueError, match="stage"):
         analytic_final_populations(molecule, pulses, spec_c)
+
+
+def test_closed_form_rejects_a_pulse_under_another_channels_key(molecule, spec_b, pulses_b):
+    # The closed form took each pulse's dipole, transition and stage from its
+    # key, while the exact propagator reads Pulse.channel: swapped a and c
+    # gave the left hand P_B = 4e-13 here and 0.99999995 there.
+    swapped = {"a": pulses_b["c"], "b": pulses_b["b"], "c": pulses_b["a"]}
+    for evaluate in (stage_areas, analytic_final_populations):
+        with pytest.raises(ValueError, match="key 'a' drives channel 'c'"):
+            evaluate(molecule, swapped, spec_b)
+
+
+def test_closed_form_names_the_missing_channels(molecule, spec_b, pulses_b):
+    partial = {"b": pulses_b["b"]}
+    with pytest.raises(ValueError, match=r"missing \['a', 'c'\]"):
+        analytic_final_populations(molecule, partial, spec_b)
 
 
 # Shrinking reruns exact propagations, so a red run would take minutes;

@@ -100,6 +100,25 @@ def test_resonant_quarter_pi_area(molecule):
     assert theta.effective_phase == pytest.approx(0.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("value", [complex(-2.0, 5e-324), complex(-1e300, 1e-300)])
+def test_effective_phase_of_an_area_whose_angle_underflows(value):
+    # cmath.phase raised OverflowError for these, though the angle is just 0.
+    area = ComplexArea(value, "c", 1.0, (0.0, 1.0))
+    assert area.effective_phase == 0.0
+
+
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_effective_phase_has_the_bits_of_cmath_phase(value):
+    # Where cmath.phase gives an angle, its bits; where it raises, the
+    # underflowed angle.
+    try:
+        expected = 0.0 if value == 0 else -cmath.phase(-value)
+    except OverflowError:
+        expected = -math.atan2(-value.imag, -value.real)
+    got = ComplexArea(value, "a", 1.0, (0.0, 1.0)).effective_phase
+    assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+
 def test_zero_area_pulse(molecule):
     p = make_pulse(area=0.0)
     theta = complex_area(p, molecule.mu_a_debye, molecule.omega_ab)

@@ -207,6 +207,29 @@ def test_analytic_sweep_runs_in_calling_thread(molecule, monkeypatch):
     assert threads == [threading.get_ident()] * 4
 
 
+def test_analytic_sweep_makes_one_closed_form_call_per_point(molecule, spec_b, monkeypatch):
+    # The design benchmark reads the closed form through this seam: one call
+    # per grid point, each giving one population array per hand.
+    real = experiments.analytic_final_populations
+    calls = []
+
+    def counted(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(experiments, "analytic_final_populations", counted)
+    sweep_detuning(
+        molecule, spec_b, np.linspace(0.5, 1.5, 7) / spec_b.tau0,
+        np.linspace(1.0, 1.8, 7), mode="scale_b", engine="analytic",
+    )
+    assert len(calls) == 49
+    for pops in calls:
+        assert list(pops) == list(BOTH)
+        for hand in BOTH:
+            assert pops[hand].shape == (3,)
+            assert pops[hand].sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_analytic_sweep_uses_each_points_design(molecule, spec_c):
     # The points move tau0 from the outer spec's 35 ns to 5 and 6 ns.  The
     # closed form must take its stage windows from each point's design: with
