@@ -38,7 +38,7 @@ import numpy as np
 from .areas import (
     LOOP_PHASE_SIGNS, TWO_PI, ComplexArea, DesignSpec, loop_phase_target, stage_areas,
 )
-from .model import CHANNELS, THREE_LEVEL_LOOP, Handedness, MoleculeSpec
+from .model import BOTH_HANDS, CHANNELS, THREE_LEVEL_LOOP, Handedness, MoleculeSpec
 from .pulses import Pulse
 
 #: Below this |theta| the sinc-type helpers switch to their Taylor expansions.
@@ -92,7 +92,6 @@ def _walk(target: str) -> tuple:
 
 #: The stage walk of each target, which depends on nothing else.
 _WALKS = {target: _walk(target) for target in ("B", "C")}
-_HANDS = tuple(Handedness)
 
 
 def _stage_states(areas: dict[str, complex], spec: DesignSpec, hands) -> list:
@@ -155,8 +154,8 @@ def analytic_final_populations(
                 "two-stage ordering"
             )
     values = {channel: area.value for channel, area in areas.items()}
-    states = np.array(_stage_states(values, spec, _HANDS), dtype=complex)
-    return dict(zip(_HANDS, np.abs(states) ** 2))
+    states = np.array(_stage_states(values, spec, BOTH_HANDS), dtype=complex)
+    return dict(zip(BOTH_HANDS, np.abs(states) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -313,6 +314,12 @@ class DesignSpec:
             require_finite(self, "stage2_center")
         if self.tau0 <= 0:
             raise ValueError(f"tau0 must be > 0 ns, got {self.tau0}")
+        for name in ("k", "kprime", "l"):
+            value = getattr(self, name)
+            try:  # a lattice index is a whole number; numpy integers pass
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.k < 0 or self.kprime < 0:
             raise ValueError("area lattice indices k and kprime must be >= 0")
         object.__setattr__(
@@ -434,7 +441,7 @@ def realize_phase(
         phase = phi_design - delta * center_time
     else:
         phase = phi_design + transition_freq * center_time
-    return phase % (2.0 * math.pi)
+    return phase % TWO_PI
 
 
 def designed_pulses(

@@ -34,10 +34,9 @@ from .areas import (
     DesignSpec, _designed_pulse, design_amplitudes, design_phases, designed_pulses,
     realize_phase,
 )
-from .model import Handedness, MoleculeSpec
+from .model import BOTH_HANDS, Handedness, MoleculeSpec
 from .propagator import TRACE_COLUMNS, Trajectory, ahead, propagate, trace_table
 
-BOTH_HANDS = (Handedness.LEFT, Handedness.RIGHT)
 
 #: Channels each detuning mode detunes and rescales.
 DETUNING_MODES = {"scale_b": ("b",), "scale_ac": ("a", "c")}

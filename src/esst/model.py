@@ -47,6 +47,10 @@ class Handedness(enum.Enum):
         return Handedness.RIGHT if self is Handedness.LEFT else Handedness.LEFT
 
 
+#: Both enantiomers, left first: the order of every two-hand result.
+BOTH_HANDS = tuple(Handedness)
+
+
 def require_finite(spec, *names: str) -> None:
     """Raise ValueError unless every named field of ``spec`` is finite.
 

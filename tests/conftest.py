@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled molecule and a couple of designed sequences.
+"""Shared fixtures: the bundled molecule, the default designs and their
+4-level runs.
 
 Anything expensive enough to matter (propagations, wide-window quadrature)
 is session-scoped so the whole suite pays for it once.
@@ -7,25 +8,11 @@ from __future__ import annotations
 
 import pytest
 
-from esst import _rk4_numpy, propagator
+from esst import _rk4_numpy
 from esst.areas import DesignSpec, designed_pulses
-from esst.model import Handedness, get_preset
-
-
-def drop_left_behind() -> str:
-    """Drop every range task the kernel's pool still holds undropped, whose
-    build no run took or dropped, and clear this thread's queued run; say
-    what was left, or return '' if nothing was."""
-    pool = _rk4_numpy._POOL
-    held = [*pool.unsent, *(task for worker in pool.workers for task in worker.sent)] if pool else []
-    pending = [task for task in held if not task.dropped]
-    for task in pending:
-        task.dropped = True
-    slot = propagator._SLOT.run is not None
-    propagator._SLOT.run = None
-    left = [f"{len(pending)} pending range task(s) of a build"] * bool(pending)
-    left += ["a queued run"] * slot
-    return " and ".join(left)
+from esst.model import get_preset
+from esst.propagator import propagate
+from helpers import BOTH, L, drop_left_behind
 
 
 @pytest.fixture(autouse=True)
@@ -46,11 +33,6 @@ def builds(monkeypatch):
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
     monkeypatch.setattr(_rk4_numpy, "submit", lambda runs, *a: made.append(real(runs, *a)) or made[-1])
     return made
-
-
-def live(builds) -> int:
-    """How many of ``builds`` are not dropped."""
-    return sum(not all(task.dropped for task in build.tasks) for build in builds)
 
 
 @pytest.fixture(scope="session")
@@ -86,4 +68,22 @@ def wide_spec_c():
     return DesignSpec(target="C", stage2_center=16 * 35.0)
 
 
-BOTH = (Handedness.LEFT, Handedness.RIGHT)
+@pytest.fixture(scope="session")
+def trace_c4(molecule, pulses_c):
+    """The default target-C design at 4 levels, both hands: criterion 1's
+    designed pair, which the experiment tests read as well."""
+    return {hand: propagate(molecule, pulses_c, hand, levels=4) for hand in BOTH}
+
+
+@pytest.fixture(scope="session")
+def trace_b4(molecule, pulses_b):
+    """The default target-B design at 4 levels, for the left hand it is
+    designed for: criterion 2's run."""
+    return propagate(molecule, pulses_b, L, levels=4)
+
+
+@pytest.fixture
+def fresh_pool():
+    """Shut the kernel's pool down, so that the test's runs fork new
+    workers, with the test's patches in place."""
+    _rk4_numpy._shutdown()

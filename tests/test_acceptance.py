@@ -3,9 +3,10 @@
 Each test checks one advertised capability at its stated tolerance and
 prints a single PASS/FAIL line with the measured numbers (visible under
 ``pytest -rA`` / ``-s``, and in the failure report otherwise).  The heavy
-propagation runs are module-scoped fixtures shared across criteria; every
-directly produced trajectory feeds the norm-drift pool audited by
-criterion 9.
+propagation runs are module-scoped fixtures shared across criteria, and
+the designed 4-level runs of both targets are the session's, shared with
+the experiment tests; every trajectory the criteria read feeds the
+norm-drift pool audited by criterion 9.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from esst.areas import (
     realize_phase,
 )
 from esst.experiments import sweep_delays, sweep_detuning
-from esst.model import Handedness
 from esst.propagator import (
     GridConfig,
     default_grid,
@@ -38,15 +38,13 @@ from esst.propagator import (
     propagate,
 )
 from esst.pulses import PhaseConvention, Pulse, spectral_amplitude
+from helpers import BOTH, TAU0, L, R
 
-L, R = Handedness.LEFT, Handedness.RIGHT
-BOTH = (L, R)
-TAU0 = 35.0
-
-#: (label, norm drift) for every trajectory produced directly by the
-#: acceptance fixtures; criterion 9 audits the whole pool.  The sweep-based
-#: criteria (5 and 8, exact engine) enforce the same bound internally through
-#: the propagator's drift guard, so their completion is their audit.
+#: (label, norm drift) for every trajectory the acceptance fixtures read,
+#: the shared session runs included; criterion 9 audits the whole pool.
+#: The sweep-based criteria (5 and 8, exact engine) enforce the same bound
+#: internally through the propagator's drift guard, so their completion is
+#: their audit.
 DRIFTS: list[tuple[str, float]] = []
 
 
@@ -54,11 +52,14 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} [{name}]: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _run(molecule, pulses, hand, levels, label):
-    grid = default_grid(molecule, list(pulses.values()), levels)
-    traj = propagate(molecule, pulses, hand, levels=levels, grid=grid)
+def _audited(label, traj):
     DRIFTS.append((label, norm_drift(traj)))
     return traj
+
+
+def _run(molecule, pulses, hand, levels, label):
+    grid = default_grid(molecule, list(pulses.values()), levels)
+    return _audited(label, propagate(molecule, pulses, hand, levels=levels, grid=grid))
 
 
 def _final_pops(traj):
@@ -71,35 +72,30 @@ def _final_pops(traj):
 
 
 @pytest.fixture(scope="module")
-def crit1(molecule):
-    """Four-level target-C runs for both designed phases and both hands."""
-    out = {"elapsed": None}
-    for tag, spec in (
-        ("quarter", DesignSpec(target="C")),            # phi_a = pi/2
-        ("threequarter", DesignSpec(target="C", hand=R)),  # phi_a = 3pi/2
-    ):
-        pulses = designed_pulses(molecule, spec)
-        for hand in BOTH:
-            t0 = time.perf_counter()
-            traj = _run(molecule, pulses, hand, 4, f"c1-{tag}-{hand.value}")
-            elapsed = time.perf_counter() - t0
-            if out["elapsed"] is None:
-                out["elapsed"] = elapsed
-            out[(tag, hand)] = _final_pops(traj)
+def crit1(molecule, trace_c4):
+    """Four-level target-C runs for both designed phases and both hands;
+    the phi_a = pi/2 pair is the session's, and a phi_a = 3pi/2 run is timed."""
+    out = {}
+    for hand, traj in trace_c4.items():
+        out[("quarter", hand)] = _final_pops(_audited(f"c1-quarter-{hand.value}", traj))
+    pulses = designed_pulses(molecule, DesignSpec(target="C", hand=R))
+    for hand in BOTH:
+        t0 = time.perf_counter()
+        traj = _run(molecule, pulses, hand, 4, f"c1-threequarter-{hand.value}")
+        out.setdefault("elapsed", time.perf_counter() - t0)
+        out[("threequarter", hand)] = _final_pops(traj)
     return out
 
 
 @pytest.fixture(scope="module")
-def crit2(molecule):
-    out = {}
-    for tag, spec, hand in (
-        ("quarter", DesignSpec(target="B"), L),            # phi_b = pi/2
-        ("threequarter", DesignSpec(target="B", hand=R), R),  # phi_b = 3pi/2
-    ):
-        pulses = designed_pulses(molecule, spec)
-        traj = _run(molecule, pulses, hand, 4, f"c2-{tag}-{hand.value}")
-        out[tag] = (traj.basis.index("B"), _final_pops(traj))
-    return out
+def crit2(molecule, trace_b4):
+    """Four-level target-B runs: the session's phi_b = pi/2 run of the left
+    hand and a phi_b = 3pi/2 run of the right one."""
+    pulses = designed_pulses(molecule, DesignSpec(target="B", hand=R))
+    left = _audited("c2-quarter-left", trace_b4)
+    right = _run(molecule, pulses, R, 4, "c2-threequarter-right")
+    return {tag: (traj.basis.index("B"), _final_pops(traj))
+            for tag, traj in (("quarter", left), ("threequarter", right))}
 
 
 @pytest.fixture(scope="module")

@@ -29,14 +29,10 @@ from esst.analytic import (
 from esst.areas import (
     ComplexArea, DesignSpec, designed_pulses, detuning_compensation, stage_areas,
 )
-from esst.model import Handedness
 from esst.propagator import GridConfig, default_grid, populations, propagate
 from esst.pulses import PhaseConvention, support_window
+from helpers import BOTH, L, R
 from stage_walk_oracle import reference_stage_states
-
-L = Handedness.LEFT
-R = Handedness.RIGHT
-BOTH = (L, R)
 
 complex_theta = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=8.0, allow_nan=False, allow_infinity=False

@@ -33,7 +33,7 @@ from esst.areas import (
     stage_areas,
 )
 from esst.experiments import sweep_detuning
-from esst.model import CYCLOHEXYLMETHANOL, Handedness, mhz_to_rad_per_ns
+from esst.model import mhz_to_rad_per_ns
 from esst.pulses import (
     TWO_PI_DIGITS,
     PhaseConvention,
@@ -42,10 +42,9 @@ from esst.pulses import (
     spectral_amplitude,
     support_window,
 )
+from helpers import L, R
 
-L = Handedness.LEFT
-R = Handedness.RIGHT
-ABS = PhaseConvention.ABSOLUTE
+ABS, ENV = PhaseConvention.ABSOLUTE, PhaseConvention.ENVELOPE
 SQRT2 = math.sqrt(2.0)
 
 
@@ -497,48 +496,37 @@ def test_detuning_sweep_evaluates_each_distinct_area_once(molecule, spec_b):
 # ---------------------------------------------------------------------------
 
 
-def test_design_amplitudes_targetC_ground_lattice(molecule):
-    amps = design_amplitudes(molecule, DesignSpec(target="C"))
-    assert amps["a"] == pytest.approx(math.pi / 1.6, rel=1e-15)
-    assert amps["b"] == pytest.approx(math.pi / (2 * SQRT2 * 1.2), rel=1e-15)
-    assert amps["c"] == pytest.approx(math.pi / (2 * SQRT2 * 0.8), rel=1e-15)
+#: The preset's dipoles, in the units ``design_amplitudes`` divides by.
+MU = {"a": 0.4, "b": 1.2, "c": 0.8}
+#: |theta| of the stage-1 channel at kprime = 0 and of a stage-2 one at k = 0.
+SPLIT, CLOSE = math.pi / 4, math.pi / (2 * SQRT2)
 
 
-def test_design_amplitudes_targetC_k1(molecule):
-    amps = design_amplitudes(molecule, DesignSpec(target="C", k=1))
-    assert 1.2 * amps["b"] == pytest.approx(1.5 * math.pi / SQRT2, rel=1e-15)
-    assert 0.8 * amps["c"] == pytest.approx(1.5 * math.pi / SQRT2, rel=1e-15)
-    # stage-1 channel untouched by k
-    assert 0.4 * amps["a"] == pytest.approx(math.pi / 4, rel=1e-15)
+@pytest.mark.parametrize("design,moduli", [
+    pytest.param({}, {"a": SPLIT, "b": CLOSE, "c": CLOSE}, id="targetC-ground-lattice"),
+    # the stage-1 channel is untouched by k
+    pytest.param({"k": 1}, {"b": 3 * CLOSE, "c": 3 * CLOSE, "a": SPLIT}, id="targetC-k1"),
+    pytest.param({"kprime": 1}, {"a": 5 * SPLIT}, id="targetC-kprime1"),
+    pytest.param({"target": "B"}, {"b": SPLIT, "a": CLOSE, "c": CLOSE}, id="targetB-roles-swap"),
+])
+def test_design_amplitudes_sit_on_the_area_lattice(molecule, design, moduli):
+    # dipole x amplitude = |theta|: (kprime + 1/4) pi for the stage-1
+    # channel, (k + 1/2) pi / sqrt(2) for each stage-2 channel
+    amps = design_amplitudes(molecule, DesignSpec(**{"target": "C", **design}))
+    for channel, modulus in moduli.items():
+        assert MU[channel] * amps[channel] == pytest.approx(modulus, rel=1e-15)
 
 
-def test_design_amplitudes_targetC_kprime1(molecule):
-    amps = design_amplitudes(molecule, DesignSpec(target="C", kprime=1))
-    assert 0.4 * amps["a"] == pytest.approx(1.25 * math.pi, rel=1e-15)
-
-
-def test_design_amplitudes_targetB_roles_swap(molecule):
-    amps = design_amplitudes(molecule, DesignSpec(target="B"))
-    assert 1.2 * amps["b"] == pytest.approx(math.pi / 4, rel=1e-15)
-    assert 0.4 * amps["a"] == pytest.approx(math.pi / (2 * SQRT2), rel=1e-15)
-    assert 0.8 * amps["c"] == pytest.approx(math.pi / (2 * SQRT2), rel=1e-15)
-
-
-def test_design_phases_targetC_left():
-    phases = design_phases(DesignSpec(target="C", hand=L))
-    assert phases == {"a": pytest.approx(math.pi / 2), "b": 0.0, "c": 0.0}
-
-
-def test_design_phases_targetC_right_l1():
-    phases = design_phases(DesignSpec(target="C", hand=R, l=1))
-    assert phases["a"] == pytest.approx(3 * math.pi / 2)
-    assert phases["b"] == 0.0 and phases["c"] == 0.0
-
-
-def test_design_phases_targetB_left():
-    phases = design_phases(DesignSpec(target="B", hand=L))
-    assert phases["a"] == 0.0 and phases["c"] == 0.0
-    assert phases["b"] == pytest.approx(math.pi / 2)
+@pytest.mark.parametrize("design,phases", [
+    pytest.param({"target": "C", "hand": L}, {"a": pytest.approx(math.pi / 2), "b": 0.0, "c": 0.0},
+                 id="targetC-left"),
+    pytest.param({"target": "C", "hand": R, "l": 1},
+                 {"a": pytest.approx(3 * math.pi / 2), "b": 0.0, "c": 0.0}, id="targetC-right-l1"),
+    pytest.param({"target": "B", "hand": L}, {"a": 0.0, "b": pytest.approx(math.pi / 2), "c": 0.0},
+                 id="targetB-left"),
+])
+def test_design_phases_put_the_loop_phase_on_the_split_channel(design, phases):
+    assert design_phases(DesignSpec(**design)) == phases
 
 
 def test_loop_phase_target_values():
@@ -565,6 +553,20 @@ def test_design_spec_validation():
         DesignSpec(target="C", k=-1)
     with pytest.raises(ValueError):
         DesignSpec(target="C", stage2_center=-10.0)  # before stage 1
+
+
+@pytest.mark.parametrize("name,value", [("k", 0.5), ("kprime", 0.25), ("l", 0.3), ("l", math.nan)])
+def test_design_spec_rejects_a_lattice_index_that_is_not_an_integer(name, value):
+    # k = 0.5 designed stage-2 amplitudes between the k = 0 and k = 1
+    # lattice points; l = nan failed later, inside Pulse, without naming l
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+        DesignSpec(target="C", **{name: value})
+
+
+def test_design_spec_stores_a_numpy_integer_index_as_an_int():
+    spec = DesignSpec(target="C", k=np.int64(1), kprime=np.int64(0), l=np.int64(-1))
+    assert [type(index) for index in (spec.k, spec.kprime, spec.l)] == [int, int, int]
+    assert spec == DesignSpec(target="C", k=1, l=-1)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -612,26 +614,19 @@ def test_design_spec_default_geometry():
 # ---------------------------------------------------------------------------
 
 
-def test_realize_phase_absolute_resonant():
+@pytest.mark.parametrize("args,phase", [
     # resonant: the parameter equals the design phase under either convention
-    omega = mhz_to_rad_per_ns(4720.0)
-    assert realize_phase(0.7, omega, omega, 0.0, ABS) == pytest.approx(0.7)
-    assert realize_phase(
-        0.7, omega, omega, 0.0, PhaseConvention.ENVELOPE
-    ) == pytest.approx(0.7)
-
-
-def test_realize_phase_absolute_detuned():
-    omega = 10.0
-    delta = 0.25
-    got = realize_phase(1.0, omega, omega + delta, 2.0, ABS)
-    assert got == pytest.approx((1.0 - delta * 2.0) % (2 * math.pi))
-
-
-def test_realize_phase_envelope_shifts_by_carrier():
-    omega = 10.0
-    got = realize_phase(1.0, omega, omega, 2.0, PhaseConvention.ENVELOPE)
-    assert got == pytest.approx((1.0 + omega * 2.0) % (2 * math.pi))
+    pytest.param((0.7, mhz_to_rad_per_ns(4720.0), mhz_to_rad_per_ns(4720.0), 0.0, ABS), 0.7,
+                 id="absolute-resonant"),
+    pytest.param((0.7, mhz_to_rad_per_ns(4720.0), mhz_to_rad_per_ns(4720.0), 0.0, ENV), 0.7,
+                 id="envelope-resonant"),
+    pytest.param((1.0, 10.0, 10.0 + 0.25, 2.0, ABS), (1.0 - 0.25 * 2.0) % (2 * math.pi),
+                 id="absolute-detuned"),
+    pytest.param((1.0, 10.0, 10.0, 2.0, ENV), (1.0 + 10.0 * 2.0) % (2 * math.pi),
+                 id="envelope-shifts-by-carrier"),
+])
+def test_realize_phase(args, phase):
+    assert realize_phase(*args) == pytest.approx(phase)
 
 
 def test_designed_pulses_resonant_carriers(molecule, spec_c, pulses_c):

@@ -57,6 +57,15 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def chunked_config(tmp_path):
+    """A tau0 = 0.5 ns design whose 4-level runs take more than one chunk."""
+    path = tmp_path / "chunked.ini"
+    path.write_text(MINIMAL + "[design]\ntau0_ns = 0.5\n", encoding="utf-8")
+    assert resolve_grid(load_config(str(path)), 4).n_steps > 4096
+    return str(path)
+
+
 def _csv_rows(path):
     with open(path, encoding="utf-8") as fh:
         rows = [line.rstrip("\n") for line in fh if not line.startswith("#")]
@@ -427,28 +436,6 @@ def test_sweep_bounds_that_make_an_invalid_design_exit_2(
     assert not out.exists()
 
 
-def test_grid_too_coarse_exits_2(tmp_path, capsys):
-    path = tmp_path / "coarse.ini"
-    path.write_text(MINIMAL + "\n[grid]\ndt_ns = 0.05\n", encoding="utf-8")
-    code = main(
-        ["propagate", "--config", str(path), "--out", str(tmp_path),
-         "--levels", "3", "--hand", "left"]
-    )
-    assert code == 2
-    assert "grid too coarse" in capsys.readouterr().err
-
-
-def test_numerical_guard_exits_3(tmp_path, capsys):
-    path = tmp_path / "strict.ini"
-    path.write_text(MINIMAL + "\n[grid]\ndrift_tol = 1e-18\n", encoding="utf-8")
-    code = main(
-        ["propagate", "--config", str(path), "--out", str(tmp_path),
-         "--levels", "3", "--hand", "left"]
-    )
-    assert code == 3
-    assert "numerical guard" in capsys.readouterr().err
-
-
 def test_non_finite_drift_tol_exits_2(tmp_path, capsys):
     path = tmp_path / "nan.ini"
     path.write_text(MINIMAL + "\n[grid]\ndrift_tol = nan\n", encoding="utf-8")
@@ -477,33 +464,17 @@ def test_levels_4_without_spectator_exits_2(tmp_path, capsys):
     assert "no spectator" in capsys.readouterr().err
 
 
-def test_unknown_flag_exits_2(config_path):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["presets", "--frobnicate"], id="unknown-flag"),
+    pytest.param(["design", "--config", "CONFIG", "--wavelength", "3"], id="unknown-design-flag"),
+    pytest.param(["render"], id="unknown-subcommand"),
+    pytest.param(["design"], id="missing-required-config-flag"),
+    pytest.param(["trace", "--config", "CONFIG", "--hand", "up"], id="bad-hand"),
+    pytest.param(["trace", "--config", "CONFIG", "--levels", "5"], id="bad-levels"),
+])
+def test_argparse_errors_exit_2(config_path, argv):
     with pytest.raises(SystemExit) as err:
-        main(["presets", "--frobnicate"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["design", "--config", config_path, "--wavelength", "3"])
-    assert err.value.code == 2
-
-
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as err:
-        main(["render"])
-    assert err.value.code == 2
-
-
-def test_missing_required_config_flag_exits_2():
-    with pytest.raises(SystemExit) as err:
-        main(["design"])
-    assert err.value.code == 2
-
-
-def test_bad_choice_value_exits_2(config_path):
-    with pytest.raises(SystemExit) as err:
-        main(["trace", "--config", config_path, "--hand", "up"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["trace", "--config", config_path, "--levels", "5"])
+        main([config_path if arg == "CONFIG" else arg for arg in argv])
     assert err.value.code == 2
 
 
@@ -565,14 +536,11 @@ def run_in_own_group(argv):
     return proc.returncode, stderr
 
 
-def test_propagate_leaves_no_process_behind(tmp_path):
+def test_propagate_leaves_no_process_behind(tmp_path, chunked_config):
     # A run of more than one chunk forks the kernel's worker processes; the
     # exiting CLI must reap every one of them and print nothing on stderr.
-    path = tmp_path / "run.ini"
-    path.write_text(MINIMAL + "[design]\ntau0_ns = 0.5\n", encoding="utf-8")
-    assert resolve_grid(load_config(str(path)), 4).n_steps > 4096
     assert run_in_own_group(
-        ["propagate", "--config", str(path), "--out", str(tmp_path / "out")]
+        ["propagate", "--config", chunked_config, "--out", str(tmp_path / "out")]
     ) == (0, "")
 
 
@@ -595,31 +563,25 @@ def test_sweep_phase_leaves_no_process_behind(tmp_path):
         assert sum(1 for line in fh if not line.startswith("#")) == 1 + 2 * 2
 
 
-def test_a_dead_worker_exits_4_on_one_line(tmp_path, capsys, monkeypatch):
+def test_a_dead_worker_exits_4_on_one_line(tmp_path, capsys, monkeypatch, chunked_config):
     # A kernel worker killed before a run: the CLI names it on one line of
     # stderr, with no traceback, and exits 4.
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
-    path = tmp_path / "run.ini"
-    path.write_text(MINIMAL + "[design]\ntau0_ns = 0.5\n", encoding="utf-8")
-    assert resolve_grid(load_config(str(path)), 4).n_steps > 4096
     pid = _rk4_numpy._pool().workers[0].pid
     os.kill(pid, signal.SIGKILL)
-    assert main(["propagate", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert main(["propagate", "--config", chunked_config, "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err == (
         f"worker pool failed: kernel worker process {pid} was killed by SIGKILL "
         "before its range was built\n"
     )
 
 
-def test_propagate_both_hands_match_single_hand_runs(tmp_path, capsys):
+def test_propagate_both_hands_match_single_hand_runs(tmp_path, capsys, chunked_config):
     # The right hand's build is queued while the left one is sampled and
     # written; both must come out as they do from single-hand runs.
-    path = tmp_path / "run.ini"
-    path.write_text(MINIMAL + "[design]\ntau0_ns = 0.5\n", encoding="utf-8")
-    assert resolve_grid(load_config(str(path)), 4).n_steps > 4096
     stdout = {}
     for hand in ("both", "left", "right"):
-        assert main(["propagate", "--config", str(path), "--out",
+        assert main(["propagate", "--config", chunked_config, "--out",
                      str(tmp_path / hand), "--hand", hand]) == 0
         stdout[hand] = capsys.readouterr().out.splitlines()
     header, left, right = stdout["both"]
@@ -628,3 +590,24 @@ def test_propagate_both_hands_match_single_hand_runs(tmp_path, capsys):
     for hand in ("left", "right"):
         name = f"propagate_{hand}.csv"
         assert (tmp_path / "both" / name).read_bytes() == (tmp_path / hand / name).read_bytes()
+
+
+def test_trace_returns_each_hands_run_through_the_module_propagate(
+    tmp_path, capsys, monkeypatch, chunked_config
+):
+    # The trace benchmark records what esst.cli.propagate returns and fails
+    # a hand it never sees: each hand must be one call of that module
+    # global, in BOTH_HANDS order, returning that hand's trajectory.
+    real, calls = cli.propagate, []
+
+    def recording(molecule, pulses, hand, **kwargs):
+        calls.append((hand, real(molecule, pulses, hand, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "propagate", recording)
+    argv = ["trace", "--config", chunked_config, "--out", str(tmp_path / "out"), "--hand", "both"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert [hand for hand, _ in calls] == list(experiments.BOTH_HANDS)
+    for hand, traj in calls:
+        assert traj.hand is hand and traj.grid.n_steps > _rk4_numpy.CHUNK_STEPS

@@ -9,7 +9,6 @@ import pytest
 from esst.model import (
     CHANNELS,
     CYCLOHEXYLMETHANOL,
-    Handedness,
     MoleculeSpec,
     SpectatorSpec,
     basis_for_levels,
@@ -19,9 +18,7 @@ from esst.model import (
     mhz_to_rad_per_ns,
 )
 from hamiltonian_oracle import coupling_matrix_3, coupling_matrix_4, interaction_picture_matrix
-
-L = Handedness.LEFT
-R = Handedness.RIGHT
+from helpers import L, R
 
 
 def open_loop_molecule() -> MoleculeSpec:

@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 
 from esst import _rk4_numpy, propagator
 from esst.areas import DesignSpec, design_phases, designed_pulses, realize_phase
-from esst.model import Handedness, basis_for_levels
+from esst.model import basis_for_levels
 from esst.propagator import (
     GridConfig,
     GridTooCoarseError,
@@ -39,14 +39,12 @@ from esst.propagator import (
     propagate,
     trace_table,
 )
-from esst.pulses import PhaseConvention, Pulse, field
-from conftest import live
+from esst.pulses import PhaseConvention, field
 from hamiltonian_oracle import coupling_matrix_3, coupling_matrix_4, interaction_picture_matrix
-from test_rk4_numpy import designed_args, direct_rk4
-
-L = Handedness.LEFT
-R = Handedness.RIGHT
-BOTH = (L, R)
+from helpers import (
+    BOTH, PIPE_GRID, L, R, designed_args, direct_rk4, live, overflow_case, pipe_sets,
+    queued_run, raising_spy, run_bytes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,20 +54,6 @@ def small_seq(molecule):
     pulses = designed_pulses(molecule, spec)
     grid = default_grid(molecule, list(pulses.values()), 4)
     return spec, pulses, grid
-
-
-def overflow_case(molecule):
-    """An a-pulse whose 1e300 area parameter overflows the RK4 stages.
-
-    The grid starts 40 widths before the pulse center, where the envelope
-    underflows to zero, so the first samples stay finite and the state goes
-    non-finite part-way through the run.
-    """
-    tau = 0.05
-    pulse = Pulse("a", area_param=1e300, center_time=0.0, duration=tau,
-                  carrier_mhz=molecule.omega_ab_mhz, phase=0.0)
-    grid = GridConfig(t_start=-40 * tau, t_end=0.0, dt=1e-3, sample_stride=16)
-    return pulse, grid
 
 
 def oracle_final_state(molecule, pulses, hand, levels, grid):
@@ -550,19 +534,6 @@ def test_workers_exit_when_their_caller_is_killed():
 # ---------------------------------------------------------------------------
 
 
-#: 10,000 steps: three chunks, so each run below is built on the pool.
-PIPE_GRID = GridConfig(t_start=-10.0, t_end=0.0, dt=1e-3, sample_stride=16)
-
-
-def pipe_sets(molecule):
-    """One-hand pulse sets: a clean one, one that goes non-finite near
-    t = 0, and one whose carrier is too fast for PIPE_GRID's step."""
-    clean = Pulse("a", area_param=0.5, center_time=-5.0, duration=1.0,
-                  carrier_mhz=molecule.omega_ab_mhz, phase=0.0)
-    fast = replace(clean, carrier_mhz=5 * molecule.omega_ab_mhz)
-    return ([clean], (L,)), ([overflow_case(molecule)[0]], (L,)), ([fast], (L,))
-
-
 @pytest.mark.parametrize("after", ["coarse-grid", "failing-design"])
 def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, builds, after):
     # The second set's run goes non-finite.  The third set fails while the
@@ -570,15 +541,7 @@ def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, builds,
     # iterable itself raises.  The second run's error must surface first,
     # and every build must be dropped.
     clean, blowup, fast = pipe_sets(molecule)
-    real = propagator._run_args
-    raised = []
-
-    def spy(*args):
-        try:
-            return real(*args)
-        except Exception as exc:
-            raised.append(type(exc))
-            raise
+    raised = raising_spy(monkeypatch, propagator, "_run_args")
 
     def sets():
         yield clean
@@ -587,7 +550,6 @@ def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, builds,
             raise ValueError("no design for this point")
         yield fast
 
-    monkeypatch.setattr(propagator, "_run_args", spy)
     done = []
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalGuardError, match="non-finite"):
@@ -595,7 +557,7 @@ def test_pipelined_run_raises_its_own_error_first(molecule, monkeypatch, builds,
                 propagate(molecule, pulses, hand, levels=3, grid=PIPE_GRID)
                 done.append(pulses)
     assert done == [clean[0]]
-    assert len(builds) == 2 and not live(builds) and propagator._SLOT.run is None
+    assert len(builds) == 2 and not live(builds) and queued_run() is None
     assert raised == ([GridTooCoarseError] if after == "coarse-grid" else [])
 
 
@@ -606,19 +568,20 @@ def test_closing_ahead_drops_its_queued_builds(molecule, builds):
     (pulses, _), *_ = pipe_sets(molecule)
     other = [replace(pulses[0], phase=1.0)]
     for _ in ahead(molecule, [(pulses, BOTH), (other, (L,))], 3, PIPE_GRID):
-        waiting, held = propagator._SLOT.run, live(builds)
+        waiting, held = queued_run(), live(builds)
         break
     assert waiting[0][2] is L and held == len(builds) == 2
-    assert not live(builds) and propagator._SLOT.run is None
+    assert not live(builds) and queued_run() is None
 
 
-def test_a_dropped_build_sends_none_of_its_unsent_ranges(molecule, monkeypatch, builds):
+def test_a_dropped_build_sends_none_of_its_unsent_ranges(
+    molecule, monkeypatch, builds, fresh_pool
+):
     # With one range in flight per worker, the first set's two ranges fill
     # the two workers and the next set's wait in the caller.  Closing the
     # generator drops both builds: the waiting ranges must never reach a
     # worker, and the ranges in flight are read back but not unpickled.
     monkeypatch.setattr(_rk4_numpy, "_DEPTH", 1)
-    _rk4_numpy._shutdown()  # fork the pool anew, with two workers
     sent, real = [], _rk4_numpy._Worker.send
     monkeypatch.setattr(_rk4_numpy._Worker, "send", lambda self, task: sent.append(task) or real(self, task))
     (pulses, _), *_ = pipe_sets(molecule)
@@ -634,11 +597,10 @@ def test_a_dropped_build_sends_none_of_its_unsent_ranges(molecule, monkeypatch, 
     assert any(task.done for task in first) and all(task.result is None for task in first)
 
 
-def test_a_pooled_run_starts_no_thread(molecule, monkeypatch):
+def test_a_pooled_run_starts_no_thread(molecule, monkeypatch, fresh_pool):
     # The caller forks the pool, sends the ranges and reads the results
     # itself: no thread is started, while the runs go on or after them.
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
-    _rk4_numpy._shutdown()  # the runs below fork the pool anew
     before = threading.active_count()
     pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.5))
     for run, hand in ahead(molecule, [(pulses, BOTH)], 3):
@@ -658,7 +620,7 @@ def test_a_first_hand_that_raises_leaves_nothing_queued(molecule, builds):
             for run, hand in ahead(molecule, [(blowup, BOTH), (pulses, (L,))], 3, PIPE_GRID):
                 assert live(builds) == 2
                 propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
-    assert len(builds) == 2 and not live(builds) and propagator._SLOT.run is None
+    assert len(builds) == 2 and not live(builds) and queued_run() is None
 
 
 def test_ahead_reads_sets_no_further_than_the_next_one(molecule):
@@ -728,22 +690,20 @@ def test_a_queued_build_is_taken_only_by_its_exact_call(molecule, monkeypatch):
     (pulses, _), *_ = pipe_sets(molecule)
     real, built = propagator._run_args, []
     for run, hand in ahead(molecule, [(pulses, (L,))], 3, PIPE_GRID):
-        queued = propagator._SLOT.run
+        queued = queued_run()
         with np.errstate(divide="raise"):
             propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
         propagate(molecule, pulses, R, levels=3, grid=PIPE_GRID)
         propagate(molecule, pulses, L, levels=4, grid=PIPE_GRID)
         propagate(molecule, pulses, L, levels=3, grid=replace(PIPE_GRID, sample_stride=8))
-        assert propagator._SLOT.run is queued
+        assert queued_run() is queued
 
         monkeypatch.setattr(propagator, "_run_args", lambda *args: built.append(args) or real(*args))
         taken = propagate(molecule, run, hand, levels=3, grid=PIPE_GRID)
-        assert propagator._SLOT.run is None and not built  # the queued run, as it was built
+        assert queued_run() is None and not built  # the queued run, as it was built
         alone = propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID)
         assert len(built) == 1
-    for got, want in ((taken.times, alone.times), (taken.states, alone.states),
-                      (taken.norm_errors, alone.norm_errors)):
-        assert got.tobytes() == want.tobytes()
+    assert run_bytes(taken) == run_bytes(alone)
 
 
 @pytest.mark.parametrize("levels", [3, 4])

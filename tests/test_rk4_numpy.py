@@ -16,7 +16,6 @@ import signal
 import subprocess
 import sys
 import threading
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,12 +23,14 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from esst import PoolError, _rk4_numpy, propagator
+from esst import PoolError, _rk4_numpy
 from esst.areas import DesignSpec, designed_pulses
 from esst.model import Handedness
 from esst.propagator import _run_args, default_grid
-from esst.pulses import SQRT_2_OVER_PI, PhaseConvention
-from conftest import drop_left_behind
+from esst.pulses import PhaseConvention
+from helpers import (
+    BOTH, L, designed_args, direct_rk4, drop_left_behind, queued_run, run_bytes, set_queued_run,
+)
 
 #: 2 pi to 60 digits, independent of the kernel's own constant.
 TWO_PI = Fraction("6.28318530717958647692528676655900576839433879875021164194989")
@@ -106,7 +107,7 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 
 def test_a_submitted_build_gives_the_bytes_of_a_fresh_one(molecule):
     # Two chunks: built on the pool with two or more CPUs, else in the caller.
-    args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, Handedness.LEFT)
+    args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, L)
     build = _rk4_numpy.submit([args])
     assert (build is None) == (_rk4_numpy._worker_count() < 2)
     taken = _rk4_numpy.rk4_run(*args, build=build and build.take(0))
@@ -119,10 +120,6 @@ def hand_args(molecule, levels, sample_stride=128, **design):
     """``designed_args`` of both hands of one designed pulse set."""
     spec = DesignSpec(target="C", **design)
     return [designed_args(molecule, spec, levels, hand, sample_stride) for hand in Handedness]
-
-
-def run_bytes(run):
-    return [a.tobytes() for a in run]
 
 
 @pytest.mark.parametrize("convention", list(PhaseConvention))
@@ -194,10 +191,10 @@ def test_a_build_left_undropped_fails_the_test_that_left_it(molecule):
     build = _rk4_numpy.submit(runs)
     if build is None:
         pytest.skip("no pool with one usable CPU")
-    propagator._SLOT.run = object()
+    set_queued_run(object())
     left = f"{len(build.tasks)} pending range task(s) of a build and a queued run"
     assert drop_left_behind() == left
-    assert all(task.dropped for task in build.tasks) and propagator._SLOT.run is None
+    assert all(task.dropped for task in build.tasks) and queued_run() is None
     assert drop_left_behind() == ""
 
 
@@ -221,7 +218,7 @@ def test_a_killed_worker_fails_one_run_and_the_next_forks_anew(molecule, monkeyp
     # that names the worker and the signal, and the next run forks a new
     # pool, reaps the old one and gives the first run's bytes.
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
-    args = designed_args(molecule, DesignSpec(target="C", tau0=0.5), 4, Handedness.LEFT)
+    args = designed_args(molecule, DesignSpec(target="C", tau0=0.5), 4, L)
     first = _rk4_numpy.rk4_run(*args)
     old = [worker.pid for worker in _rk4_numpy._pool().workers]
     build = None
@@ -242,15 +239,16 @@ def test_a_killed_worker_fails_one_run_and_the_next_forks_anew(molecule, monkeyp
     assert run_bytes(again) == run_bytes(first)
 
 
-def test_a_pool_with_pipes_above_fd_1024_gives_the_lone_bytes(molecule, monkeypatch):
+def test_a_pool_with_pipes_above_fd_1024_gives_the_lone_bytes(
+    molecule, monkeypatch, fresh_pool
+):
     # select() cannot wait on an fd of 1024 or more.  A process that holds
     # that many files must still get a pooled run, with its lone bytes.
     if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
         pytest.skip("the soft open-file limit is too low to reach fd 1024")
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
-    args = designed_args(molecule, DesignSpec(target="C", tau0=0.5), 4, Handedness.LEFT)
-    _rk4_numpy._shutdown()  # the run below forks the pool anew, past the files held
-    held = []
+    args = designed_args(molecule, DesignSpec(target="C", tau0=0.5), 4, L)
+    held = []  # the fresh pool forks past the files held
     try:
         while not held or held[-1] < 1024:
             held.append(os.open(os.devnull, os.O_RDONLY))
@@ -265,7 +263,7 @@ def test_a_pool_with_pipes_above_fd_1024_gives_the_lone_bytes(molecule, monkeypa
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
-def test_a_failed_fork_leaves_no_pool_and_no_open_pipe(monkeypatch):
+def test_a_failed_fork_leaves_no_pool_and_no_open_pipe(monkeypatch, fresh_pool):
     # The second worker's fork fails, as it does with EAGAIN at the
     # process limit: the error reaches the caller, the first worker is
     # reaped, and neither worker's pipes stay open.
@@ -273,7 +271,6 @@ def test_a_failed_fork_leaves_no_pool_and_no_open_pipe(monkeypatch):
         return len(os.listdir("/proc/self/fd"))
 
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
-    _rk4_numpy._shutdown()
     real, forks = os.fork, []
 
     def fork():
@@ -295,7 +292,7 @@ def test_the_norm_pass_raises_nothing_of_its_own(molecule):
     # Zero-amplitude pulses leave psi0 = 1e200 |A> finite and unchanged,
     # but |psi|^2 overflows.  The per-sample vdot never flagged that; the
     # one norm pass must not either, even where every error raises.
-    args = list(designed_args(molecule, DesignSpec(target="C", tau0=3.0), 3, Handedness.LEFT))
+    args = list(designed_args(molecule, DesignSpec(target="C", tau0=3.0), 3, L))
     assert args[2] >= 2 * _rk4_numpy.CHUNK_STEPS
     args[10] = np.zeros_like(args[10])  # amp
     args[16] = 1e200 * args[16]  # psi0
@@ -386,7 +383,7 @@ def test_a_warm_build_takes_no_fresh_memory(molecule):
     # may fault in at most 50 pages in all.
     resource = pytest.importorskip("resource")
     who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
-    args = designed_args(molecule, DesignSpec(target="C", tau0=0.2), 3, Handedness.LEFT)
+    args = designed_args(molecule, DesignSpec(target="C", tau0=0.2), 3, L)
     _rk4_numpy._propagators(args, 0, args[2], args[2])  # one chunk
     before = resource.getrusage(who).ru_minflt
     for _ in range(10):
@@ -426,7 +423,7 @@ def test_kept_set_up_gives_the_bits_of_a_lone_run(molecule):
     for tau0, levels in ((0.2, 3), (1.5, 3), (1.5, 4), (2.25, 3)):
         pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=tau0))
         grid = default_grid(molecule, pulses, levels)
-        _, [args] = _run_args(molecule, pulses, (Handedness.LEFT,), levels, grid)
+        _, [args] = _run_args(molecule, pulses, (L,), levels, grid)
         here = [run_digest(args, chunk_steps) for chunk_steps in (args[2], _rk4_numpy.CHUNK_STEPS)]
         proc = subprocess.run(
             [sys.executable, "-c", ALONE_RUN, str(tau0), str(levels)],
@@ -462,14 +459,13 @@ def test_threads_building_at_once_keep_their_own_scratch(molecule, monkeypatch):
     assert got == alone
 
 
-def test_threads_sharing_the_pool_each_get_their_own_bits(molecule, monkeypatch):
+def test_threads_sharing_the_pool_each_get_their_own_bits(molecule, monkeypatch, fresh_pool):
     # Four threads on two workers submit and take multi-chunk builds at
     # once, switching often: every run must come back whole, with the
     # bits of its lone run, and the pool must be left with nothing in
     # flight.  A lost update to the pool's queues would hang or mix runs.
-    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
-    _rk4_numpy._shutdown()  # a new pool, with no earlier range in flight
-    runs = [designed_args(molecule, DesignSpec(target="C", tau0=tau0), 3, Handedness.LEFT)
+    monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)  # a fresh pool: no range in flight
+    runs = [designed_args(molecule, DesignSpec(target="C", tau0=tau0), 3, L)
             for tau0 in (0.5, 0.75, 1.0, 1.25)]
     alone = [run_digest(args, _rk4_numpy.CHUNK_STEPS) for args in runs]
     got = [[] for _ in runs]
@@ -493,45 +489,6 @@ def test_threads_sharing_the_pool_each_get_their_own_bits(molecule, monkeypatch)
     assert not any(worker.sent for worker in _rk4_numpy._POOL.workers)
 
 
-def direct_rk4(
-    t0, dt, n_steps, stride,
-    energies, rows, cols, echan, prefactor,
-    pchan, amp, tc, tau, wcar, ph, conv,
-    psi0,
-):
-    """Classical RK4 on the state, every coupling from cos/sin at its time.
-
-    Returns the sample times, states and |<psi|psi> - 1| at ``t0`` and
-    every ``stride`` steps, as ``rk4_run`` does.
-    """
-    ts = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)  # every half-step time
-    u = ts[None, :] - tc[:, None]
-    env = SQRT_2_OVER_PI * (amp / tau)[:, None] * np.exp(-0.5 * (u / tau[:, None]) ** 2)
-    arg = np.where((conv == 0)[:, None], wcar[:, None] * ts[None, :], wcar[:, None] * u)
-    fields = np.zeros((3, ts.size))
-    np.add.at(fields, pchan, env * np.cos(arg + ph[:, None]))
-    gap = (energies[rows] - energies[cols])[:, None] * ts[None, :]
-    h = prefactor[:, None] * fields[echan] * (np.cos(gap) + 1j * np.sin(gap))
-    gen = np.zeros((ts.size, psi0.size, psi0.size), dtype=np.complex128)
-    gen[:, rows, cols] = -1j * h.T
-    gen[:, cols, rows] = -1j * np.conj(h.T)
-
-    psi = psi0.astype(np.complex128)
-    times, states = [t0], [psi]
-    for i in range(n_steps):
-        a1, a2, a3 = gen[2 * i], gen[2 * i + 1], gen[2 * i + 2]
-        k1 = a1 @ psi
-        k2 = a2 @ (psi + 0.5 * dt * k1)
-        k3 = a2 @ (psi + 0.5 * dt * k2)
-        k4 = a3 @ (psi + dt * k3)
-        psi = psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (i + 1) % stride == 0:
-            times.append(t0 + (i + 1) * dt)
-            states.append(psi)
-    states = np.array(states)
-    return np.array(times), states, np.abs(np.linalg.norm(states, axis=1) ** 2 - 1.0)
-
-
 def assert_kernel_matches_direct(args, chunk_steps):
     """``rk4_run`` against ``direct_rk4``; returns the direct states."""
     times, states, norm_err = _rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps)
@@ -542,21 +499,13 @@ def assert_kernel_matches_direct(args, chunk_steps):
     return want
 
 
-def designed_args(molecule, spec, levels, hand, sample_stride=128):
-    """``rk4_run``'s positional arguments for a designed sequence on its grid."""
-    pulses = designed_pulses(molecule, spec)
-    grid = replace(default_grid(molecule, pulses, levels), sample_stride=sample_stride)
-    _, [args] = _run_args(molecule, pulses, (hand,), levels, grid)
-    return args
-
-
 @pytest.mark.parametrize("chunk_steps,stride", [
     pytest.param(4096, 128, id="4096"),
     pytest.param(1000, 128, id="1000"),
     pytest.param(4096, 7, id="4096-stride7"),
     pytest.param(1000, 7, id="1000-stride7"),
 ])
-@pytest.mark.parametrize("hand", [Handedness.LEFT, Handedness.RIGHT])
+@pytest.mark.parametrize("hand", BOTH)
 def test_kernel_matches_direct_cos_sin_rk4(molecule, hand, chunk_steps, stride):
     # At stride 128, 4,352 steps: one full 4096-step chunk and a partial
     # one, or four 896-step chunks and a partial one.  Stride 7 rounds the
