@@ -377,6 +377,10 @@ def _compose_ordered(mats: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 _KEPT = threading.local()
 
+#: A build's ufunc buffer, in elements.  numpy's 8,192 gives the composition's
+#: broadcast products fresh buffers of up to 0.2 MB a call; 16 gives none.
+_BUFSIZE = 16
+
 
 def _scratch(n, n_edges, longest):
     """This thread's buffers for chunks of up to ``longest`` steps.
@@ -405,6 +409,7 @@ def _scratch(n, n_edges, longest):
             # hold the composition's products, 2 n**2 longest elements
             np.empty((2, n, n, longest), dtype=np.complex128),
             np.empty((n, longest), dtype=np.complex128),
+            np.arange(longest + 1.0), np.empty(n_times),  # step offsets, half-step times
         ))
     return kept[1]
 
@@ -462,7 +467,7 @@ def _shared_propagators(kernel_args, prefactors, first_step, end_step, chunk, lo
         dt,
     )
     table = _table(freqs, dt, longest + 1)
-    buffers, values, flipped, m_buf, stages, tmp = _scratch(n, rows.shape[0], longest)
+    buffers, values, flipped, m_buf, stages, tmp, offsets, times = _scratch(n, len(rows), longest)
     entries = _generator_rows(rows, cols, n)
     k24, k3 = stages[0], stages[1]
     samples = (end_step - first_step) // stride
@@ -472,13 +477,14 @@ def _shared_propagators(kernel_args, prefactors, first_step, end_step, chunk, lo
     for step0 in range(first_step, end_step, chunk):
         nc = min(chunk, end_step - step0)
         mark = len(log)
-        starts = t0 + (step0 + np.arange(nc + 1)) * dt
+        ts = times[: 2 * nc + 1]  # t0 + (step0 + j) dt, then the midpoints
+        starts = np.add(offsets[: nc + 1], step0, out=ts[: nc + 1])
+        starts *= dt
+        starts += t0
+        np.add(starts[:-1], 0.5 * dt, out=ts[nc + 1 :])
         bases = _base_phasors(exact, step0)
         bases[n_pulses:] *= -1j  # the generator is -i H
-        fields, drives = _hamiltonian_batch(
-            np.concatenate([starts, starts[:-1] + 0.5 * dt]), bases, table,
-            pchan, amp, tc, tau, buffers,
-        )
+        fields, drives = _hamiltonian_batch(ts, bases, table, pchan, amp, tc, tau, buffers)
         shared = log[mark:]
         for hand, prefactor in enumerate(prefactors):
             if isinstance(hands[hand], Exception):
@@ -519,10 +525,12 @@ def _shared_propagators(kernel_args, prefactors, first_step, end_step, chunk, lo
     return hands, caught
 
 
-def _propagators(kernel_args, first_step, end_step, chunk):
+def _propagators(kernel_args, first, end, chunk):
     """One hand's :func:`_shared_propagators`, built in this thread, with
     any error raised: its propagators, shape (samples, n, n)."""
-    (props,), _ = _shared_propagators(kernel_args, (kernel_args[8],), first_step, end_step, chunk)
+    with np.errstate():  # which restores the buffer size on exit
+        np.setbufsize(_BUFSIZE)
+        (props,), _ = _shared_propagators(kernel_args, (kernel_args[8],), first, end, chunk)
     if isinstance(props, Exception):
         raise props
     return props
@@ -539,6 +547,7 @@ def _range_propagators(blob, bounds):
     """
     kernel_args, prefactors, chunk, err = pickle.loads(blob)
     with np.errstate(**err), warnings.catch_warnings(record=True) as log:
+        np.setbufsize(_BUFSIZE)
         warnings.simplefilter("always")
         hands, caught = _shared_propagators(kernel_args, prefactors, *bounds, chunk, log)
     return [

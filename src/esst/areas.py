@@ -61,6 +61,7 @@ TWO_PI = 2.0 * math.pi
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_RAD_PER_NS_PER_MHZ = mhz_to_rad_per_ns(1.0)
 
 #: Gauss-Legendre rule of :func:`_panel_quad`.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -479,8 +480,7 @@ def designed_pulses(
 
 def _carrier_mhz(molecule: MoleculeSpec, channel: str, detuning: float) -> float:
     """A channel's carrier in MHz, ``detuning`` rad/ns off its transition."""
-    shift = float(detuning) / mhz_to_rad_per_ns(1.0)
-    return molecule.channel_transition_mhz(channel) + shift
+    return molecule.channel_transition_mhz(channel) + float(detuning) / _RAD_PER_NS_PER_MHZ
 
 
 def _designed_pulse(

@@ -5,21 +5,20 @@ parameters (amplitudes are re-laid-out when the duration changes, phase
 parameters are realized under the configured carrier-phase convention), runs
 both enantiomers, and reports the target-state population.  A detuning sweep
 designs its base sequence once and builds each point's detuned channels on
-that base.  The sweeps share one core, :func:`_sweep`; each public driver
-only says how a grid point changes the designed pulses.  Results carry
-enough metadata to be serialized to self-describing CSV files; an optional
-config snapshot is embedded in the header as comment lines so a result file
-can be traced back to the exact run that produced it.
+that base.  The sweeps share one core, :func:`_sweep`, which checks the
+engine once against :data:`ENGINES`, whose entries yield one row per grid
+point; each public driver only says how a grid point changes the designed
+pulses.  Results carry enough metadata to be serialized to self-describing
+CSV files; an optional config snapshot is embedded in the header as comment
+lines so a result file can be traced back to the exact run that produced it.
 
 Every sweep point runs in the calling thread, in order.  Exact propagation
 is parallel inside each point instead: the kernel builds a point's chunks
 on forked worker processes, at least one per usable CPU (see
 ``esst._rk4_numpy``).  The exact engine passes each point to
-``propagator.ahead`` as one pulse set, its pulses with both hands, which
-builds the set's kernel arguments once and queues its hands as one kernel
-build: each chunk's envelopes, drive phasors and fields are evaluated once
-for both hands.  It queues the next point's build while the caller samples
-this one's runs.  Each trajectory and its result still come from one
+``propagator.ahead`` as one pulse set, its pulses with both hands, so the
+hands share their kernel arguments and one kernel build, queued while the
+caller samples the point before.  Each trajectory still comes from one
 ``propagate`` call in the caller, which reads its hand's part of the
 queued build without building it again.
 """
@@ -41,9 +40,6 @@ from .propagator import TRACE_COLUMNS, Trajectory, ahead, propagate, trace_table
 #: Channels each detuning mode detunes and rescales.
 DETUNING_MODES = {"scale_b": ("b",), "scale_ac": ("a", "c")}
 
-#: Engines of :func:`sweep_detuning`: exact propagation or the closed form.
-ENGINES = ("exact", "analytic")
-
 
 def _default_levels(molecule: MoleculeSpec, levels: int | None) -> int:
     if levels is not None:
@@ -54,6 +50,30 @@ def _default_levels(molecule: MoleculeSpec, levels: int | None) -> int:
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
+
+
+def _exact(molecule: MoleculeSpec, target: str, levels: int, points):
+    """Rows of one :func:`propagate` call per hand; a point's hands are one pulse set."""
+    row = []
+    for pulses, hand in ahead(molecule, ((p, BOTH_HANDS) for _, p in points), levels):
+        traj = propagate(molecule, pulses, hand, levels=levels)
+        row.append(float(np.abs(traj.final_state[traj.basis.index(target)]) ** 2))
+        if len(row) == len(BOTH_HANDS):
+            yield row
+            row = []
+
+
+def _analytic(molecule: MoleculeSpec, target: str, levels: int, points):
+    """Rows of one closed-form call per point; the closed form is three-level."""
+    idx = "ABC".index(target)
+    for design, pulses in points:
+        pops = analytic_final_populations(molecule, pulses, design)
+        yield [p[idx] for p in pops.values()]
+
+
+#: The sweep engines.  Each maps (molecule, target, levels, (design, pulses)
+#: points) to one row per point: P_target per hand, in ``BOTH_HANDS`` order.
+ENGINES = {"exact": _exact, "analytic": _analytic}
 
 
 def _sweep(
@@ -69,34 +89,15 @@ def _sweep(
     """P_target per hand on the ``values1 x values2`` grid.
 
     ``pulses_at(v1, v2)`` returns one grid point's design and its pulse
-    set.  Points run in order in the calling thread.  The exact engine
-    propagates both hands of each point on that set's default grid; it
-    passes each point to :func:`ahead` as the pulse set
-    ``(pulses, BOTH_HANDS)``, so both hands of a point share their kernel
-    arguments and one kernel build, and the next point's is built while
-    this one is sampled.  The analytic engine evaluates each point
-    once: its closed form yields both hands at once.  The closed form takes
-    its stage windows from the point's design, so a point that changes
-    tau0 or another ``DesignSpec`` field must return the design it was
-    built from.
+    set.  The closed form takes its stage windows from that design, so a
+    point that changes tau0 or another ``DesignSpec`` field must return the
+    design it was built from.
     """
-    levels = _default_levels(molecule, levels)
-    idx = ("A", "B", "C").index(spec.target)
-
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected {' or '.join(ENGINES)}")
     points = (pulses_at(float(v1), float(v2)) for v1 in values1 for v2 in values2)
-    rows = []
-    if engine == "analytic":
-        for design, pulses in points:
-            pops = analytic_final_populations(molecule, pulses, design)
-            rows.append([pops[hand][idx] for hand in BOTH_HANDS])
-    else:
-        sets = ((pulses, BOTH_HANDS) for _, pulses in points)
-        for pulses, hand in ahead(molecule, sets, levels):
-            traj = propagate(molecule, pulses, hand, levels=levels)
-            rows.append(float(np.abs(traj.final_state[traj.basis.index(spec.target)]) ** 2))
-    table = np.array(rows, dtype=float).reshape(
-        values1.size, values2.size, len(BOTH_HANDS)
-    )
+    rows = ENGINES[engine](molecule, spec.target, _default_levels(molecule, levels), points)
+    table = np.reshape(list(rows), (values1.size, values2.size, len(BOTH_HANDS)))
     return {hand: table[:, :, k].copy() for k, hand in enumerate(BOTH_HANDS)}
 
 
@@ -240,8 +241,6 @@ def sweep_detuning(
         raise ValueError(
             f"unknown mode {mode!r}; expected one of {sorted(DETUNING_MODES)}"
         )
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected {' or '.join(ENGINES)}")
     delta_values = np.asarray(delta_values, dtype=float)
     scale_values = np.asarray(scale_values, dtype=float)
     channels = DETUNING_MODES[mode]

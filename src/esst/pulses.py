@@ -108,6 +108,8 @@ class Pulse:
         Carrier frequency in cyclic MHz (> 0).
     phase:
         Carrier phase phi in rad, interpreted per ``convention``.
+
+    ``carrier`` is the carrier angular frequency in rad/ns, converted once.
     """
 
     channel: str
@@ -135,11 +137,8 @@ class Pulse:
         object.__setattr__(
             self, "convention", PhaseConvention.coerce(self.convention)
         )
-
-    @property
-    def carrier(self) -> float:
-        """Carrier angular frequency in rad/ns."""
-        return mhz_to_rad_per_ns(self.carrier_mhz)
+        # Not a field, so fields, == and hash ignore it.
+        object.__setattr__(self, "carrier", mhz_to_rad_per_ns(self.carrier_mhz))
 
     @property
     def absolute_phase(self) -> float:

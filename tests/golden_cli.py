@@ -15,11 +15,13 @@ Regenerate with
     PYTHONPATH=src python tests/golden_cli.py
 
 only when an output is meant to change; the bytes depend on the Python,
-numpy and libm they were made with, which the file records.
+numpy and libm they were made with and on the SIMD code numpy and its
+OpenBLAS pick at run time, which the file records.
 """
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -143,9 +145,24 @@ def run_case(case: dict, workdir: Path) -> dict:
 
 
 def versions() -> dict:
+    """What the recorded bytes depend on: Python, numpy, numpy's enabled
+    SIMD dispatch targets and the OpenBLAS core that numpy's BLAS picked."""
     import numpy
+    from numpy._core import _multiarray_umath as umath
 
-    return {"python": platform.python_version(), "numpy": numpy.__version__}
+    try:
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):  # not numpy's bundled OpenBLAS
+        core = "unknown"
+    else:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpu_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+        "openblas_core": core,
+    }
 
 
 def generate() -> dict:

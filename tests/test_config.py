@@ -474,7 +474,7 @@ _SWEEP_SECTIONS = st.builds(
         st.floats(min_value=-100.0, max_value=1e300), min_size=1, max_size=4
     ).map(tuple),
     mode=st.sampled_from(sorted(DETUNING_MODES)),
-    engine=st.sampled_from(ENGINES),
+    engine=st.sampled_from(tuple(ENGINES)),
 )
 # omega_ac of CUSTOM_MOLECULE is 7568 MHz; the spectator must close on it.
 _SPECTATORS = st.none() | st.builds(

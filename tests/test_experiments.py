@@ -145,22 +145,6 @@ def test_sweep_core_work_items(molecule, monkeypatch, engine, calls):
         assert result.populations[hand].shape == (1, 2)
 
 
-def test_analytic_sweep_runs_in_calling_thread(molecule, monkeypatch):
-    # The closed form is pure Python under the interpreter lock; a pool
-    # would only add hand-offs, so every point runs on the caller's thread.
-    real = experiments.analytic_final_populations
-    threads = []
-
-    def recording(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "analytic_final_populations", recording)
-    spec = DesignSpec(target="C", tau0=2.0)
-    sweep_detuning(molecule, spec, [0.1, 0.2], [1.0, 1.5], engine="analytic")
-    assert threads == [threading.get_ident()] * 4
-
-
 def test_analytic_sweep_makes_one_closed_form_call_per_point(molecule, spec_b, monkeypatch):
     # The design benchmark reads the closed form through this seam: one call
     # per grid point, each giving one population array per hand.

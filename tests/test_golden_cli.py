@@ -15,11 +15,15 @@ from golden_cli import GOLDEN, run_case, versions
 _RECORDED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def _facts(record: dict, names) -> str:
+    """The ``versions()`` facts named by ``names`` as ``record`` holds them."""
+    return ", ".join(f"{name} {record.get(name, 'unrecorded')}" for name in names)
+
+
 @pytest.mark.parametrize("case", _RECORDED["cases"], ids=lambda case: case["name"])
 def test_cli_outputs_match_the_golden_record(case, tmp_path):
-    made_with = f"recorded under Python {_RECORDED['python']}, numpy {_RECORDED['numpy']}"
     now = versions()
-    context = f"{made_with}; running under Python {now['python']}, numpy {now['numpy']}"
+    context = f"recorded under {_facts(_RECORDED, now)}; running under {_facts(now, now)}"
     got = run_case(case, tmp_path)
     for key in ("exit", "stdout", "stderr", "warnings"):
         assert got[key] == case[key], f"case {case['name']}: {key} differs ({context})"

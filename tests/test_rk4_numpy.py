@@ -378,17 +378,49 @@ def test_kept_phasor_table_is_a_fresh_one_and_read_only():
             table[0, 0] = 0.0
 
 
-def test_a_warm_build_takes_no_fresh_memory(molecule):
+WARM_BUILDS = """
+import resource
+from esst import _rk4_numpy
+from esst.areas import DesignSpec, designed_pulses
+from esst.model import Handedness, get_preset
+from esst.propagator import _run_args, default_grid
+molecule = get_preset("cyclohexylmethanol")
+pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=0.2))
+grid = default_grid(molecule, pulses, 3)
+_, [args] = _run_args(molecule, pulses, (Handedness.LEFT,), 3, grid)
+who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+_rk4_numpy._propagators(args, 0, args[2], args[2])  # one chunk, on fresh scratch
+before = resource.getrusage(who).ru_minflt
+for _ in range(10):
+    _rk4_numpy._propagators(args, 0, args[2], args[2])
+faults = resource.getrusage(who).ru_minflt - before
+"""
+
+
+#: glibc settings under which every buffer of a page or more that a build
+#: makes and frees faults in anew, wherever it sits in the heap: freed heap
+#: pages at the top go back at once, and each such buffer gets its own mapping.
+PINNED_MALLOC = {"MALLOC_TRIM_THRESHOLD_": "0", "MALLOC_MMAP_THRESHOLD_": "4096"}
+
+
+@pytest.mark.parametrize("malloc", [None, PINNED_MALLOC], ids=["here", "pinned-malloc"])
+def test_a_warm_build_takes_no_fresh_memory(malloc):
     # A build on fresh scratch faults in about 900 pages; ten warm builds
-    # may fault in at most 50 pages in all.
-    resource = pytest.importorskip("resource")
-    who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
-    args = designed_args(molecule, DesignSpec(target="C", tau0=0.2), 3, L)
-    _rk4_numpy._propagators(args, 0, args[2], args[2])  # one chunk
-    before = resource.getrusage(who).ru_minflt
-    for _ in range(10):
-        _rk4_numpy._propagators(args, 0, args[2], args[2])
-    assert resource.getrusage(who).ru_minflt - before <= 50
+    # may fault in at most 50 pages in all, in this process and in a fresh
+    # one under PINNED_MALLOC.
+    if malloc is None:
+        scope = {}
+        exec(WARM_BUILDS, scope)
+        faults = scope["faults"]
+        assert np.getbufsize() == 8192  # numpy's default: a build sets its own
+    else:
+        proc = subprocess.run(
+            [sys.executable, "-c", WARM_BUILDS + "print(faults)"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, **malloc},
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults = int(proc.stdout)
+    assert faults <= 50
 
 
 ALONE_RUN = """
