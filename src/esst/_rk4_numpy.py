@@ -70,9 +70,11 @@ element is one contiguous vector over the steps of the chunk:
   to the bit.  The sample loop stays in the calling process and runs in
   order.  On one CPU, for a one-chunk run or without ``fork``, the caller
   builds every chunk itself.  A build's arguments and the caller's numpy
-  error state are pickled once and sent, as bytes, with each range; each
-  hand's warnings, and any error of its own arithmetic, come back to be
-  raised in that hand's run.
+  error state are pickled once and sent, as bytes, with each range.  A
+  worker hands back only a clean range: one whose arithmetic would warn
+  or raise in the caller comes back marked, and the caller builds it
+  again, hand by hand, as a lone run would, so that it warns or raises
+  there from the lines that computed it.
 * The pool is driven by the calling thread alone; it starts no thread.
   Each worker has its own task pipe and result pipe.  The caller writes
   a range's task to the least loaded worker, with at most ``_DEPTH`` in
@@ -431,7 +433,7 @@ def _table(freqs, dt, size):
     return kept[1]
 
 
-def _shared_propagators(kernel_args, prefactors, first_step, end_step, chunk, log=()):
+def _shared_propagators(kernel_args, prefactors, first_step, end_step, chunk):
     """Per-sample propagators of each hand over the chunks in [first_step, end_step).
 
     ``kernel_args`` are :func:`rk4_run`'s positional arguments; the hands
@@ -440,14 +442,11 @@ def _shared_propagators(kernel_args, prefactors, first_step, end_step, chunk, lo
     ``first_step`` starts a chunk.  Each chunk's drive and fields are
     evaluated once, then each hand does the operations of a one-hand build.
 
-    Returns two lists, one entry per hand: its propagators, shape
-    (samples, n, n), entry s taking sample s to sample s + 1 of the range,
-    or the exception that stopped its own arithmetic; and its warnings
-    from ``log``, the list they are recorded into, in its lone build's
-    order.  An exception of the shared part is raised.  Nothing here
-    depends on the state, so ranges can be built in any order and process.
-    The phasor table has the size a run of that chunk length would give
-    it, whichever range asks, so every chunk does the same arithmetic.
+    Returns one array per hand, shape (samples, n, n), entry s taking
+    sample s to sample s + 1 of the range.  Nothing here depends on the
+    state, so ranges can be built in any order and process.  The phasor
+    table has the size a run of that chunk length would give it, whichever
+    range asks, so every chunk does the same arithmetic.
     """
     (
         t0, dt, n_steps, stride,
@@ -472,11 +471,9 @@ def _shared_propagators(kernel_args, prefactors, first_step, end_step, chunk, lo
     k24, k3 = stages[0], stages[1]
     samples = (end_step - first_step) // stride
     hands = [np.empty((samples, n, n), dtype=np.complex128) for _ in prefactors]
-    caught = [[] for _ in prefactors]
 
     for step0 in range(first_step, end_step, chunk):
         nc = min(chunk, end_step - step0)
-        mark = len(log)
         ts = times[: 2 * nc + 1]  # t0 + (step0 + j) dt, then the midpoints
         starts = np.add(offsets[: nc + 1], step0, out=ts[: nc + 1])
         starts *= dt
@@ -485,76 +482,66 @@ def _shared_propagators(kernel_args, prefactors, first_step, end_step, chunk, lo
         bases = _base_phasors(exact, step0)
         bases[n_pulses:] *= -1j  # the generator is -i H
         fields, drives = _hamiltonian_batch(ts, bases, table, pchan, amp, tc, tau, buffers)
-        shared = log[mark:]
-        for hand, prefactor in enumerate(prefactors):
-            if isinstance(hands[hand], Exception):
-                continue
-            mark = len(log)
-            try:
-                upper = _edge_values(fields, drives, echan, prefactor, buffers[2], values)
-                # -i conj(H), the transposed entries
-                mirrored = flipped[:, : upper.shape[1]]
-                np.negative(upper.real, out=mirrored.real)
-                np.copyto(mirrored.imag, upper.imag)
-                a1 = _sparse_rows(entries, upper, mirrored, slice(0, nc))  # starts
-                a2 = _sparse_rows(entries, upper, mirrored, slice(nc + 1, None))  # midpoints
-                a3 = _sparse_rows(entries, upper, mirrored, slice(1, nc + 1))  # ends
-                step_mats, c24, c3 = (k[..., :nc] for k in (m_buf, k24, k3))
-                t = tmp[:, :nc]
-                _sparse_stage(a2, a1, 0.5 * dt, c24, t[0])  # K2
-                _stage(a2, c24, 0.5 * dt, c3, t)  # K3
+        for props, prefactor in zip(hands, prefactors):
+            upper = _edge_values(fields, drives, echan, prefactor, buffers[2], values)
+            # -i conj(H), the transposed entries
+            mirrored = flipped[:, : upper.shape[1]]
+            np.negative(upper.real, out=mirrored.real)
+            np.copyto(mirrored.imag, upper.imag)
+            a1 = _sparse_rows(entries, upper, mirrored, slice(0, nc))  # starts
+            a2 = _sparse_rows(entries, upper, mirrored, slice(nc + 1, None))  # midpoints
+            a3 = _sparse_rows(entries, upper, mirrored, slice(1, nc + 1))  # ends
+            step_mats, c24, c3 = (k[..., :nc] for k in (m_buf, k24, k3))
+            t = tmp[:, :nc]
+            _sparse_stage(a2, a1, 0.5 * dt, c24, t[0])  # K2
+            _stage(a2, c24, 0.5 * dt, c3, t)  # K3
 
-                # M = I + dt/6 (((2 K2 + K1) + 2 K3) + K4)
-                _add_sparse(np.multiply(c24, 2.0, out=step_mats), a1)
-                _stage(a3, c3, dt, c24, t)  # K4 over K2
-                step_mats += np.multiply(c3, 2.0, out=c3)
-                step_mats += c24
-                step_mats *= dt / 6.0
-                for i in range(n):
-                    step_mats[i, i] += 1.0
+            # M = I + dt/6 (((2 K2 + K1) + 2 K3) + K4)
+            _add_sparse(np.multiply(c24, 2.0, out=step_mats), a1)
+            _stage(a3, c3, dt, c24, t)  # K4 over K2
+            step_mats += np.multiply(c3, 2.0, out=c3)
+            step_mats += c24
+            step_mats *= dt / 6.0
+            for i in range(n):
+                step_mats[i, i] += 1.0
 
-                groups = nc // stride
-                first = (step0 - first_step) // stride
-                hands[hand][first : first + groups] = np.moveaxis(
-                    _compose_ordered(step_mats.reshape(n, n, groups, stride), stages.reshape(-1)),
-                    -1, 0,
-                )
-            except Exception as exc:
-                hands[hand] = exc
-            caught[hand] += shared + log[mark:]
-    return hands, caught
+            groups = nc // stride
+            first = (step0 - first_step) // stride
+            props[first : first + groups] = np.moveaxis(
+                _compose_ordered(step_mats.reshape(n, n, groups, stride), stages.reshape(-1)),
+                -1, 0,
+            )
+    return hands
 
 
 def _propagators(kernel_args, first, end, chunk):
-    """One hand's :func:`_shared_propagators`, built in this thread, with
-    any error raised: its propagators, shape (samples, n, n)."""
+    """One hand's :func:`_shared_propagators`, built in this thread under
+    its numpy error state and warning filters: its propagators, shape
+    (samples, n, n)."""
     with np.errstate():  # which restores the buffer size on exit
         np.setbufsize(_BUFSIZE)
-        (props,), _ = _shared_propagators(kernel_args, (kernel_args[8],), first, end, chunk)
-    if isinstance(props, Exception):
-        raise props
+        (props,) = _shared_propagators(kernel_args, (kernel_args[8],), first, end, chunk)
     return props
 
 
 def _range_propagators(blob, bounds):
-    """One range's :func:`_shared_propagators`, under the caller's error state.
+    """One range's :func:`_shared_propagators`, or None if it warned or failed.
 
     ``blob`` is the build's (kernel_args, prefactors, chunk, error state),
-    pickled once by :func:`submit` for all of its ranges.  Returns one
-    entry per hand: its (propagators, warnings), the warnings as
-    (category, message) for the caller to raise again under its own
-    filters, or the exception that stopped the hand.
+    pickled once by :func:`submit` for all of its ranges.  Every floating
+    point error that the caller's state does not ignore raises here, and so
+    does every warning, so that only a range the caller would build without
+    a word comes back.
     """
     kernel_args, prefactors, chunk, err = pickle.loads(blob)
-    with np.errstate(**err), warnings.catch_warnings(record=True) as log:
-        np.setbufsize(_BUFSIZE)
-        warnings.simplefilter("always")
-        hands, caught = _shared_propagators(kernel_args, prefactors, *bounds, chunk, log)
-    return [
-        props if isinstance(props, Exception)
-        else (props, [(w.category, str(w.message)) for w in found])
-        for props, found in zip(hands, caught)
-    ]
+    raised = {kind: "ignore" if how == "ignore" else "raise" for kind, how in err.items()}
+    try:
+        with np.errstate(**raised), warnings.catch_warnings():
+            np.setbufsize(_BUFSIZE)
+            warnings.simplefilter("error")
+            return _shared_propagators(kernel_args, prefactors, *bounds, chunk)
+    except Exception:  # the caller builds it again, and raises it there
+        return None
 
 
 def _worker_count() -> int:
@@ -576,9 +563,9 @@ class PoolError(RuntimeError):
 
 
 class _Task:
-    """One range of a build: its job until sent, then its result, the
-    hands' entries of :func:`_range_propagators` or the exception that
-    stopped the range, once read."""
+    """One range of a build: its job until sent, then its result once
+    read: :func:`_range_propagators`' propagators of every hand, None for
+    a range that warned or failed, or the PoolError that stopped it."""
 
     __slots__ = ("blob", "bounds", "done", "dropped", "result")
 
@@ -618,11 +605,7 @@ def _serve(tasks, results) -> None:
         blob = _read(tasks, size)
         if blob is None:
             return
-        try:
-            result = _range_propagators(blob, (first, end))
-        except Exception as exc:
-            result = exc
-        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(_range_propagators(blob, (first, end)), pickle.HIGHEST_PROTOCOL)
         _write(results, len(data).to_bytes(8, "little"))
         _write(results, data)
 
@@ -816,9 +799,9 @@ def _chunk_ranges(n_steps, chunk, parts):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _chunk_length(stride, chunk_steps):
-    """Steps per chunk: ``chunk_steps`` cut down to a stride multiple."""
-    return max(stride, (int(chunk_steps) // stride) * stride)
+def _chunk_length(stride):
+    """Steps per chunk: :data:`CHUNK_STEPS` cut down to a stride multiple."""
+    return max(stride, (CHUNK_STEPS // stride) * stride)
 
 
 #: Largest propagator result, all hands together, that one range returns:
@@ -828,24 +811,28 @@ _RANGE_BYTES = 1 << 19
 
 
 class _Build:
-    """The range tasks, in order, of one pool build of a pulse set's hands."""
+    """The range tasks, in order, of one pool build of the hands ``runs``
+    of a pulse set, in chunks of ``chunk`` steps."""
 
-    def __init__(self, tasks):
-        self.tasks = tasks
+    def __init__(self, tasks, runs, chunk):
+        self.tasks, self.runs, self.chunk = tasks, runs, chunk
 
     def take(self, hand):
-        """Hand ``hand``'s (propagators, warnings) of each range, in order,
-        each freed from the range's result as it is taken."""
+        """Hand ``hand``'s propagators of each range, in order, each freed
+        from the range's result as it is taken.  A range that warned or
+        failed on the pool is built again here, for this hand alone, so
+        that it warns or raises as in a lone run."""
         for task in self.tasks:
             with _LOCK:
                 if _POOL is not None:  # a task not done is the pool's
                     _POOL.serve(task)
             hands = task.result
-            if isinstance(hands, Exception):
+            if isinstance(hands, PoolError):
                 raise hands
-            mine, hands[hand] = hands[hand], None
-            if isinstance(mine, Exception):
-                raise mine
+            if hands is None:
+                mine = _propagators(self.runs[hand], *task.bounds, self.chunk)
+            else:
+                mine, hands[hand] = hands[hand], None
             yield mine
 
     def drop(self):
@@ -854,7 +841,7 @@ class _Build:
             task.dropped = True
 
 
-def submit(runs, chunk_steps: int = CHUNK_STEPS):
+def submit(runs):
     """Start one build of ``rk4_run(*args)`` for every ``args`` of ``runs``.
 
     ``runs`` are the hands of one pulse set: their arguments differ only
@@ -865,7 +852,7 @@ def submit(runs, chunk_steps: int = CHUNK_STEPS):
     """
     kernel_args = runs[0]
     n_steps, stride, psi0 = kernel_args[2], kernel_args[3], kernel_args[16]
-    chunk = _chunk_length(stride, chunk_steps)
+    chunk = _chunk_length(stride)
     n_chunks = -(-n_steps // chunk)
     workers = _worker_count()
     if workers < 2 or n_chunks < 2 or not hasattr(os, "fork"):
@@ -880,7 +867,7 @@ def submit(runs, chunk_steps: int = CHUNK_STEPS):
         pool = _pool()
         pool.unsent.extend(tasks)
         pool.serve()
-    return _Build(tasks)
+    return _Build(tasks, runs, chunk)
 
 
 def rk4_run(
@@ -888,7 +875,6 @@ def rk4_run(
     energies, rows, cols, echan, prefactor,
     pchan, amp, tc, tau, wcar, ph, conv,
     psi0,
-    chunk_steps: int = CHUNK_STEPS,
     *,
     build=None,
 ):
@@ -912,8 +898,8 @@ def rk4_run(
     ranges' propagators are built on the forked process pool; the samples
     are then taken here, in order.  With one CPU, one chunk or no
     ``fork``, this process builds them all.  ``build``, this run's
-    ``take(k)`` of a build submitted under the same numpy error state and
-    ``chunk_steps``, is read instead of submitting the run again.
+    ``take(k)`` of a build submitted under the same numpy error state, is
+    read instead of submitting the run again.
     """
     kernel_args = (
         t0, dt, n_steps, stride,
@@ -933,16 +919,14 @@ def rk4_run(
     times[1:] = t0 + (np.arange(1, n_samples) * stride) * dt
     states[0] = psi
 
-    own = None if build is not None else submit([kernel_args], chunk_steps)
+    own = None if build is not None else submit([kernel_args])
     if own is not None:
         build = own.take(0)
     elif build is None:
-        build = [(_propagators(kernel_args, 0, n_steps, _chunk_length(stride, chunk_steps)), [])]
+        build = [_propagators(kernel_args, 0, n_steps, _chunk_length(stride))]
     try:
         sample = 1  # the next sample to take
-        for props, caught in build:
-            for category, message in caught:
-                warnings.warn(message, category)
+        for props in build:
             for p, row in zip(props, states[sample:]):
                 psi = p.dot(psi, out=row)
             sample += len(props)

@@ -31,7 +31,7 @@ def builds(monkeypatch):
     two workers."""
     made, real = [], _rk4_numpy.submit
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
-    monkeypatch.setattr(_rk4_numpy, "submit", lambda runs, *a: made.append(real(runs, *a)) or made[-1])
+    monkeypatch.setattr(_rk4_numpy, "submit", lambda runs: made.append(real(runs)) or made[-1])
     return made
 
 

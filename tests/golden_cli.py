@@ -122,8 +122,8 @@ def run_case(case: dict, workdir: Path) -> dict:
     try:
         # Warnings are kept apart from stderr, where they would carry
         # source paths, and each is caught whatever was warned before.
-        # Only the distinct ones are kept: each worker range relays its
-        # own, so their count follows the CPUs the process may use.
+        # Only the distinct ones are kept, sorted: the record names what
+        # was warned, not how often or in which order.
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -801,6 +801,12 @@ def test_compensation_overflow_guard():
         detuning_compensation(38.0, 1.0)  # exponent 722 > 700
 
 
+@pytest.mark.parametrize("tau0", [0.0, -35.0])
+def test_compensation_rejects_a_non_positive_tau0(tau0):
+    with pytest.raises(ValueError, match=f"^tau0 must be > 0 ns, got {tau0}$"):
+        detuning_compensation(0.01, tau0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("argument", ["delta", "tau0"])
 def test_compensation_rejects_non_finite_input(argument, bad):

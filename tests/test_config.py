@@ -105,6 +105,13 @@ def test_design_stage2_center_pinned_at_parse():
                  id="grid-negative-drift-tol"),
     pytest.param(MINIMAL + "\n[grid]\nsample_stride = 2.5\n", "expected an integer",
                  id="grid-float-stride"),
+    pytest.param(MINIMAL + "\n[design]\nconvention = sideways\n",
+                 r"^\[design\]: unknown phase convention 'sideways'", id="design-unknown-convention"),
+    pytest.param(MINIMAL + "\n[pulse.a]\nconvention = sideways\n",
+                 r"^\[pulse\.a\] convention: unknown phase convention 'sideways'",
+                 id="pulse-unknown-convention"),
+    pytest.param(MINIMAL + "\n[sweep]\ndelta_tau_products = ,\n",
+                 r"^\[sweep\] delta_tau_products: list is empty$", id="sweep-empty-products"),
 ])
 def test_config_rejected_with_its_reason(text, message):
     with pytest.raises(ConfigError, match=message):

@@ -241,6 +241,23 @@ def test_sweep_raises_the_error_of_its_failing_point(molecule, monkeypatch, buil
     assert len(builds) == 2 and not live(builds)
 
 
+def test_a_point_that_cannot_be_designed_fails_after_the_point_before(molecule, monkeypatch):
+    # Point 2's tau0 fails its design while point 1 is queued, one set
+    # ahead.  The sweep must raise that error once both of point 1's runs
+    # are propagated, not before them and not a later failure of its own.
+    real, hands = experiments.propagate, []
+
+    def counting(molecule, pulses, hand, **kwargs):
+        hands.append(hand)
+        return real(molecule, pulses, hand, **kwargs)
+
+    monkeypatch.setattr(experiments, "propagate", counting)
+    with pytest.raises(ValueError) as raised:
+        sweep_phase_duration(molecule, DesignSpec(target="C", tau0=2.0), [0.0], [2.0, -1.0], levels=3)
+    assert str(raised.value) == "tau0 must be > 0 ns, got -1.0"
+    assert hands == list(BOTH)
+
+
 def test_a_pipelined_run_builds_its_arguments_once(molecule, monkeypatch):
     # Queuing a point builds its grid and both hands' kernel arguments in
     # one call; each hand's propagate call takes them instead of building

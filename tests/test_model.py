@@ -90,6 +90,16 @@ def test_spectator_rejects_non_finite(name, value):
         replace(CYCLOHEXYLMETHANOL.spectator, **{name: value})
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("omega_ab_mhz", 0.0, "omega_ab_mhz must be strictly positive, got 0.0"),
+    ("mu_c_debye", -0.8, "mu_c_debye must be strictly positive, got -0.8"),
+    ("closure_tol_mhz", -1.0, "closure_tol_mhz must be non-negative"),
+])
+def test_molecule_rejects_a_value_out_of_range(name, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(CYCLOHEXYLMETHANOL, **{name: value})
+
+
 def test_unknown_preset_raises():
     with pytest.raises(KeyError):
         get_preset("unobtanium")

@@ -110,6 +110,13 @@ def test_grid_config_validation():
         GridConfig(t_start=0.0, t_end=-1.0, dt=0.1)
     with pytest.raises(ValueError):
         GridConfig(t_start=0.0, t_end=1.0, dt=0.0)
+    with pytest.raises(ValueError, match="^sample_stride must be >= 1, got 0$"):
+        GridConfig(t_start=0.0, t_end=1.0, dt=0.1, sample_stride=0)
+
+
+def test_default_grid_needs_a_pulse(molecule):
+    with pytest.raises(ValueError, match="^default_grid needs at least one pulse$"):
+        default_grid(molecule, [], 3)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -146,6 +153,14 @@ def test_grid_steps_align_with_stride():
     assert grid.n_steps % 7 == 0
     assert grid.dt_eff * grid.n_steps == pytest.approx(1.0)
     assert grid.dt_eff <= 0.003 + 1e-15
+
+
+def test_a_single_pulse_runs_as_a_one_pulse_list(molecule):
+    # The README lets propagate take one Pulse where it takes a sequence.
+    (pulses, _), *_ = pipe_sets(molecule)
+    alone = propagate(molecule, pulses[0], L, levels=3, grid=PIPE_GRID)
+    assert run_bytes(alone) == run_bytes(propagate(molecule, pulses, L, levels=3, grid=PIPE_GRID))
+    assert populations(alone)[-1, 1] > 0.01  # the pulse drove the run
 
 
 def test_too_coarse_grid_rejected(molecule, pulses_c):
@@ -398,7 +413,7 @@ def test_non_finite_guard_names_first_bad_sample(molecule, monkeypatch, chunk_st
     # propagate finds the first non-finite sample (11) of the whole run,
     # whether it opens a chunk or lies inside one, on the path rk4_run
     # picks (the pool, for several chunks) and then with one usable CPU.
-    monkeypatch.setattr(_rk4_numpy, "rk4_run", partial(_rk4_numpy.rk4_run, chunk_steps=chunk_steps))
+    monkeypatch.setattr(_rk4_numpy, "CHUNK_STEPS", chunk_steps)
     pulse, grid = overflow_case(molecule)
     for one_cpu in (False, True):
         if one_cpu:
@@ -412,7 +427,7 @@ def test_non_finite_guard_names_first_bad_sample(molecule, monkeypatch, chunk_st
         )
 
 
-def run_both_paths(monkeypatch, args, chunk_steps):
+def run_both_paths(monkeypatch, args):
     """``rk4_run`` on the path it picks, then with one usable CPU.
 
     Returns both results and, for each run, the ``(first_step, end_step)``
@@ -434,7 +449,7 @@ def run_both_paths(monkeypatch, args, chunk_steps):
             monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 1)
         built.clear()
         with np.errstate(over="ignore", invalid="ignore"):
-            results.append(_rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps))
+            results.append(_rk4_numpy.rk4_run(*args))
         ranges.append(list(built))
     return results, ranges
 
@@ -458,7 +473,8 @@ def test_pool_path_gives_in_process_bits(molecule, monkeypatch, case, chunk_step
     else:
         pulse, grid = overflow_case(molecule)
         _, [args] = _run_args(molecule, [pulse], (L,), 3, grid)
-    (pooled, alone), (pool_built, alone_built) = run_both_paths(monkeypatch, args, chunk_steps)
+    monkeypatch.setattr(_rk4_numpy, "CHUNK_STEPS", chunk_steps)
+    (pooled, alone), (pool_built, alone_built) = run_both_paths(monkeypatch, args)
     for got, want in zip(pooled, alone):
         assert got.tobytes() == want.tobytes()
     finite = np.isfinite(alone[2])
@@ -466,7 +482,7 @@ def test_pool_path_gives_in_process_bits(molecule, monkeypatch, case, chunk_step
     n_steps = args[2]
     with np.errstate(over="ignore", invalid="ignore"):
         chain = [args[16]]
-        chunk = _rk4_numpy._chunk_length(args[3], chunk_steps)
+        chunk = _rk4_numpy._chunk_length(args[3])
         for p in _rk4_numpy._propagators(args, 0, n_steps, chunk):
             chain.append(np.matmul(p, chain[-1]))
     assert np.array(chain).tobytes() == alone[1].tobytes()
@@ -484,13 +500,14 @@ def test_caller_error_state_reaches_the_workers(molecule, monkeypatch, one_cpu):
     # wherever the chunk is built, and the second warns in the caller.
     if one_cpu:
         monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 1)
+    monkeypatch.setattr(_rk4_numpy, "CHUNK_STEPS", 160)
     pulse, grid = overflow_case(molecule)
     _, [args] = _run_args(molecule, [pulse], (L,), 3, grid)
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        _rk4_numpy.rk4_run(*args, chunk_steps=160)
+        _rk4_numpy.rk4_run(*args)
     with np.errstate(over="warn", invalid="ignore"):
         with pytest.warns(RuntimeWarning, match="overflow encountered"):
-            _rk4_numpy.rk4_run(*args, chunk_steps=160)
+            _rk4_numpy.rk4_run(*args)
 
 
 KILLED_CALLER = """
@@ -645,7 +662,7 @@ def test_ahead_reads_sets_no_further_than_the_next_one(molecule):
 def test_a_single_hand_call_submits_a_one_hand_build(molecule, monkeypatch):
     # Alone or through ahead, one hand of a pulse set builds that hand only.
     real, hands = _rk4_numpy.submit, []
-    monkeypatch.setattr(_rk4_numpy, "submit", lambda runs, *a: hands.append(len(runs)) or real(runs, *a))
+    monkeypatch.setattr(_rk4_numpy, "submit", lambda runs: hands.append(len(runs)) or real(runs))
     (pulses, _), *_ = pipe_sets(molecule)
     propagate(molecule, pulses, R, levels=3, grid=PIPE_GRID)
     for run, hand in ahead(molecule, [(pulses, (L,))], 3, PIPE_GRID):
@@ -664,23 +681,49 @@ def recorded_warnings(run):
     return [(w.category, str(w.message)) for w in caught]
 
 
-def test_each_hand_of_a_shared_build_raises_its_lone_warnings(molecule):
+def test_each_hand_of_a_shared_build_raises_its_lone_warnings(molecule, monkeypatch):
     # The overflow run warns while its fields are evaluated (shared) and
     # while each hand's stages are built.  Each hand must raise its lone
     # run's warnings, neither fewer nor the other hand's as well.
+    monkeypatch.setattr(_rk4_numpy, "CHUNK_STEPS", 160)
     pulse, grid = overflow_case(molecule)
     _, runs = _run_args(molecule, [pulse], BOTH, 3, grid)
     with np.errstate(all="warn"):
-        alone = [recorded_warnings(partial(_rk4_numpy.rk4_run, *args, 160)) for args in runs]
-        build = _rk4_numpy.submit(runs, 160)
+        alone = [recorded_warnings(partial(_rk4_numpy.rk4_run, *args)) for args in runs]
+        build = _rk4_numpy.submit(runs)
         shared = [
-            recorded_warnings(partial(_rk4_numpy.rk4_run, *args, 160, build=build and build.take(k)))
+            recorded_warnings(partial(_rk4_numpy.rk4_run, *args, build=build and build.take(k)))
             for k, args in enumerate(runs)
         ]
     assert ("RuntimeWarning", "underflow encountered in exp") in [
         (c.__name__, m) for c, m in alone[0]
     ]  # a warning of the shared part
     assert shared == alone
+
+
+@pytest.mark.parametrize("mode", ["warn", "call"])
+def test_a_pooled_run_reports_its_errors_as_a_lone_run(molecule, monkeypatch, fresh_pool, mode):
+    # The overflow run, started 16 ns early, spans four chunks, whose
+    # ranges warn, or call the caller's error handler, on the pool; so the
+    # caller builds them again itself.  It must report what the same run
+    # reports with one usable CPU: each warning's category, message, file
+    # and line, or each handler call, in order.  The pool forks under the
+    # handler, so a worker that called its own copy would lose the calls.
+    pulse, grid = overflow_case(molecule)
+    _, [args] = _run_args(molecule, [pulse], (L,), 3, replace(grid, t_start=-16.0))
+    assert args[2] > 3 * _rk4_numpy.CHUNK_STEPS
+    found = []
+    for workers in (2, 1):
+        monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: workers)
+        handled = []
+        with np.errstate(all=mode, call=lambda kind, flag: handled.append(kind)), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _rk4_numpy.rk4_run(*args)
+        found.append(handled + [(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    pooled, alone = found
+    assert pooled == alone
+    assert len(set(alone)) > 1  # several errors, from several lines
 
 
 def test_a_queued_build_is_taken_only_by_its_exact_call(molecule, monkeypatch):

@@ -78,6 +78,11 @@ def test_pulse_rejects_nonpositive_carrier():
         make_pulse(carrier_mhz=0.0)
 
 
+def test_pulse_rejects_an_unknown_channel():
+    with pytest.raises(ValueError, match=r"^channel must be one of \('a', 'b', 'c'\), got 'd'$"):
+        make_pulse(channel="d")
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize(
     "name, keyword",

@@ -145,12 +145,13 @@ def test_a_capped_shared_build_has_the_lone_bytes(molecule, monkeypatch):
     # so the size cap cuts the 9 chunks of 512 steps into 5 ranges, more
     # than one per CPU; each hand still gives its lone run's bytes.
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)
+    monkeypatch.setattr(_rk4_numpy, "CHUNK_STEPS", 512)
     runs = hand_args(molecule, 4, sample_stride=1, tau0=0.3)
-    build = _rk4_numpy.submit(runs, 512)
+    build = _rk4_numpy.submit(runs)
     assert len(build.tasks) == 5
     for k, args in enumerate(runs):
-        taken = _rk4_numpy.rk4_run(*args, 512, build=build.take(k))
-        assert run_bytes(taken) == run_bytes(_rk4_numpy.rk4_run(*args, 512))
+        taken = _rk4_numpy.rk4_run(*args, build=build.take(k))
+        assert run_bytes(taken) == run_bytes(_rk4_numpy.rk4_run(*args))
 
 
 def test_a_build_has_no_more_ranges_than_chunks(molecule, monkeypatch):
@@ -171,7 +172,7 @@ def test_a_build_is_cancelled_once_no_run_uses_it():
     # build, and dropping the build drops them; a pool with room for them
     # then sends neither.
     tasks = [_rk4_numpy._Task(b"", (0, 1)), _rk4_numpy._Task(b"", (1, 2))]
-    build = _rk4_numpy._Build(tasks)
+    build = _rk4_numpy._Build(tasks, runs=[], chunk=1)
     build.take(0)
     assert not any(task.dropped for task in tasks)
     build.drop()
@@ -434,29 +435,34 @@ tau0, levels = float(sys.argv[1]), int(sys.argv[2])
 pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=tau0))
 grid = default_grid(molecule, pulses, levels)
 _, [args] = _run_args(molecule, pulses, (Handedness.LEFT,), levels, grid)
-for chunk_steps in (args[2], _rk4_numpy.CHUNK_STEPS):  # one chunk, then the kernel's
-    run = _rk4_numpy.rk4_run(*args, chunk_steps)
+for chunk in (args[2], _rk4_numpy.CHUNK_STEPS):  # one chunk, then the kernel's
+    _rk4_numpy.CHUNK_STEPS = chunk
+    run = _rk4_numpy.rk4_run(*args)
     print(hashlib.sha256(b"".join(a.tobytes() for a in run)).hexdigest())
 """
 
 
-def run_digest(args, chunk_steps):
+def run_digest(args):
     """sha256 of a run's times, states and norms."""
-    run = _rk4_numpy.rk4_run(*args, chunk_steps)
+    run = _rk4_numpy.rk4_run(*args)
     return hashlib.sha256(b"".join(a.tobytes() for a in run)).hexdigest()
 
 
-def test_kept_set_up_gives_the_bits_of_a_lone_run(molecule):
+def test_kept_set_up_gives_the_bits_of_a_lone_run(molecule, monkeypatch):
     # A short run, a long one, four levels, then three on another grid,
     # each built in one chunk in this thread and then in the kernel's
     # chunks (on the pool with two or more CPUs): every run, made after the
     # others, must give the bits of the same run made first in a fresh
     # process.
+    kernel_chunk = _rk4_numpy.CHUNK_STEPS
     for tau0, levels in ((0.2, 3), (1.5, 3), (1.5, 4), (2.25, 3)):
         pulses = designed_pulses(molecule, DesignSpec(target="C", tau0=tau0))
         grid = default_grid(molecule, pulses, levels)
         _, [args] = _run_args(molecule, pulses, (L,), levels, grid)
-        here = [run_digest(args, chunk_steps) for chunk_steps in (args[2], _rk4_numpy.CHUNK_STEPS)]
+        here = []
+        for chunk_steps in (args[2], kernel_chunk):
+            monkeypatch.setattr(_rk4_numpy, "CHUNK_STEPS", chunk_steps)
+            here.append(run_digest(args))
         proc = subprocess.run(
             [sys.executable, "-c", ALONE_RUN, str(tau0), str(levels)],
             capture_output=True, text=True, timeout=120,
@@ -470,7 +476,8 @@ def test_threads_building_at_once_keep_their_own_scratch(molecule, monkeypatch):
     # waits for the other once its Hamiltonian is in scratch, so the two
     # builds are under way at once; each must still give its lone run's bits.
     runs = [designed_args(molecule, DesignSpec(target="C", tau0=0.2), 3, hand) for hand in Handedness]
-    alone = [run_digest(args, args[2]) for args in runs]
+    monkeypatch.setattr(_rk4_numpy, "CHUNK_STEPS", runs[0][2])
+    alone = [run_digest(args) for args in runs]
     barrier, real = threading.Barrier(len(runs), timeout=60), _rk4_numpy._sparse_stage
 
     def meet(*args):
@@ -481,7 +488,7 @@ def test_threads_building_at_once_keep_their_own_scratch(molecule, monkeypatch):
     got = [None] * len(runs)
 
     def build(k):
-        got[k] = run_digest(runs[k], runs[k][2])
+        got[k] = run_digest(runs[k])
 
     threads = [threading.Thread(target=build, args=(k,)) for k in range(len(runs))]
     for thread in threads:
@@ -499,12 +506,12 @@ def test_threads_sharing_the_pool_each_get_their_own_bits(molecule, monkeypatch,
     monkeypatch.setattr(_rk4_numpy, "_worker_count", lambda: 2)  # a fresh pool: no range in flight
     runs = [designed_args(molecule, DesignSpec(target="C", tau0=tau0), 3, L)
             for tau0 in (0.5, 0.75, 1.0, 1.25)]
-    alone = [run_digest(args, _rk4_numpy.CHUNK_STEPS) for args in runs]
+    alone = [run_digest(args) for args in runs]
     got = [[] for _ in runs]
 
     def build(k):
         for _ in range(5):
-            got[k].append(run_digest(runs[k], _rk4_numpy.CHUNK_STEPS))
+            got[k].append(run_digest(runs[k]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -521,9 +528,9 @@ def test_threads_sharing_the_pool_each_get_their_own_bits(molecule, monkeypatch,
     assert not any(worker.sent for worker in _rk4_numpy._POOL.workers)
 
 
-def assert_kernel_matches_direct(args, chunk_steps):
+def assert_kernel_matches_direct(args):
     """``rk4_run`` against ``direct_rk4``; returns the direct states."""
-    times, states, norm_err = _rk4_numpy.rk4_run(*args, chunk_steps=chunk_steps)
+    times, states, norm_err = _rk4_numpy.rk4_run(*args)
     want_times, want, want_norm_err = direct_rk4(*args)
     np.testing.assert_array_equal(times, want_times)
     assert np.abs(norm_err - want_norm_err).max() <= 1e-12
@@ -538,14 +545,15 @@ def assert_kernel_matches_direct(args, chunk_steps):
     pytest.param(1000, 7, id="1000-stride7"),
 ])
 @pytest.mark.parametrize("hand", BOTH)
-def test_kernel_matches_direct_cos_sin_rk4(molecule, hand, chunk_steps, stride):
+def test_kernel_matches_direct_cos_sin_rk4(molecule, monkeypatch, hand, chunk_steps, stride):
     # At stride 128, 4,352 steps: one full 4096-step chunk and a partial
     # one, or four 896-step chunks and a partial one.  Stride 7 rounds the
     # chunks to 4,095 and 994 steps, so the composition tree carries an odd
     # tail and the chunk is not a power of two.
     args = designed_args(molecule, DesignSpec(target="C", tau0=0.3), 4, hand, stride)
     assert args[2] % (chunk_steps // stride * stride)  # a partial last chunk
-    want = assert_kernel_matches_direct(args, chunk_steps)
+    monkeypatch.setattr(_rk4_numpy, "CHUNK_STEPS", chunk_steps)
+    want = assert_kernel_matches_direct(args)
     assert np.abs(want[:, 0]).min() < 0.9  # the comparison is not vacuous
 
 
@@ -554,18 +562,21 @@ def test_kernel_matches_direct_cos_sin_rk4(molecule, hand, chunk_steps, stride):
     # a chain: entries of A2 A1 with no term are +0, where the dense form's
     # sum of zero products may be -0
     (((0, 1), (1, 2), (2, 3)), False),
+    # the path A-B-C: A and B, like B and C, share no neighbour
+    (((0, 1), (1, 2)), True),
 ])
 def test_sparse_k2_equals_dense_stage(edges, same_bytes):
     # K2 = A2 + h/2 A2 K1 with K1 = A1 sparse must give the dense form's
     # values, whose extra terms multiply exact zeros of K1
     rng = np.random.default_rng(5)
     rows, cols = np.array(edges).T
-    entries = _rk4_numpy._generator_rows(rows, cols, 4)
+    n = int(np.max(edges)) + 1
+    entries = _rk4_numpy._generator_rows(rows, cols, n)
     values = rng.normal(size=(4, len(edges), 33)) + 1j * rng.normal(size=(4, len(edges), 33))
     a1, a2 = (_rk4_numpy._sparse_rows(entries, v, w, slice(None)) for v, w in (values[:2], values[2:]))
-    dense_k1 = np.zeros((4, 4, 33), dtype=np.complex128)
+    dense_k1 = np.zeros((n, n, 33), dtype=np.complex128)
     _rk4_numpy._add_sparse(dense_k1, a1)
-    tmp = np.empty((4, 33), dtype=np.complex128)
+    tmp = np.empty((n, 33), dtype=np.complex128)
     want = _rk4_numpy._stage(a2, dense_k1, 0.37, np.empty_like(dense_k1), tmp)
     got = _rk4_numpy._sparse_stage(a2, a1, 0.37, np.empty_like(dense_k1), tmp[0])
     np.testing.assert_array_equal(got, want)
@@ -574,7 +585,7 @@ def test_sparse_k2_equals_dense_stage(edges, same_bytes):
 
 
 def kernel_chunk_steps(args, draw):
-    """A ``chunk_steps`` that leaves the run's last chunk partial.
+    """A ``CHUNK_STEPS`` that leaves the run's last chunk partial.
 
     ``chunk_groups`` in [0, 1] picks the whole samples per chunk between 1
     and all but one; ``spare`` adds steps short of one more stride, which the
@@ -609,7 +620,9 @@ def test_kernel_matches_direct_rk4_on_random_designs(molecule, **draw):
     args = designed_args(molecule, spec, draw["levels"], draw["hand"], draw["stride"])
     chunk_steps = kernel_chunk_steps(args, draw)
     assert args[2] % (chunk_steps // draw["stride"] * draw["stride"])  # a partial last chunk
-    assert_kernel_matches_direct(args, chunk_steps)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_rk4_numpy, "CHUNK_STEPS", chunk_steps)
+        assert_kernel_matches_direct(args)
 
 
 POOLED_RUN = """
